@@ -40,6 +40,7 @@ from .field_ops import (  # noqa: F401
 )
 from .bodies import (  # noqa: F401
     LevelSetSample,
+    LevelTable,
     af_margins,
     af_pairs,
     mean_radius,

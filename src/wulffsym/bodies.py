@@ -13,7 +13,9 @@ with W_0 the enclosed volume via the divergence identity. The k-th mean
 radius is (W_k / kappa_n)^{1/(n-k)}, the radius of the Wulff ball sharing
 that mixed volume; differences of mean radii across orders are the
 Aleksandrov-Fenchel margins, nonnegative for convex bodies and zero
-exactly on Wulff balls.
+exactly on Wulff balls. A LevelTable reduces one sampled family of level
+sets to the mean radii and coarea integrands that every symmetrization
+harness reads.
 """
 
 import math
@@ -25,7 +27,7 @@ import numpy as np
 
 from .anisotropy import Norm, dual_jet, eval_jet, wulff_volume
 from .errors import DegenerateLevelError, DomainError, NumericError
-from .field_ops import curvature_batch
+from .field_ops import curvature_batch, level_grid
 from .fields import Field
 from .parallel import thread_count
 from .quad import chunked
@@ -294,3 +296,39 @@ def af_margins(sample: LevelSetSample) -> np.ndarray:
     n = sample.points.shape[-1]
     zeta = [mean_radius(sample, k) for k in range(n)]
     return np.array([zeta[k] - zeta[l] for k, l in af_pairs(n)])
+
+
+class LevelTable:
+    """Mean radii and coarea integrands of one sampled family of level sets.
+
+    Built once from (norm, field, level grid, rays); ``levels`` is a level
+    count for ``level_grid`` or an explicit array of levels. Degenerate
+    levels are skipped with a warning and listed in ``skipped``. For the
+    kept ``levels``, ``zeta[j]`` holds the mean radius zeta_j, j = 0..n-1,
+    and ``coarea[k - 1]`` the surface integral of
+    S_{k-1}(curv) F(grad u)^k F(nu), the coarea integrand of the
+    k-Hessian energy, k = 1..n. The level-set samples themselves are not
+    kept.
+    """
+
+    def __init__(self, norm: Norm, u: Field, levels=200,
+                 rays: int | None = None):
+        grid = (level_grid(u, levels) if np.isscalar(levels)
+                else np.asarray(levels, dtype=float))
+        samples = sample_many(norm, u, grid, rays=rays)
+        live = np.array([s is not None for s in samples], dtype=bool)
+        for t in grid[~live]:
+            warnings.warn(f"skipping degenerate level t={t:.6g}")
+        kept = [s for s in samples if s is not None]
+        self.norm = norm
+        self.field = u
+        self.rays = rays
+        self.levels = grid[live]
+        self.skipped = grid[~live]
+        self.zeta = np.array([[mean_radius(s, j) for s in kept]
+                              for j in range(u.dim)])
+        self.coarea = np.array([
+            [float(np.sum(s.weights * s.curvatures[k - 1]
+                          * s.gradient_norms ** k * s.f_of_nu))
+             for s in kept]
+            for k in range(1, u.dim + 1)])

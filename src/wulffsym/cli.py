@@ -27,6 +27,7 @@ WULFFSYM_THREADS caps worker threads (default: all cores).
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -44,7 +45,7 @@ from .anisotropy import (
     regularized_p_norm,
     wulff_volume,
 )
-from .bodies import af_pairs, mean_radius, mixed_volume, sample_level_set
+from .bodies import LevelTable, af_pairs, mixed_volume, sample_level_set
 from .errors import InputError
 from .field_ops import (
     hessian_integral,
@@ -61,7 +62,6 @@ from .invariants import (
 )
 from .parallel import ENV_VAR, thread_count
 from .symmetrize import (
-    _LevelData,
     comparison_margin,
     lp_compare,
     ps_margin,
@@ -226,7 +226,7 @@ def _sample_interior(norm, u, count, seed):
     return pts[keep][:count]
 
 
-def _task_identities(cfg, norm, u):
+def _task_identities(cfg, norm, u, level_table):
     from .anisotropy import eval_jet
     from .field_ops import _newton_stack, _sk_stack, aniso_hessian_batch, \
         curvature_batch
@@ -254,9 +254,7 @@ def _task_identities(cfg, norm, u):
     for k in cfg.orders:
         direct = hessian_integral(norm, u, k,
                                   cfg.grids.get("volume_panels"))
-        coarea = hessian_integral_coarea(
-            norm, u, k, levels=cfg.grid("levels", 200),
-            rays=cfg.grids.get("rays"))
+        coarea = hessian_integral_coarea(level_table(), k)
         spread = abs(direct - coarea) / (1.0 + abs(direct))
         rows.append(_row("identities", "coarea vs direct energy",
                          coarea, direct, 1e-3, spread <= 1e-3, k=k))
@@ -300,39 +298,29 @@ def _task_mixedvol(cfg, norm, u):
     return rows
 
 
-def _task_af(cfg, norm, u):
+def _task_af(cfg, norm, u, level_table):
     rows = []
-    data = _LevelData(norm, u, 1, cfg.grid("levels", 60),
-                      cfg.grids.get("rays"))
-    n = u.dim
-    pairs = af_pairs(n)
-    worst = {pair: np.inf for pair in pairs}
-    for sample in data.samples:
-        zetas = [mean_radius(sample, k) for k in range(n)]
-        for k, l in pairs:
-            worst[(k, l)] = min(worst[(k, l)], zetas[k] - zetas[l])
-    for (k, l), margin in worst.items():
+    zeta = level_table().zeta
+    for k, l in af_pairs(u.dim):
+        margin = float(np.min(zeta[k] - zeta[l]))
         rows.append(_row("af", f"mean-radius gap {k}-{l}", margin, 0.0,
                          1e-6, margin >= -1e-6, k=k))
     return rows
 
 
-def _task_symmetrize(cfg, norm, u, out_dir):
+def _task_symmetrize(cfg, norm, u, level_table, out_dir):
     rows = []
+    table = level_table()
     for k in cfg.orders:
-        sym = symmetrand(norm, u, k, cfg.grid("levels", 200),
-                         cfg.grids.get("rays"))
+        sym = symmetrand(table, k)
         node_err = float(np.max(np.abs(
             sym.rho(sym.zeta.values) - sym.zeta.r)))
         rows.append(_row("symmetrize", "profile node consistency",
                          node_err, 0.0, 1e-6, node_err <= 1e-6, k=k))
-        lhs, rhs = lp_compare(norm, u, k, 2.0, cfg.grid("levels", 200),
-                              cfg.grids.get("rays"))
+        lhs, rhs = lp_compare(table, k, 2.0, cfg.grids.get("volume_panels"))
         rows.append(_margin_row("symmetrize", "L2 monotonicity", rhs, lhs,
                                 1e-4, k=k, p=2.0))
-        linf_l, linf_r = lp_compare(norm, u, k, math.inf,
-                                    cfg.grid("levels", 200),
-                                    cfg.grids.get("rays"))
+        linf_l, linf_r = lp_compare(table, k, math.inf)
         rows.append(_row("symmetrize", "Linf equality", linf_l, linf_r,
                          1e-12, abs(linf_l - linf_r) <= 1e-12, k=k))
         if out_dir is not None:
@@ -343,34 +331,32 @@ def _task_symmetrize(cfg, norm, u, out_dir):
     return rows
 
 
-def _task_polya_szego(cfg, norm, u):
+def _task_polya_szego(cfg, norm, u, level_table):
     rows = []
+    table = level_table()
     for k in cfg.orders:
-        res = ps_margin(norm, u, k, cfg.grid("levels", 200),
-                        cfg.grids.get("rays"))
+        res = ps_margin(table, k, cfg.grids.get("volume_panels"))
         tol = 1e-4 * (1.0 + abs(res.lhs))
         rows.append(_margin_row("polya_szego", "hessian energy drop",
                                 res.lhs, res.rhs, tol, k=k))
         for p in cfg.exponents:
-            resp = ps_margin_p(norm, u, k, p, cfg.grid("levels", 200),
-                               cfg.grids.get("rays"))
+            resp = ps_margin_p(table, k, p)
             tol = 1e-4 * (1.0 + abs(resp.lhs))
             rows.append(_margin_row("polya_szego", "generalized energy drop",
                                     resp.lhs, resp.rhs, tol, k=k, p=p))
     return rows
 
 
-def _task_compare(cfg, norm, u):
+def _task_compare(cfg, norm, u, level_table):
     rows = []
+    table = level_table()
     for k in cfg.orders:
         source = cfg.field.get("source_constant")
         if source is None:
             pts = _sample_interior(norm, u, 400, cfg.seed)
             source = float(np.max(sk_field_batch(norm, u, pts, k))) * 1.05
         res = comparison_margin(
-            norm, u,
-            lambda pts, c=float(source): np.full(pts.shape[0], c), k,
-            cfg.grid("levels", 200), cfg.grids.get("rays"),
+            table, lambda pts, c=float(source): np.full(pts.shape[0], c), k,
             solver_nodes=cfg.grid("radial_nodes", 4096))
         rows.append(_row("compare", f"radial domination (f={source:.6g})",
                          res.min_margin, 0.0, 1e-4,
@@ -386,7 +372,9 @@ def _task_sobolev(cfg, norm, u):
             if p >= n - k + 1:
                 continue
             c = sobolev_constant(norm, k, p)
-            res = sobolev_margin(norm, u, k, p)
+            res = sobolev_margin(norm, u, k, p,
+                                 cfg.grids.get("volume_panels"),
+                                 cfg.grids.get("rays"))
             tol = 1e-4 * (1.0 + res.constant * res.energy)
             rows.append(_margin_row(
                 "sobolev", f"embedding slack (C={c:.8g})",
@@ -434,14 +422,19 @@ def run(cfg: ExperimentConfig) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
     report = {"version": __version__, "config": _config_echo(cfg),
               "tasks": {}, "passed": True}
+    # one sampled level family per experiment, built by the first task
+    # that reads it
+    level_table = functools.cache(lambda: LevelTable(
+        norm, u, cfg.grid("levels", 200), cfg.grids.get("rays")))
     runners = {
         "invariants": lambda: _task_invariants(cfg, norm, u),
-        "identities": lambda: _task_identities(cfg, norm, u),
+        "identities": lambda: _task_identities(cfg, norm, u, level_table),
         "mixedvol": lambda: _task_mixedvol(cfg, norm, u),
-        "af": lambda: _task_af(cfg, norm, u),
-        "symmetrize": lambda: _task_symmetrize(cfg, norm, u, out_dir),
-        "polya_szego": lambda: _task_polya_szego(cfg, norm, u),
-        "compare": lambda: _task_compare(cfg, norm, u),
+        "af": lambda: _task_af(cfg, norm, u, level_table),
+        "symmetrize": lambda: _task_symmetrize(cfg, norm, u, level_table,
+                                               out_dir),
+        "polya_szego": lambda: _task_polya_szego(cfg, norm, u, level_table),
+        "compare": lambda: _task_compare(cfg, norm, u, level_table),
         "sobolev": lambda: _task_sobolev(cfg, norm, u),
     }
     for task in cfg.tasks:
@@ -530,7 +523,7 @@ def _check(fast: bool) -> int:
                                  else 96)
         report = run(cfg)
         status = "pass" if report["passed"] else "FAIL"
-        print(f"[{status}] {name}: "
+        print(f"[{status}] {name} ({report['runtime_seconds']:.1f}s): "
               + ", ".join(f"{t}={'ok' if d['passed'] else 'FAIL'}"
                           for t, d in report["tasks"].items()))
         failures += 0 if report["passed"] else 1
@@ -539,7 +532,8 @@ def _check(fast: bool) -> int:
         "field": {"preset": "quadratic_ellipsoid"},
         "tasks": ["invariants"], "output": {}, "seed": 7})
     report = run(cfg)
-    print(f"[{'pass' if report['passed'] else 'FAIL'}] invariant kernel")
+    print(f"[{'pass' if report['passed'] else 'FAIL'}] invariant kernel "
+          f"({report['runtime_seconds']:.1f}s)")
     failures += 0 if report["passed"] else 1
     return 1 if failures else 0
 

@@ -13,8 +13,6 @@ box with the domain indicator, or through the coarea decomposition over
 sampled level sets.
 """
 
-import warnings
-
 import numpy as np
 
 from .anisotropy import Norm, eval_jet, half_sq_hessian
@@ -245,31 +243,19 @@ def level_grid(u: Field, count: int = 200) -> np.ndarray:
     return np.concatenate([bottom, top])
 
 
-def hessian_integral_coarea(norm: Norm, u: Field, k: int,
-                            levels=200, rays: int | None = None) -> float:
+def hessian_integral_coarea(table, k: int) -> float:
     """Hessian integral through the coarea decomposition over level sets.
 
     (1/k) * integral over t of the surface integral of
-    S_{k-1}(curvatures) F(grad u)^k F(normal) over each level set.
+    S_{k-1}(curvatures) F(grad u)^k F(normal) over each level set of a
+    bodies.LevelTable.
     """
-    from . import bodies
-
-    if k < 1:
-        raise DomainError("coarea route needs k >= 1")
-    grid = level_grid(u, levels) if np.isscalar(levels) else np.asarray(levels)
-    samples = bodies.sample_many(norm, u, grid, rays=rays)
-    ts, gs = [], []
-    for t, sample in zip(grid, samples):
-        if sample is None:
-            warnings.warn(f"skipping degenerate level t={t:.6g}")
-            continue
-        ts.append(t)
-        gs.append(float(np.sum(
-            sample.weights * sample.curvatures[k - 1]
-            * sample.gradient_norms ** k * sample.f_of_nu)))
-    if len(ts) < 2:
+    n = table.field.dim
+    if not 1 <= k <= n:
+        raise DomainError(f"coarea route needs 1 <= k <= {n}; got k={k}")
+    if table.levels.size < 2:
         raise NumericError("too few valid levels for the coarea integral")
-    return trapezoid(np.asarray(gs), np.asarray(ts)) / k
+    return trapezoid(table.coarea[k - 1], table.levels) / k
 
 
 def lp_norm(u: Field, p: float, panels: int | None = None) -> float:
@@ -298,16 +284,6 @@ def _ray_lengths(u: Field, norm: Norm | None, grid):
     if norm is not None and u.radial_profile is not None:
         return bodies.boundary_radii(norm, u, grid)
     return bodies._shoot_generic(u, grid, np.array([0.0]))[0]
-
-
-def domain_volume_polar(u: Field, norm: Norm | None = None,
-                        rays: int | None = None) -> float:
-    """Volume of {u < 0} from exact ray lengths, spectrally accurate."""
-    from . import bodies
-
-    grid = bodies._DirectionGrid(u.dim, rays or bodies.default_rays(u.dim))
-    s = _ray_lengths(u, norm, grid)
-    return float(np.sum(grid.solid * s ** u.dim) / u.dim)
 
 
 def polar_grid(u: Field, norm: Norm | None = None, rays: int | None = None,

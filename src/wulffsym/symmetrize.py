@@ -12,6 +12,11 @@ harnesses quantify, at desk scale, that this symmetrization
 * dominates the radial solution of the symmetrized Hessian equation
   (comparison principle), and
 * realizes the sharp constants of the associated Sobolev embeddings.
+
+Every harness except the Sobolev one reads a bodies.LevelTable: the mean
+radii and coarea integrands of one sampled family of level sets. Build
+the table once per (norm, field, level grid, rays) and pass it to each
+harness and order that needs it.
 """
 
 import math
@@ -20,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anisotropy import Norm, wulff_volume
-from .bodies import af_margins, mean_radius, sample_many
+from .bodies import LevelTable
 from .errors import DomainError, InputError, ModelError, NumericError
 from .field_ops import (
     generalized_integral,
     hessian_integral,
-    level_grid,
+    hessian_integral_coarea,
     lp_norm,
     polar_grid,
     sk_field_batch,
@@ -76,44 +81,19 @@ class SobolevMarginResult:
     margin: float
 
 
-class _LevelData:
-    """Shared per-level sampling results for one (norm, field, k)."""
-
-    def __init__(self, norm, u, k, level_count, rays):
-        n = u.dim
-        if not 1 <= k <= n:
-            raise DomainError(f"order k={k} outside [1, {n}]")
-        levels = level_grid(u, level_count)
-        samples = sample_many(norm, u, levels, rays=rays)
-        keep = [i for i, s in enumerate(samples) if s is not None]
-        if len(keep) < max(8, level_count // 4):
-            raise NumericError("too many degenerate levels in the grid")
-        self.skipped = len(samples) - len(keep)
-        self.levels = levels[keep]
-        self.samples = [samples[i] for i in keep]
-        self.zeta = np.array([mean_radius(s, k - 1) for s in self.samples])
-        self.af_min = float(min(np.min(af_margins(s)) for s in self.samples))
-        # surface integrals of S_{k-1} F(grad u)^k F(nu), the coarea
-        # integrand of the k-Hessian energy
-        self.coarea_g = np.array([
-            float(np.sum(s.weights * s.curvatures[k - 1]
-                         * s.gradient_norms ** k * s.f_of_nu))
-            for s in self.samples])
-
-
-def zeta_profile(norm: Norm, u: Field, k: int, level_count: int = 200,
-                 rays: int | None = None) -> MonotoneProfile:
-    """Tabulate t -> zeta_{k-1}(sublevel t) on a uniform level grid.
+def zeta_profile(table: LevelTable, k: int) -> MonotoneProfile:
+    """Tabulate t -> zeta_{k-1}(sublevel t) on the table's kept levels.
 
     Decreasing runs beyond tolerance are rejected (not repaired): they
     signal non-quasi-convex data or insufficient resolution.
     """
-    data = _LevelData(norm, u, k, level_count, rays)
-    return _zeta_from_data(data)
-
-
-def _zeta_from_data(data: _LevelData) -> MonotoneProfile:
-    t, z = data.levels, data.zeta
+    n = table.field.dim
+    if not 1 <= k <= n:
+        raise DomainError(f"order k={k} outside [1, {n}]")
+    requested = table.levels.size + table.skipped.size
+    if table.levels.size < max(8, requested // 4):
+        raise NumericError("too many degenerate levels in the grid")
+    t, z = table.levels, table.zeta[k - 1]
     drop = np.diff(z)
     slack = _ZETA_SLACK * (1.0 + float(np.max(z)))
     if np.min(drop, initial=0.0) < -slack:
@@ -123,16 +103,12 @@ def _zeta_from_data(data: _LevelData) -> MonotoneProfile:
             "not quasi-convex or the sampling resolution is too low")
     deriv = np.maximum(_three_point_slopes(t, z), 0.0)
     return MonotoneProfile(t, z, "increasing", deriv,
-                           {"skipped_levels": data.skipped,
-                            "af_min_margin": data.af_min})
+                           {"skipped_levels": table.skipped.size})
 
 
-def symmetrand(norm: Norm, u: Field, k: int, level_count: int = 200,
-               rays: int | None = None) -> SymmetrizationResult:
-    """Build the order-(k-1) symmetrand of u (profile representation)."""
-    data = _LevelData(norm, u, k, level_count, rays)
-    zeta = _zeta_from_data(data)
-    return _invert_zeta(zeta, u.min_value, k)
+def symmetrand(table: LevelTable, k: int) -> SymmetrizationResult:
+    """Build the order-(k-1) symmetrand of the table's field."""
+    return _invert_zeta(zeta_profile(table, k), table.field.min_value, k)
 
 
 def _three_point_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -182,23 +158,20 @@ def _invert_zeta(zeta: MonotoneProfile, min_value: float,
                                 diagnostics=dict(zeta.meta))
 
 
-def ps_margin(norm: Norm, u: Field, k: int, level_count: int = 200,
-              rays: int | None = None, panels: int | None = None,
+def ps_margin(table: LevelTable, k: int, panels: int | None = None,
               cross_check: bool = True) -> PsMarginResult:
     """Hessian-energy drop under symmetrization; margin must be >= 0.
 
     The left side is the direct volume quadrature, cross-checked against
-    the coarea form computed from the same level samples; the right side
-    is the closed radial energy of the symmetrand profile.
+    the coarea form computed from the same level table; the right side is
+    the closed radial energy of the symmetrand profile.
     """
-    data = _LevelData(norm, u, k, level_count, rays)
-    sym = _invert_zeta(_zeta_from_data(data), u.min_value, k)
+    norm, u = table.norm, table.field
+    sym = symmetrand(table, k)
     lhs = hessian_integral(norm, u, k, panels)
     lhs_coarea = None
     if cross_check:
-        from .quad import trapezoid
-
-        lhs_coarea = trapezoid(data.coarea_g, data.levels) / k
+        lhs_coarea = hessian_integral_coarea(table, k)
         spread = abs(lhs - lhs_coarea) / (1.0 + abs(lhs))
         if spread > 5e-3:
             raise NumericError(
@@ -208,32 +181,32 @@ def ps_margin(norm: Norm, u: Field, k: int, level_count: int = 200,
     return PsMarginResult(lhs, rhs, lhs - rhs, lhs_coarea, sym)
 
 
-def ps_margin_p(norm: Norm, u: Field, k: int, p: float,
-                level_count: int = 200, rays: int | None = None) -> PsMarginResult:
+def ps_margin_p(table: LevelTable, k: int, p: float) -> PsMarginResult:
     """Generalized p-energy drop under symmetrization."""
     if p < 1.0:
         raise DomainError("exponent p must be >= 1")
-    sym = symmetrand(norm, u, k, level_count, rays)
-    lhs = generalized_integral(norm, u, k, p)
+    norm, u = table.norm, table.field
+    sym = symmetrand(table, k)
+    lhs = generalized_integral(norm, u, k, p, rays=table.rays)
     kappa = wulff_volume(norm)
     rhs = radial_energy(sym.rho, u.dim, k, p, kappa)
     return PsMarginResult(lhs, rhs, lhs - rhs, None, sym)
 
 
-def lp_compare(norm: Norm, u: Field, k: int, p: float,
-               level_count: int = 200, rays: int | None = None,
+def lp_compare(table: LevelTable, k: int, p: float,
                panels: int | None = None):
     """(||u||_p, ||u*||_p); symmetrization does not decrease L^p norms.
 
     p = inf compares the minima, which agree exactly.
     """
-    sym = symmetrand(norm, u, k, level_count, rays)
+    u = table.field
+    sym = symmetrand(table, k)
     if p == math.inf:
         return abs(u.min_value), abs(float(sym.rho(0.0)))
     if p < 1.0:
         raise DomainError("p must be >= 1 (or inf)")
     lhs = lp_norm(u, p, panels)
-    kappa = wulff_volume(norm)
+    kappa = wulff_volume(table.norm)
     n = u.dim
     rho = sym.rho
     grid = np.linspace(0.0, sym.outer_radius, 4096)
@@ -243,8 +216,7 @@ def lp_compare(norm: Norm, u: Field, k: int, p: float,
     return lhs, rhs
 
 
-def comparison_margin(norm: Norm, u: Field, f, k: int,
-                      level_count: int = 200, rays: int | None = None,
+def comparison_margin(table: LevelTable, f, k: int,
                       solver_nodes: int = 4096) -> ComparisonResult:
     """Pointwise gap between the symmetrand and the radial solution.
 
@@ -253,6 +225,7 @@ def comparison_margin(norm: Norm, u: Field, f, k: int,
     S_k[v] = f* on the Wulff ball with matching mixed volume, and the
     returned margin profile rho - v must be nonnegative.
     """
+    norm, u = table.norm, table.field
     pts, _ = polar_grid(u, norm=norm)
     sk_vals = sk_field_batch(norm, u, pts, k)
     f_vals = np.asarray(f(pts), dtype=float)
@@ -264,7 +237,7 @@ def comparison_margin(norm: Norm, u: Field, f, k: int,
             "S_k[u] exceeds the source at "
             f"x={pts[worst].tolist()}: {sk_vals[worst]:.6g} > "
             f"{f_vals[worst]:.6g}")
-    sym = symmetrand(norm, u, k, level_count, rays)
+    sym = symmetrand(table, k)
     kappa = wulff_volume(norm)
     f_star = rearrange(f, u, kappa, norm=norm)
     v = solve_radial(f_star, sym.outer_radius, u.dim, k, nodes=solver_nodes)
@@ -297,12 +270,13 @@ def sobolev_constant(norm: Norm, k: int, p: float) -> float:
 
 
 def sobolev_margin(norm: Norm, u: Field, k: int, p: float,
-                   panels: int | None = None) -> SobolevMarginResult:
+                   panels: int | None = None,
+                   rays: int | None = None) -> SobolevMarginResult:
     """Slack C * I_{k,p}[u] - ||u||_q^p of the sharp Sobolev inequality."""
     n = u.dim
     c = sobolev_constant(norm, k, p)
     q = n * p / (n - k + 1.0 - p)
-    energy = generalized_integral(norm, u, k, p)
+    energy = generalized_integral(norm, u, k, p, rays=rays)
     norm_power = lp_norm(u, q, panels) ** p
     return SobolevMarginResult(c, energy, norm_power,
                                c * energy - norm_power)

@@ -14,7 +14,12 @@ from wulffsym.anisotropy import (
     regularized_p_norm,
     wulff_volume,
 )
-from wulffsym.bodies import af_margins, mixed_volume, sample_level_set
+from wulffsym.bodies import (
+    LevelTable,
+    af_margins,
+    mixed_volume,
+    sample_level_set,
+)
 from wulffsym.field_ops import (
     curvature_batch,
     hessian_integral,
@@ -68,7 +73,7 @@ def ps_corpus():
     e2, m2, p2 = (norms_for(2)[f] for f in
                   ("euclidean", "ellipsoid", "regularized_p"))
     e3, m3 = norms_for(3)["euclidean"], norms_for(3)["ellipsoid"]
-    fast3 = {"level_count": 150, "rays": 128}
+    fast3 = {"levels": 150, "rays": 128}
     slow = {}
     return [
         ("disc k=1", e2, quadratic_ellipsoid(2), 1, True, slow),
@@ -170,9 +175,9 @@ def test_criterion_03_coarea_identity():
     closed_ok = True
     for label, norm, u, k, closed, grids in cases:
         direct = hessian_integral(norm, u, k)
-        coarea = hessian_integral_coarea(norm, u, k,
-                                         levels=grids.get("levels", 200),
-                                         rays=grids.get("rays"))
+        coarea = hessian_integral_coarea(
+            LevelTable(norm, u, grids.get("levels", 200), grids.get("rays")),
+            k)
         spread = abs(direct - coarea) / (1.0 + abs(direct))
         worst = max(worst, spread)
         if closed is not None:
@@ -237,7 +242,7 @@ def test_criterion_05_aleksandrov_fenchel():
 def test_criterion_06_polya_szego():
     e2 = euclidean_norm(2)
     ellipse = quadratic_ellipsoid(2, axes=[2.0, 1.0])
-    res = ps_margin(e2, ellipse, 1)
+    res = ps_margin(LevelTable(e2, ellipse), 1)
     head_ok = (abs(res.lhs - 5 * math.pi / 8) <= 0.01 * 5 * math.pi / 8
                and abs(res.rhs - math.pi / 2) <= 0.01 * math.pi / 2
                and abs(res.margin - math.pi / 8) <= 0.01 * math.pi / 8)
@@ -245,7 +250,7 @@ def test_criterion_06_polya_szego():
     worst_margin = np.inf
     worst_radial = 0.0
     for label, norm, u, k, is_radial, grids in ps_corpus():
-        r = ps_margin(norm, u, k, **grids)
+        r = ps_margin(LevelTable(norm, u, **grids), k)
         worst_margin = min(worst_margin, r.margin / (1.0 + abs(r.lhs)))
         if is_radial:
             worst_radial = max(worst_radial, abs(r.margin) / abs(r.lhs))
@@ -262,7 +267,7 @@ def test_criterion_06_polya_szego():
 def test_criterion_07_comparison_principle():
     e2 = euclidean_norm(2)
     ellipse = quadratic_ellipsoid(2, axes=[2.0, 1.0])
-    res = comparison_margin(e2, ellipse,
+    res = comparison_margin(LevelTable(e2, ellipse),
                             lambda pts: np.full(pts.shape[0], 1.25), 1)
     want = (2.0 - res.radii ** 2) / 16.0
     pointwise = float(np.max(np.abs(res.margins - want)))
@@ -278,7 +283,7 @@ def test_criterion_07_comparison_principle():
             from wulffsym.field_ops import sk_field_batch, polar_grid
             pts, _ = polar_grid(u, norm=norm)
             c = float(np.max(sk_field_batch(norm, u, pts, k))) * 1.02
-        r = comparison_margin(norm, u,
+        r = comparison_margin(LevelTable(norm, u),
                               lambda pts, cc=c: np.full(pts.shape[0], cc), k)
         worst_min = min(worst_min, r.min_margin)
         if radial:
@@ -354,12 +359,13 @@ def test_criterion_09_sobolev_constants():
 def test_criterion_10_lp_monotonicity():
     e2 = euclidean_norm(2)
     ellipse = quadratic_ellipsoid(2, axes=[2.0, 1.0])
-    lhs1, rhs1 = lp_compare(e2, ellipse, 1, 2.0)
+    table = LevelTable(e2, ellipse)
+    lhs1, rhs1 = lp_compare(table, 1, 2.0)
     eq_ok = (abs(lhs1 ** 2 - math.pi / 6.0) <= 1e-4
              and abs(rhs1 ** 2 - math.pi / 6.0) <= 1e-4)
-    lhs2, rhs2 = lp_compare(e2, ellipse, 2, 2.0)
+    lhs2, rhs2 = lp_compare(table, 2, 2.0)
     strict_ok = lhs2 < rhs2 - 1e-3
-    linf = lp_compare(e2, ellipse, 2, math.inf)
+    linf = lp_compare(table, 2, math.inf)
     inf_ok = linf[0] == linf[1]
     ok = eq_ok and strict_ok and inf_ok
     report(10, ok,

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from wulffsym import bodies
 from wulffsym.cli import ExperimentConfig, main, run
 from wulffsym.errors import InputError
+from wulffsym.field_ops import level_grid
 
 
 def base_config(tmp_path, tasks, **overrides):
@@ -57,6 +60,35 @@ class TestRun:
         assert main_row["oracle"] == pytest.approx(1.570796, abs=2e-3)
         assert main_row["margin"] == pytest.approx(0.392699, abs=2e-3)
         assert main_row["passed"]
+
+    def test_volume_panels_reach_polya_szego(self, tmp_path):
+        lhs = []
+        for panels in (50, 200):
+            raw = base_config(tmp_path, ["polya_szego"], exponents=[])
+            raw["grids"]["volume_panels"] = panels
+            report = run(ExperimentConfig.from_dict(raw))
+            lhs.append(report["tasks"]["polya_szego"]["rows"][0]["value"])
+        assert lhs[0] != lhs[1]
+
+    def test_levels_sampled_once_per_experiment(self, tmp_path, monkeypatch):
+        calls = []
+        sample_many = bodies.sample_many
+
+        def recorded(norm, u, levels, rays=None):
+            calls.append(np.array(levels))
+            return sample_many(norm, u, levels, rays)
+
+        monkeypatch.setattr(bodies, "sample_many", recorded)
+        cfg = ExperimentConfig.from_dict(base_config(
+            tmp_path, ["identities", "af", "symmetrize", "polya_szego",
+                       "compare"], orders=[1, 2]))
+        report = run(cfg)
+        for task, data in report["tasks"].items():
+            assert not any(r["case"].startswith("task error")
+                           for r in data["rows"]), task
+        u = cfg.build_field(cfg.build_norm())
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], level_grid(u, 80))
 
     def test_outputs_written(self, tmp_path):
         cfg = ExperimentConfig.from_dict(

@@ -9,6 +9,7 @@ from wulffsym.anisotropy import (
     eval_jet,
     regularized_p_norm,
 )
+from wulffsym.bodies import LevelTable
 from wulffsym.errors import DegenerateLevelError, DomainError
 from wulffsym.field_ops import (
     _newton_stack,
@@ -208,7 +209,7 @@ class TestHessianIntegral:
         for u, k, want in ((disc, 1, math.pi / 2), (disc, 2, math.pi / 4),
                            (ellipse, 1, 5 * math.pi / 8)):
             direct = hessian_integral(norm, u, k)
-            coarea = hessian_integral_coarea(norm, u, k)
+            coarea = hessian_integral_coarea(LevelTable(norm, u), k)
             assert coarea == pytest.approx(want, rel=1e-3)
             assert coarea == pytest.approx(direct, rel=1e-3)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wulffsym.anisotropy import ellipsoid_norm, euclidean_norm, wulff_volume
-from wulffsym.bodies import sample_level_set, sample_many
+from wulffsym.bodies import LevelTable, sample_level_set, sample_many
 from wulffsym.errors import DegenerateLevelError
 from wulffsym.field_ops import domain_grid, level_grid
 from wulffsym.fields import perturbed_radial, quadratic_ellipsoid, radial_field
@@ -33,8 +33,9 @@ class TestHardyLittlewoodChain:
         pts, w = domain_grid(u)
         vals = u.values(pts)
         fv = f(pts)
+        table = LevelTable(norm, u, levels=60)
         for k in (1, 2):
-            prof = zeta_profile(norm, u, k, level_count=60)
+            prof = zeta_profile(table, k)
             levels = np.linspace(u.min_value * 0.9, -0.01, 20)
             zetas = np.interp(levels, prof.r, prof.values)
             for t, zeta in zip(levels, zetas):
@@ -140,5 +141,5 @@ def test_coarea_warns_on_degenerate_level():
         np.linspace(u.min_value * 0.98, -1e-4, 30), [t_star]]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        hessian_integral_coarea(norm, u, 1, levels=levels, rays=64)
+        hessian_integral_coarea(LevelTable(norm, u, levels, rays=64), 1)
     assert any("degenerate" in str(w.message) for w in caught)

@@ -10,6 +10,7 @@ from wulffsym.anisotropy import (
     regularized_p_norm,
     wulff_volume,
 )
+from wulffsym.bodies import LevelTable
 from wulffsym.errors import DomainError, InputError
 from wulffsym.fields import (
     perturbed_radial,
@@ -18,7 +19,6 @@ from wulffsym.fields import (
     radial_power,
 )
 from wulffsym.symmetrize import (
-    _LevelData,
     comparison_margin,
     lp_compare,
     ps_margin,
@@ -40,21 +40,21 @@ class TestZetaProfile:
     def test_ellipse_volume_radius(self):
         # level sets are ellipses with axes 2 sqrt(1+2t), sqrt(1+2t)
         norm = euclidean_norm(2)
-        prof = zeta_profile(norm, ellipse_field(), 1)
+        prof = zeta_profile(LevelTable(norm, ellipse_field()), 1)
         want = np.sqrt(2.0 * (1.0 + 2.0 * prof.r))
         assert np.max(np.abs(prof.values - want)) < 1e-5
 
     def test_ellipse_perimeter_radius(self):
         norm = euclidean_norm(2)
-        prof = zeta_profile(norm, ellipse_field(), 2)
+        prof = zeta_profile(LevelTable(norm, ellipse_field()), 2)
         want = ELLIPSE_ZETA1 * np.sqrt(1.0 + 2.0 * prof.r)
         assert np.max(np.abs(prof.values - want) / want) < 1e-5
 
     def test_radial_fixed_point(self):
         for norm in (euclidean_norm(2), ellipsoid_norm(np.diag([4.0, 1.0]))):
-            u = radial_power(norm, a=2.0)
+            table = LevelTable(norm, radial_power(norm, a=2.0))
             for k in (1, 2):
-                prof = zeta_profile(norm, u, k)
+                prof = zeta_profile(table, k)
                 want = np.sqrt(1.0 + 2.0 * prof.r)
                 assert np.max(np.abs(prof.values - want)) < 1e-7
 
@@ -62,7 +62,7 @@ class TestZetaProfile:
         # d zeta/dt at a level times rho'(zeta) equals one; check away from
         # the degenerate bottom where the derivative blows up
         norm = euclidean_norm(2)
-        sym = symmetrand(norm, ellipse_field(), 1)
+        sym = symmetrand(LevelTable(norm, ellipse_field()), 1)
         t = np.linspace(-0.42, -0.02, 25)
         dz = sym.zeta.derivative_at(t)
         rr = sym.zeta(t)
@@ -74,7 +74,7 @@ class TestSymmetrand:
         # interpolation between level nodes is coarse near the bottom
         # (zeta' blows up there); tight agreement holds away from it
         norm = euclidean_norm(2)
-        sym = symmetrand(norm, ellipse_field(), 1)
+        sym = symmetrand(LevelTable(norm, ellipse_field()), 1)
         assert sym.outer_radius == pytest.approx(math.sqrt(2.0), rel=1e-6)
         r = np.linspace(0.05, sym.outer_radius, 40)
         want = r ** 2 / 4.0 - 0.5
@@ -84,7 +84,7 @@ class TestSymmetrand:
 
     def test_ellipse_perimeter_case(self):
         norm = euclidean_norm(2)
-        sym = symmetrand(norm, ellipse_field(), 2)
+        sym = symmetrand(LevelTable(norm, ellipse_field()), 2)
         assert sym.outer_radius == pytest.approx(ELLIPSE_ZETA1, rel=1e-5)
         r = np.linspace(0.05, sym.outer_radius, 40)
         want = ((r / ELLIPSE_ZETA1) ** 2 - 1.0) / 2.0
@@ -94,9 +94,9 @@ class TestSymmetrand:
 
     def test_radial_data_is_fixed_point(self):
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))
-        u = radial_power(norm, a=2.0)
+        table = LevelTable(norm, radial_power(norm, a=2.0))
         for k in (1, 2):
-            sym = symmetrand(norm, u, k)
+            sym = symmetrand(table, k)
             # exact reproduction at the tabulated radii
             nodes = sym.rho.r[1:]
             assert np.max(np.abs(sym.rho(nodes)
@@ -110,7 +110,7 @@ class TestSymmetrand:
 
     def test_endpoint_conventions(self):
         norm = euclidean_norm(2)
-        sym = symmetrand(norm, ellipse_field(), 1)
+        sym = symmetrand(LevelTable(norm, ellipse_field()), 1)
         assert sym.rho(0.0) == pytest.approx(-0.5, abs=1e-12)
         assert sym.rho(sym.outer_radius) == pytest.approx(0.0, abs=1e-9)
         # mixed-volume preservation holds exactly on the table
@@ -120,7 +120,7 @@ class TestSymmetrand:
 class TestPolyaSzego:
     def test_ellipse_order_one(self):
         norm = euclidean_norm(2)
-        res = ps_margin(norm, ellipse_field(), 1)
+        res = ps_margin(LevelTable(norm, ellipse_field()), 1)
         assert res.lhs == pytest.approx(5.0 * math.pi / 8.0, rel=1e-4)
         assert res.rhs == pytest.approx(math.pi / 2.0, rel=1e-4)
         assert res.margin == pytest.approx(math.pi / 8.0, rel=1e-3)
@@ -128,22 +128,22 @@ class TestPolyaSzego:
 
     def test_disc_order_two_is_equality(self):
         norm = euclidean_norm(2)
-        res = ps_margin(norm, quadratic_ellipsoid(2), 2)
+        res = ps_margin(LevelTable(norm, quadratic_ellipsoid(2)), 2)
         assert abs(res.margin) <= 1e-4 * res.lhs
 
     def test_radial_equality_all_norms(self):
         for norm in (euclidean_norm(2), ellipsoid_norm(np.diag([4.0, 1.0])),
                      regularized_p_norm(2, 3.0)):
-            u = radial_power(norm, a=3.0)
+            table = LevelTable(norm, radial_power(norm, a=3.0))
             for k in (1, 2):
-                res = ps_margin(norm, u, k)
+                res = ps_margin(table, k)
                 assert abs(res.margin) <= 1e-4 * abs(res.lhs)
 
     def test_nonradial_margins_positive(self):
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))
-        u = perturbed_radial(norm)
+        table = LevelTable(norm, perturbed_radial(norm))
         for k in (1, 2):
-            res = ps_margin(norm, u, k)
+            res = ps_margin(table, k)
             assert res.margin >= -1e-4 * (1.0 + abs(res.lhs))
 
     def test_chain_inequality_at_levels(self):
@@ -151,78 +151,77 @@ class TestPolyaSzego:
         # zeta^{n-k} * rho'(zeta)^k, skipping the bottom decile where the
         # finite-difference slope is unreliable
         norm = euclidean_norm(2)
-        u = ellipse_field()
+        table = LevelTable(norm, ellipse_field())
         kap = wulff_volume(norm)
         for k in (1, 2):
-            data = _LevelData(norm, u, k, 200, None)
-            sym = symmetrand(norm, u, k)
+            sym = symmetrand(table, k)
             sel = slice(20, None)
-            lhs = data.coarea_g[sel] / k
-            slopes = sym.rho.derivative_at(data.zeta[sel])
-            rhs = (kap * math.comb(2, k) * data.zeta[sel] ** (2 - k)
+            lhs = table.coarea[k - 1][sel] / k
+            zeta = table.zeta[k - 1][sel]
+            slopes = sym.rho.derivative_at(zeta)
+            rhs = (kap * math.comb(2, k) * zeta ** (2 - k)
                    * slopes ** k)
             assert np.min(lhs - rhs) > -1e-3 * np.max(np.abs(lhs))
 
     def test_chain_equalities_on_radial_data(self):
         norm = euclidean_norm(2)
-        u = radial_power(norm, a=2.0)
+        table = LevelTable(norm, radial_power(norm, a=2.0))
         kap = wulff_volume(norm)
         k = 2
-        data = _LevelData(norm, u, k, 200, None)
-        sym = symmetrand(norm, u, k)
+        sym = symmetrand(table, k)
         sel = slice(20, -1)
-        lhs = data.coarea_g[sel] / k
-        slopes = sym.rho.derivative_at(data.zeta[sel])
-        rhs = (kap * math.comb(2, k) * data.zeta[sel] ** (2 - k)
+        lhs = table.coarea[k - 1][sel] / k
+        zeta = table.zeta[k - 1][sel]
+        slopes = sym.rho.derivative_at(zeta)
+        rhs = (kap * math.comb(2, k) * zeta ** (2 - k)
                * slopes ** k)
         assert np.max(np.abs(lhs - rhs) / (1.0 + lhs)) < 1e-4
 
 
 class TestPolyaSzegoP:
     def test_p_equal_kplus1_matches_k_times_hessian(self):
-        norm = euclidean_norm(2)
-        u = ellipse_field()
+        table = LevelTable(euclidean_norm(2), ellipse_field())
         for k in (1, 2):
-            res_p = ps_margin_p(norm, u, k, k + 1.0)
-            res = ps_margin(norm, u, k)
+            res_p = ps_margin_p(table, k, k + 1.0)
+            res = ps_margin(table, k)
             assert res_p.lhs == pytest.approx(k * res.lhs, rel=2e-4)
             assert res_p.rhs == pytest.approx(k * res.rhs, rel=2e-4)
 
     def test_k1_p2_reproduces_order_one_margin(self):
         norm = euclidean_norm(2)
-        res = ps_margin_p(norm, ellipse_field(), 1, 2.0)
+        res = ps_margin_p(LevelTable(norm, ellipse_field()), 1, 2.0)
         assert res.margin == pytest.approx(math.pi / 8.0, rel=1e-3)
 
     def test_radial_equality(self):
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))
-        u = radial_power(norm, a=2.0)
+        table = LevelTable(norm, radial_power(norm, a=2.0))
         for k, p in ((1, 1.5), (1, 3.0), (2, 2.0)):
-            res = ps_margin_p(norm, u, k, p)
+            res = ps_margin_p(table, k, p)
             assert abs(res.margin) <= 1e-4 * abs(res.lhs)
 
     def test_margins_nonnegative_generally(self):
         norm = regularized_p_norm(2, 3.0)
-        u = perturbed_radial(norm)
-        res = ps_margin_p(norm, u, 1, 2.5)
+        res = ps_margin_p(LevelTable(norm, perturbed_radial(norm)), 1, 2.5)
         assert res.margin >= -1e-4 * (1.0 + abs(res.lhs))
 
 
 class TestLpCompare:
     def test_volume_case_is_equality(self):
         norm = euclidean_norm(2)
-        lhs, rhs = lp_compare(norm, ellipse_field(), 1, 2.0)
+        lhs, rhs = lp_compare(LevelTable(norm, ellipse_field()), 1, 2.0)
         assert lhs ** 2 == pytest.approx(math.pi / 6.0, rel=1e-4)
         assert rhs ** 2 == pytest.approx(math.pi / 6.0, rel=1e-4)
         assert lhs <= rhs + 1e-4
 
     def test_higher_order_strict(self):
         norm = euclidean_norm(2)
-        lhs, rhs = lp_compare(norm, ellipse_field(), 2, 2.0)
+        lhs, rhs = lp_compare(LevelTable(norm, ellipse_field()), 2, 2.0)
         assert lhs < rhs - 1e-3
 
     def test_infinity_norm_equality(self):
         norm = euclidean_norm(2)
-        lhs, rhs = lp_compare(norm, ellipse_field(), 2, math.inf)
+        lhs, rhs = lp_compare(LevelTable(norm, ellipse_field()), 2,
+                              math.inf)
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert lhs == pytest.approx(0.5)
 
@@ -232,7 +231,7 @@ class TestComparison:
         # Delta u = 5/4 exactly, so f = 5/4 makes the inequality tight at
         # the outer radius; the gap profile is (2 - r^2)/16
         norm = euclidean_norm(2)
-        res = comparison_margin(norm, ellipse_field(),
+        res = comparison_margin(LevelTable(norm, ellipse_field()),
                                 lambda pts: np.full(pts.shape[0], 1.25), 1)
         want = (2.0 - res.radii ** 2) / 16.0
         assert np.max(np.abs(res.margins - want)) < 1e-3
@@ -240,16 +239,16 @@ class TestComparison:
 
     def test_exact_radial_data_gives_zero_margin(self):
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))
-        u = radial_power(norm, a=2.0)
+        table = LevelTable(norm, radial_power(norm, a=2.0))
         for k in (1, 2):
             res = comparison_margin(
-                norm, u, lambda pts: np.full(pts.shape[0],
-                                             float(math.comb(2, k))), k)
+                table, lambda pts: np.full(pts.shape[0],
+                                           float(math.comb(2, k))), k)
             assert np.max(np.abs(res.margins)) <= 1e-4
 
     def test_inflated_source_strictly_positive(self):
         norm = euclidean_norm(2)
-        res = comparison_margin(norm, ellipse_field(),
+        res = comparison_margin(LevelTable(norm, ellipse_field()),
                                 lambda pts: np.full(pts.shape[0], 2.5), 1)
         interior = res.radii < 0.95 * res.radii[-1]
         assert np.min(res.margins[interior]) > 1e-3
@@ -257,7 +256,7 @@ class TestComparison:
     def test_precondition_violation_raises(self):
         norm = euclidean_norm(2)
         with pytest.raises(InputError):
-            comparison_margin(norm, ellipse_field(),
+            comparison_margin(LevelTable(norm, ellipse_field()),
                               lambda pts: np.full(pts.shape[0], 1.0), 1)
 
 
