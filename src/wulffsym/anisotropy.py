@@ -158,7 +158,16 @@ def dual_jet(norm: Norm, x):
 
 def dual_hessian(norm: Norm, x):
     """Hessian of the polar norm; closed form or implicit differentiation."""
-    x = _check_nonzero(x)
+    return _dual_hessian(norm, _check_nonzero(x))
+
+
+def _dual_hessian(norm: Norm, x, solved=None):
+    """dual_hessian at checked points x.
+
+    ``solved`` is an already computed dual_jet(norm, x); the implicit
+    differentiation of the numeric family reuses it instead of solving
+    the dual problem again. The closed forms do not read it.
+    """
     n = norm.dim
     eye = np.eye(n)
     if norm.family == "euclidean":
@@ -173,7 +182,7 @@ def dual_hessian(norm: Norm, x):
                 - mx[..., :, None] * mx[..., None, :] / v[..., None, None] ** 3)
     # implicit differentiation of the maximizer: with xi* = grad F*(x) and
     # lam = F*(x), solve (lam hessF + gradF x gradF) D = I - gradF x xi*
-    lam, xistar = dual_jet(norm, x)
+    lam, xistar = dual_jet(norm, x) if solved is None else solved
     _, g, h = eval_jet(norm, xistar)
     aug = lam[..., None, None] * h + g[..., :, None] * g[..., None, :]
     rhs = eye - g[..., :, None] * xistar[..., None, :]

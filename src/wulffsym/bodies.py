@@ -3,9 +3,14 @@
 Every body is the boundary of a sublevel set {u < t} of an admissible
 field, sampled by ray shooting from the interior anchor along a
 deterministic direction grid (uniform angles in 2D, Gauss latitudes times
-uniform longitudes in 3D). The sample carries surface-measure weights,
-anisotropic curvatures of every order, and the data needed for the
-mixed-volume functionals
+uniform longitudes in 3D). One root solver serves every level and ray at
+once: on the field's ray restriction s -> (u(anchor + s w), du/ds) it runs
+safeguarded Newton inside the bisection bracket from the anchor to the
+bounding-box exit (a Newton step that leaves the bracket or fails to halve
+the previous step is replaced by a bisection step); a field without a ray
+restriction is solved by plain bisection on its values. The sample carries
+surface-measure weights, anisotropic curvatures of every order, and the
+data needed for the mixed-volume functionals
 
     W_k = [n binom(n-1, k-1)]^{-1} * integral of S_{k-1}(curv) F(normal),
 
@@ -25,14 +30,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anisotropy import Norm, dual_jet, eval_jet, wulff_volume
+from .anisotropy import Norm, eval_jet, wulff_volume
 from .errors import DegenerateLevelError, DomainError, NumericError
 from .field_ops import curvature_batch, level_grid
 from .fields import Field
 from .parallel import thread_count
-from .quad import chunked
+from .quad import chunked, legendre_rule
 
 _BISECT_ITERS = 54
+_NEWTON_ITERS = 100
+# after a Newton step this small (relative to the root) the error is of
+# the order of its square, far below rounding; the steps that rounding
+# noise in u makes on the flattest rays (levels next to the minimum, about
+# 1e-13) stay below it, so those solves end too
+_NEWTON_RTOL = 1e-11
+_EPS = np.finfo(float).eps
 _GRAD_TOL = 1e-10
 _JET_CHUNK = 1 << 16
 
@@ -79,7 +91,7 @@ class _DirectionGrid:
         elif dim == 3:
             nphi = rays
             nc = max(8, nphi // 2)
-            c, wc = np.polynomial.legendre.leggauss(nc)
+            c, wc = legendre_rule(nc)
             s = np.sqrt(1.0 - c * c)
             phi = 2.0 * math.pi * np.arange(nphi) / nphi
             cp, sp = np.cos(phi), np.sin(phi)
@@ -118,38 +130,65 @@ def _box_exit(anchor, box, omega):
     return np.min(np.minimum(t_hi, t_lo), axis=-1)
 
 
-def _shoot_generic(u: Field, grid: _DirectionGrid, levels: np.ndarray):
-    """Bisection radii for u(anchor + s omega) = t, all levels at once."""
-    anchor = u.anchor
-    s_hi = _box_exit(anchor, u.bounding_box, grid.omega)
-    n_lev, n_dir = levels.shape[0], grid.count
-    lo = np.zeros((n_lev, n_dir))
-    hi = np.broadcast_to(s_hi * (1.0 + 1e-12), (n_lev, n_dir)).copy()
+def _restrict(u: Field, grid: _DirectionGrid):
+    """The field's ray restriction to the grid directions, if it has one."""
+    return None if u.ray is None else u.ray(grid.omega)
+
+
+def _ray_roots(u: Field, grid: _DirectionGrid, levels: np.ndarray, along):
+    """Radii s with u(anchor + s omega) = t, shape (levels, directions).
+
+    ``along`` is _restrict(u, grid); without it the roots are bisected.
+    """
+    s_hi = _box_exit(u.anchor, u.bounding_box, grid.omega)
+    shape = (levels.shape[0], grid.count)
+    lo = np.zeros(shape)
+    hi = np.broadcast_to(s_hi * (1.0 + 1e-12), shape).copy()
     tcol = levels[:, None]
+    if along is not None:
+        return _newton_roots(along, tcol, lo, hi)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        pts = anchor + mid[..., None] * grid.omega[None, :, :]
-        vals = u.values(pts.reshape(-1, u.dim)).reshape(n_lev, n_dir)
+        pts = u.anchor + mid[..., None] * grid.omega[None, :, :]
+        vals = u.values(pts.reshape(-1, u.dim)).reshape(shape)
         below = vals < tcol
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
-def _shoot_radial(u: Field, norm: Norm, grid: _DirectionGrid,
-                  levels: np.ndarray):
-    """Exact radii for profile fields: invert v, then scale by 1/F*(omega)."""
-    v_fn, _, radius = u.radial_profile
-    lo = np.zeros(levels.shape[0])
-    hi = np.full(levels.shape[0], radius)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(v_fn(mid)) < levels
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    r_t = 0.5 * (lo + hi)
-    fo = dual_jet(norm, grid.omega)[0]
-    return r_t[:, None] / fo[None, :]
+def _newton_roots(along, t, lo, hi):
+    """Safeguarded Newton (rtsafe) for along(s)[0] = t in brackets [lo, hi].
+
+    along(lo) < t <= along(hi) entrywise; converged entries stay fixed.
+    The solve starts at hi: on rays where u is convex, as on every preset,
+    Newton from above descends to the root without leaving the bracket,
+    also when the root sits at the bracket's edge.
+    """
+    s = hi.copy()
+    step = hi - lo
+    live = np.ones(s.shape, dtype=bool)
+    for _ in range(_NEWTON_ITERS):
+        val, slope = along(s)
+        g = val - t
+        below = g < 0.0
+        lo = np.where(below, s, lo)
+        hi = np.where(below, hi, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = g / slope
+        cand = s - dx
+        done = np.abs(dx) <= _NEWTON_RTOL * s
+        newton = done | ((cand > lo) & (cand < hi)
+                         & (2.0 * np.abs(dx) <= step))
+        nxt = np.where(newton, cand, 0.5 * (lo + hi))
+        step = np.abs(nxt - s)
+        # bisection ends once the bracket is down to rounding
+        done |= step <= _EPS * nxt
+        s = np.where(live, nxt, s)
+        live &= ~done
+        if not np.any(live):
+            break
+    return s
 
 
 def _surface_weights(grid: _DirectionGrid, s, grads):
@@ -171,11 +210,9 @@ def _surface_weights(grid: _DirectionGrid, s, grads):
     return jac * grid.measure[None, :]
 
 
-def boundary_radii(norm: Norm, u: Field, grid: _DirectionGrid) -> np.ndarray:
+def boundary_radii(u: Field, grid: _DirectionGrid) -> np.ndarray:
     """Ray lengths from the anchor to the zero level set, one per direction."""
-    if u.radial_profile is not None:
-        return _shoot_radial(u, norm, grid, np.array([0.0]))[0]
-    return _shoot_generic(u, grid, np.array([0.0]))[0]
+    return _ray_roots(u, grid, np.array([0.0]), _restrict(u, grid))[0]
 
 
 def sample_many(norm: Norm, u: Field, levels, rays: int | None = None):
@@ -189,27 +226,26 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None):
     if rays is None:
         rays = default_rays(u.dim)
     grid = _DirectionGrid(u.dim, rays)
+    along = _restrict(u, grid)
 
     workers = min(thread_count(), max(1, levels.shape[0] // 8))
     if workers > 1:
         blocks = np.array_split(np.arange(levels.shape[0]), workers)
         out: list = [None] * levels.shape[0]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_sample_block, norm, u, levels[b], grid): b
+            futs = {pool.submit(_sample_block, norm, u, levels[b], grid,
+                                along): b
                     for b in blocks if b.size}
             for fut, b in futs.items():
                 for i, sample in zip(b, fut.result()):
                     out[i] = sample
         return out
-    return _sample_block(norm, u, levels, grid)
+    return _sample_block(norm, u, levels, grid, along)
 
 
 def _sample_block(norm: Norm, u: Field, levels: np.ndarray,
-                  grid: _DirectionGrid):
-    if u.radial_profile is not None:
-        s = _shoot_radial(u, norm, grid, levels)
-    else:
-        s = _shoot_generic(u, grid, levels)
+                  grid: _DirectionGrid, along):
+    s = _ray_roots(u, grid, levels, along)
     pts = u.anchor + s[..., None] * grid.omega[None, :, :]
     n_lev, n_dir = s.shape
     flat = pts.reshape(-1, u.dim)

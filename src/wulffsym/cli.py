@@ -519,8 +519,7 @@ def _check(fast: bool) -> int:
             # margins of the radial equality cases shrink with the level
             # count; 160 keeps them inside the 1e-4 tolerances
             cfg.grids.setdefault("levels", 160)
-            cfg.grids.setdefault("rays", 512 if norm_spec["dim"] == 2
-                                 else 96)
+            cfg.grids["rays"] = 512 if norm_spec["dim"] == 2 else 96
         report = run(cfg)
         status = "pass" if report["passed"] else "FAIL"
         print(f"[{status}] {name} ({report['runtime_seconds']:.1f}s): "

@@ -19,7 +19,7 @@ from .anisotropy import Norm, eval_jet, half_sq_hessian
 from .errors import CapabilityError, DegenerateLevelError, DomainError, NumericError
 from .fields import Field, FieldJet
 from .invariants import sk as sk_matrix
-from .quad import box_gauss_grid, chunked, trapezoid
+from .quad import box_gauss_grid, chunked, legendre_rule, trapezoid
 
 _GRAD_FLOOR = 1e-150
 _CHUNK = 1 << 17
@@ -163,7 +163,7 @@ def hessian_integral(norm: Norm, u: Field, k: int,
     return _integrate_over_domain(u, integrand, panels)
 
 
-def polar_integral(norm: Norm, u: Field, integrand, rays: int | None = None,
+def polar_integral(u: Field, integrand, rays: int | None = None,
                    radial_nodes: int = 48) -> float:
     """Integrate over {u < 0} in polar form around the anchor.
 
@@ -176,8 +176,8 @@ def polar_integral(norm: Norm, u: Field, integrand, rays: int | None = None,
     from . import bodies
 
     grid = bodies._DirectionGrid(u.dim, rays or bodies.default_rays(u.dim))
-    s = bodies.boundary_radii(norm, u, grid)
-    rho, wr = np.polynomial.legendre.leggauss(radial_nodes)
+    s = bodies.boundary_radii(u, grid)
+    rho, wr = legendre_rule(radial_nodes)
     rho = 0.5 * (rho + 1.0)
     wr = 0.5 * wr
     n = u.dim
@@ -220,8 +220,7 @@ def generalized_integral(norm: Norm, u: Field, k: int, p: float,
             out[live] = fv ** (p - k) * pair
         return out
 
-    return polar_integral(norm, u, integrand, rays=rays,
-                          radial_nodes=radial_nodes)
+    return polar_integral(u, integrand, rays=rays, radial_nodes=radial_nodes)
 
 
 def level_grid(u: Field, count: int = 200) -> np.ndarray:
@@ -278,16 +277,7 @@ def domain_volume(u: Field, panels: int | None = None) -> float:
     return _integrate_over_domain(u, integrand, panels)
 
 
-def _ray_lengths(u: Field, norm: Norm | None, grid):
-    from . import bodies
-
-    if norm is not None and u.radial_profile is not None:
-        return bodies.boundary_radii(norm, u, grid)
-    return bodies._shoot_generic(u, grid, np.array([0.0]))[0]
-
-
-def polar_grid(u: Field, norm: Norm | None = None, rays: int | None = None,
-               radial_nodes: int = 48):
+def polar_grid(u: Field, rays: int | None = None, radial_nodes: int = 48):
     """Boundary-fitted quadrature grid of {u < 0} (points, weights).
 
     Nodes lie on Gauss points along exactly-solved rays from the anchor,
@@ -296,8 +286,8 @@ def polar_grid(u: Field, norm: Norm | None = None, rays: int | None = None,
     from . import bodies
 
     grid = bodies._DirectionGrid(u.dim, rays or bodies.default_rays(u.dim))
-    s = _ray_lengths(u, norm, grid)
-    rho, wr = np.polynomial.legendre.leggauss(radial_nodes)
+    s = bodies.boundary_radii(u, grid)
+    rho, wr = legendre_rule(radial_nodes)
     rho = 0.5 * (rho + 1.0)
     wr = 0.5 * wr
     r = s[:, None] * rho[None, :]

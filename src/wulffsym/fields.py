@@ -10,6 +10,15 @@ points. Three preset families cover the built-in corpus:
 * ``perturbed_radial``     radial_power plus a small convex quadratic,
                            breaking the radial symmetry while keeping all
                            level sets convex (validated at build time)
+
+Every preset is star-shaped about its anchor, and the dual norm F* is
+1-homogeneous, so along a ray u(anchor + s w) is a scalar function of s
+whose constants depend on the direction w alone. A preset therefore
+carries a ray restriction ``ray``: given directions w of shape (m, n) it
+computes those constants once (F*(w) once per direction for the radial
+families) and returns s -> (u(anchor + s w), du/ds), with s broadcast
+against the m directions. The level-set sampler solves its ray roots on
+it; a Field built without ``ray`` is sampled by bisection on ``values``.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -17,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .anisotropy import Norm, dual_hessian, dual_jet, eval_jet
+from .anisotropy import Norm, _dual_hessian, dual_jet, eval_jet
 from .errors import DomainError, InputError
 
 
@@ -36,8 +45,11 @@ class Field:
     bounding_box: np.ndarray
     jets_fn: Callable = dc_field(repr=False, default=None)
     values_fn: Callable = dc_field(repr=False, default=None)
-    # (v, v', outer_radius) for u = v(F*(x)) centered at the origin; lets the
-    # level-set sampler invert the profile instead of root-finding per ray
+    # directions (m, n) -> (s -> (u(anchor + s w), du/ds)); see the module
+    # docstring
+    ray: Callable | None = dc_field(repr=False, default=None)
+    # (v, v', outer_radius) for u = v(F*(x)) centered at the origin; the
+    # mixedvol task reads the Wulff-ball radii of its levels from it
     radial_profile: tuple | None = dc_field(repr=False, default=None)
 
     def jets(self, pts):
@@ -79,7 +91,11 @@ def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
     def values(pts):
         return 0.5 * (np.sum((pts @ q) * pts, axis=-1) - 1.0)
 
-    return Field(dim, name, np.zeros(dim), -0.5, box, jets, values)
+    def ray(omega):
+        qw = np.sum((omega @ q) * omega, axis=-1)
+        return lambda s: (0.5 * (s * s * qw - 1.0), s * qw)
+
+    return Field(dim, name, np.zeros(dim), -0.5, box, jets, values, ray)
 
 
 def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
@@ -118,7 +134,7 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
         hess = np.broadcast_to(origin_vpp * np.eye(dim), (m, dim, dim)).copy()
         if np.any(live):
             rl, xi = dual_jet(norm, flat[live])
-            hd = dual_hessian(norm, flat[live])
+            hd = _dual_hessian(norm, flat[live], (rl, xi))
             vp = np.asarray(vp_fn(rl))
             vpp = np.asarray(vpp_fn(rl))
             r[live] = rl
@@ -130,8 +146,12 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
         return (v.reshape(lead), grad.reshape(lead + (dim,)),
                 hess.reshape(lead + (dim, dim)))
 
+    def ray(omega):
+        fo = dual_jet(norm, omega)[0]
+        return lambda s: (v_fn(s * fo), vp_fn(s * fo) * fo)
+
     return Field(dim, name, np.zeros(dim), float(v_fn(np.zeros(1))[0]),
-                 box, jets, values, radial_profile=(v_fn, vp_fn, radius))
+                 box, jets, values, ray, radial_profile=(v_fn, vp_fn, radius))
 
 
 def radial_power(norm: Norm, a: float = 2.0, radius: float = 1.0,
@@ -186,8 +206,18 @@ def perturbed_radial(norm: Norm, a: float = 2.0, radius: float = 1.0,
         h = h + strength * p
         return v, g, h
 
+    def ray(omega):
+        along = base.ray(omega)
+        pw = strength * np.sum((omega @ p) * omega, axis=-1)
+
+        def restricted(s):
+            v, dv = along(s)
+            return v + 0.5 * pw * s * s, dv + pw * s
+
+        return restricted
+
     out = Field(dim, name, np.zeros(dim), base.min_value,
-                base.bounding_box, jets, values)
+                base.bounding_box, jets, values, ray)
     defect = quasiconvexity_defect(out)
     if defect < -1e-8:
         raise InputError(

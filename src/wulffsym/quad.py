@@ -1,15 +1,28 @@
 """Quadrature building blocks: tensor Gauss-Legendre grids and panel rules."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 _PANEL_ORDER = 15
 
 
+@lru_cache(maxsize=None)
+def legendre_rule(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count.
+
+    The arrays are shared by every caller and therefore read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(a: float, b: float, nodes: int):
     """Gauss-Legendre nodes/weights rescaled from [-1, 1] to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = legendre_rule(nodes)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -49,7 +62,7 @@ def panel_cumulative(f, grid):
     with a fixed-order Gauss rule per panel and compensated accumulation.
     """
     grid = np.asarray(grid, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    x, w = legendre_rule(_PANEL_ORDER)
     lo = grid[:-1]
     half = 0.5 * np.diff(grid)
     nodes = lo[:, None] + half[:, None] * (x[None, :] + 1.0)

@@ -202,7 +202,7 @@ def solve_radial(f_star: MonotoneProfile, outer_radius: float, n: int, k: int,
 
 
 def rearrange(f, u: Field, kappa_n: float, rays: int | None = None,
-              radial_nodes: int | None = None, norm=None) -> MonotoneProfile:
+              radial_nodes: int | None = None) -> MonotoneProfile:
     """Radially decreasing rearrangement of a density over {u < 0}.
 
     Samples f on the boundary-fitted polar quadrature grid of the domain,
@@ -210,8 +210,7 @@ def rearrange(f, u: Field, kappa_n: float, rays: int | None = None,
     the profile value at radius (V/kappa_n)^{1/n} is the density at
     cumulative volume V. The radial node count bounds the value
     resolution (the profile is a staircase for radial densities), so it
-    is kept much finer than the angular one. ``norm`` speeds up
-    radial-profile fields.
+    is kept much finer than the angular one.
     """
     from .field_ops import polar_grid
 
@@ -219,7 +218,7 @@ def rearrange(f, u: Field, kappa_n: float, rays: int | None = None,
         rays = 256 if u.dim == 2 else 64
     if radial_nodes is None:
         radial_nodes = 2048 if u.dim == 2 else 512
-    pts, w = polar_grid(u, norm=norm, rays=rays, radial_nodes=radial_nodes)
+    pts, w = polar_grid(u, rays=rays, radial_nodes=radial_nodes)
     fv = np.asarray(f(pts), dtype=float)
     if np.any(fv < -1e-12):
         raise InputError("rearrangement needs a nonnegative density")

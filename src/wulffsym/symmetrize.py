@@ -220,13 +220,14 @@ def comparison_margin(table: LevelTable, f, k: int,
                       solver_nodes: int = 4096) -> ComparisonResult:
     """Pointwise gap between the symmetrand and the radial solution.
 
-    Requires S_k[u] <= f on a verification grid (violations raise with
-    the worst point); then u*_{k-1} dominates the radial solution of
-    S_k[v] = f* on the Wulff ball with matching mixed volume, and the
-    returned margin profile rho - v must be nonnegative.
+    Requires S_k[u] <= f on a verification grid, the polar grid at the
+    table's ray count (violations raise with the worst point); then
+    u*_{k-1} dominates the radial solution of S_k[v] = f* on the Wulff
+    ball with matching mixed volume, and the returned margin profile
+    rho - v must be nonnegative.
     """
     norm, u = table.norm, table.field
-    pts, _ = polar_grid(u, norm=norm)
+    pts, _ = polar_grid(u, rays=table.rays)
     sk_vals = sk_field_batch(norm, u, pts, k)
     f_vals = np.asarray(f(pts), dtype=float)
     slack = 1e-9 * (1.0 + np.abs(f_vals))
@@ -239,7 +240,7 @@ def comparison_margin(table: LevelTable, f, k: int,
             f"{f_vals[worst]:.6g}")
     sym = symmetrand(table, k)
     kappa = wulff_volume(norm)
-    f_star = rearrange(f, u, kappa, norm=norm)
+    f_star = rearrange(f, u, kappa)
     v = solve_radial(f_star, sym.outer_radius, u.dim, k, nodes=solver_nodes)
     margins = sym.rho(v.r) - v.values
     return ComparisonResult(v.r, margins, float(np.min(margins)))

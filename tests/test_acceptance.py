@@ -281,7 +281,7 @@ def test_criterion_07_comparison_principle():
             (m2, perturbed_radial(m2), 2, None, False)]:
         if c is None:
             from wulffsym.field_ops import sk_field_batch, polar_grid
-            pts, _ = polar_grid(u, norm=norm)
+            pts, _ = polar_grid(u)
             c = float(np.max(sk_field_batch(norm, u, pts, k))) * 1.02
         r = comparison_margin(LevelTable(norm, u),
                               lambda pts, cc=c: np.full(pts.shape[0], cc), k)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from wulffsym.bodies import (
     sample_many,
 )
 from wulffsym.errors import DomainError
+from wulffsym.field_ops import level_grid
 from wulffsym.fields import perturbed_radial, quadratic_ellipsoid, radial_power
 
 
@@ -89,6 +91,30 @@ class TestSampling:
             single = sample_level_set(norm, u, t, rays=128)
             assert np.allclose(s.points, single.points)
             assert np.allclose(s.weights, single.weights)
+
+
+class TestRayRoots:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_newton_roots_match_bisection(self, dim):
+        # a field without a ray restriction is sampled by bisection on
+        # u.values, the reference for the Newton roots
+        mats = {2: np.diag([4.0, 1.0]), 3: np.diag([4.0, 1.0, 2.25])}
+        rays = 64 if dim == 2 else 16
+        for norm in (euclidean_norm(dim), ellipsoid_norm(mats[dim]),
+                     regularized_p_norm(dim, 3.0)):
+            for u in (quadratic_ellipsoid(dim),
+                      quadratic_ellipsoid(dim, axes=[2.0, 1.0, 1.5][:dim]),
+                      radial_power(norm, a=2.0), radial_power(norm, a=3.0),
+                      perturbed_radial(norm)):
+                levels = level_grid(u, 10)
+                oracle = dataclasses.replace(u, ray=None)
+                for got, want in zip(
+                        sample_many(norm, u, levels, rays=rays),
+                        sample_many(norm, oracle, levels, rays=rays)):
+                    s = np.linalg.norm(got.points - u.anchor, axis=-1)
+                    ref = np.linalg.norm(want.points - u.anchor, axis=-1)
+                    assert np.max(np.abs(s - ref) / ref) <= 1e-12, u.name
+                    assert got.diagnostics["residual_max"] <= 1e-12
 
 
 class TestMixedVolume:

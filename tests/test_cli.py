@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wulffsym import bodies
+from wulffsym import bodies, cli, symmetrize
 from wulffsym.cli import ExperimentConfig, main, run
 from wulffsym.errors import InputError
 from wulffsym.field_ops import level_grid
@@ -90,6 +90,20 @@ class TestRun:
         assert len(calls) == 1
         assert np.array_equal(calls[0], level_grid(u, 80))
 
+    def test_rays_reach_comparison_grid(self, tmp_path, monkeypatch):
+        calls = []
+        polar_grid = symmetrize.polar_grid
+
+        def recorded(u, rays=None, radial_nodes=48):
+            calls.append(rays)
+            return polar_grid(u, rays, radial_nodes)
+
+        monkeypatch.setattr(symmetrize, "polar_grid", recorded)
+        report = run(ExperimentConfig.from_dict(
+            base_config(tmp_path, ["compare"])))
+        assert report["passed"]
+        assert calls == [512]
+
     def test_outputs_written(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             base_config(tmp_path, ["symmetrize"]))
@@ -125,6 +139,21 @@ class TestRun:
         # 17 significant digits round-trip the binary values exactly
         want = report["tasks"]["af"]["rows"][0]["value"]
         assert float(rows[0]["value"]) == want
+
+
+class TestCheck:
+    def test_fast_check_samples_96_rays_in_3d(self, monkeypatch):
+        grids = []
+
+        def stub(cfg):
+            grids.append((cfg.norm["dim"], dict(cfg.grids)))
+            return {"passed": True, "runtime_seconds": 0.0, "tasks": {}}
+
+        monkeypatch.setattr(cli, "run", stub)
+        assert cli._check(fast=True) == 0
+        in_3d = [g for dim, g in grids if dim == 3]
+        assert len(in_3d) == 2
+        assert all(g["rays"] == 96 for g in in_3d)
 
 
 class TestMain:

@@ -111,3 +111,41 @@ def test_preset_registry_round_trip():
     catalog = preset_catalog()
     assert set(catalog) == {"quadratic_ellipsoid", "radial_power",
                             "perturbed_radial"}
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ray_restriction_matches_values_and_jets(n):
+    rng = np.random.default_rng(2)
+    omega = rng.normal(size=(40, n))
+    omega /= np.linalg.norm(omega, axis=-1, keepdims=True)
+    s = rng.uniform(0.05, 1.2, size=(3, 40))
+    for norm in norm_list(n):
+        for u in preset_list(norm):
+            val, slope = u.ray(omega)(s)
+            pts = u.anchor + s[..., None] * omega
+            _, grads, _ = u.jets(pts)
+            assert _relative_gap(val, u.values(pts)) <= 1e-13, u.name
+            assert _relative_gap(
+                slope, np.sum(grads * omega, axis=-1)) <= 1e-10, u.name
+
+
+def test_jets_solve_the_dual_problem_once_per_point(monkeypatch):
+    from wulffsym import anisotropy
+
+    norm = regularized_p_norm(2, 3.0)
+    u = perturbed_radial(norm)
+    solved = []
+    dual_numeric = anisotropy._dual_numeric
+
+    def counted(norm, x):
+        solved.append(x.shape[0])
+        return dual_numeric(norm, x)
+
+    monkeypatch.setattr(anisotropy, "_dual_numeric", counted)
+    pts = np.random.default_rng(4).uniform(-0.8, 0.8, size=(50, 2))
+    u.jets(pts)
+    assert solved == [50]

@@ -203,14 +203,14 @@ class TestRearrange:
         def f(pts):
             return 1.0 + np.abs(pts[:, 0])
 
-        prof = rearrange(f, u, kap, norm=norm)
+        prof = rearrange(f, u, kap)
         from wulffsym.quad import panel_cumulative
         rhs = 2.0 * kap * panel_cumulative(
             lambda s: prof(s) * s, np.linspace(0.0, prof.r[-1], 2001))[-1]
         exact = 2.0 * math.pi + 16.0 / 3.0
         assert rhs == pytest.approx(exact, rel=1e-4)
         from wulffsym.field_ops import polar_integral
-        lhs = polar_integral(norm, u, f)
+        lhs = polar_integral(u, f)
         assert lhs == pytest.approx(rhs, rel=1e-3)
 
     def test_level_measure_match(self):
