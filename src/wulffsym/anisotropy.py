@@ -9,10 +9,11 @@ Three closed families are supported:
 Every family provides analytic value / gradient / Hessian jets away from
 the origin. The dual norm F*(x) = sup_{xi != 0} <xi, x> / F(xi) has closed
 forms for the first two families; for ``regularized_p`` it is computed by
-maximizing over the unit F-sphere (damped Newton on the stationarity
-system, with a projected-gradient-ascent fallback started from a
-deterministic low-discrepancy direction set). All entry points accept
-single vectors of shape (n,) or batches of shape (..., n).
+maximizing over the unit F-sphere with damped Newton on the stationarity
+system. F* is 1-homogeneous and grad F* 0-homogeneous, so the solve runs at
+x/|x| and is rescaled; a solve that does not converge raises NumericError.
+All entry points accept single vectors of shape (n,) or batches of shape
+(..., n).
 """
 
 import math
@@ -22,12 +23,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericError
-from .quad import gauss_legendre, unit_ball_volume
+from .quad import unit_ball_volume
+from .rays import _DirectionGrid
 
 FAMILIES = ("euclidean", "ellipsoid", "regularized_p")
 
 _DUAL_TOL = 1e-12
-_DUAL_RESTARTS = 64
+_DUAL_ITERS = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +154,9 @@ def dual_jet(norm: Norm, x):
         v = np.sqrt(np.sum(x * mx, axis=-1))
         return v, mx / v[..., None]
     flat = x.reshape(-1, norm.dim)
-    val, grad = _dual_numeric(norm, flat)
-    return val.reshape(x.shape[:-1]), grad.reshape(x.shape)
+    scale = np.sqrt(np.sum(flat * flat, axis=-1))
+    val, grad = _dual_numeric(norm, flat / scale[:, None])
+    return (scale * val).reshape(x.shape[:-1]), grad.reshape(x.shape)
 
 
 def dual_hessian(norm: Norm, x):
@@ -180,42 +183,46 @@ def _dual_hessian(norm: Norm, x, solved=None):
         v = np.sqrt(np.sum(x * mx, axis=-1))
         return (mi / v[..., None, None]
                 - mx[..., :, None] * mx[..., None, :] / v[..., None, None] ** 3)
-    # implicit differentiation of the maximizer: with xi* = grad F*(x) and
-    # lam = F*(x), solve (lam hessF + gradF x gradF) D = I - gradF x xi*
+    # implicit differentiation of the maximizer: with xi* = grad F*(w) and
+    # lam = F*(w) at w = x/|x|, solve (lam hessF + gradF x gradF) D = I -
+    # gradF x xi*; D/|x| is the Hessian at x. Solving at unit scale keeps
+    # the system as well conditioned as at w for every |x|
     lam, xistar = dual_jet(norm, x) if solved is None else solved
+    scale = np.sqrt(np.sum(x * x, axis=-1))
     _, g, h = eval_jet(norm, xistar)
-    aug = lam[..., None, None] * h + g[..., :, None] * g[..., None, :]
+    aug = ((lam / scale)[..., None, None] * h
+           + g[..., :, None] * g[..., None, :])
     rhs = eye - g[..., :, None] * xistar[..., None, :]
-    d = np.linalg.solve(aug, rhs)
+    d = np.linalg.solve(aug, rhs) / scale[..., None, None]
     return 0.5 * (d + np.swapaxes(d, -1, -2))
 
 
-def _dual_numeric(norm: Norm, x):
-    """Damped Newton on the stationarity system of the dual sup."""
+def _dual_numeric(norm: Norm, omega):
+    """Damped Newton on the stationarity system of the dual sup.
+
+    omega holds unit vectors, so the residual test is scale-free.
+    """
     n = norm.dim
     p = norm.exponent
-    scale = np.sqrt(np.sum(x * x, axis=-1))
     # start at the plain p-norm maximizer, a good guess for small smoothing
-    xi = np.sign(x) * np.abs(x) ** (1.0 / (p - 1.0))
+    xi = np.sign(omega) * np.abs(omega) ** (1.0 / (p - 1.0))
     bad = np.sum(xi * xi, axis=-1) == 0.0
     if np.any(bad):
-        xi[bad] = x[bad]
+        xi[bad] = omega[bad]
     xi = xi / eval_jet(norm, xi)[0][..., None]
-    lam = np.sum(xi * x, axis=-1)
-    res = np.full(x.shape[0], np.inf)
-    for _ in range(80):
+    lam = np.sum(xi * omega, axis=-1)
+    for it in range(_DUAL_ITERS + 1):
         v, g, h = eval_jet(norm, xi)
-        r1 = lam[:, None] * g - x
-        r2 = v - 1.0
-        res = np.maximum(np.max(np.abs(r1), axis=-1), np.abs(r2)) / (1.0 + scale)
+        r1 = lam[:, None] * g - omega
+        res = np.maximum(np.max(np.abs(r1), axis=-1), np.abs(v - 1.0))
         live = res > _DUAL_TOL
-        if not np.any(live):
+        if not np.any(live) or it == _DUAL_ITERS:
             break
-        jac = np.zeros((x.shape[0], n + 1, n + 1))
+        jac = np.zeros((omega.shape[0], n + 1, n + 1))
         jac[:, :n, :n] = lam[:, None, None] * h
         jac[:, :n, n] = g
         jac[:, n, :n] = g
-        rhs = np.concatenate([-r1, -r2[:, None]], axis=-1)
+        rhs = np.concatenate([-r1, 1.0 - v[:, None]], axis=-1)
         try:
             step = np.linalg.solve(jac[live], rhs[live][..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -229,9 +236,8 @@ def _dual_numeric(norm: Norm, x):
             cand_xi = xi_live + alpha[:, None] * step[:, :n]
             cand_lam = lam_live + alpha * step[:, n]
             vv, gg, _ = eval_jet(norm, cand_xi)
-            rr1 = cand_lam[:, None] * gg - x[live]
+            rr1 = cand_lam[:, None] * gg - omega[live]
             rr = np.maximum(np.max(np.abs(rr1), axis=-1), np.abs(vv - 1.0))
-            rr = rr / (1.0 + scale[live])
             worse = rr > res_live
             if not np.any(worse):
                 break
@@ -239,69 +245,13 @@ def _dual_numeric(norm: Norm, x):
         xi[live] = xi_live + alpha[:, None] * step[:, :n]
         lam[live] = lam_live + alpha * step[:, n]
     if np.any(res > _DUAL_TOL * 100.0):
-        idx = np.nonzero(res > _DUAL_TOL * 100.0)[0]
-        for i in idx:
-            xi[i] = _dual_ascent(norm, x[i])
-        res_chk = _dual_residual(norm, xi[idx], x[idx])
-        if np.any(res_chk > 1e-8):
-            raise NumericError(
-                "dual maximization did not converge; worst residual "
-                f"{float(np.max(res_chk)):.3e}")
+        worst = int(np.argmax(res))
+        raise NumericError(
+            "dual norm Newton solve did not converge at direction "
+            f"{omega[worst].tolist()} (p={p}, eps={norm.smoothing}): "
+            f"residual {res[worst]:.3e} after {it} iterations")
     xi = xi / eval_jet(norm, xi)[0][..., None]
-    return np.sum(xi * x, axis=-1), xi
-
-
-def _dual_residual(norm, xi, x):
-    v, g, _ = eval_jet(norm, xi)
-    lam = np.sum(xi * x, axis=-1)
-    r1 = np.max(np.abs(lam[:, None] * g - x), axis=-1)
-    r2 = np.abs(v - 1.0)
-    return np.maximum(r1, r2) / (1.0 + np.sqrt(np.sum(x * x, axis=-1)))
-
-
-def _restart_directions(dim: int, count: int) -> np.ndarray:
-    if dim == 2:
-        theta = 2.0 * math.pi * np.arange(count) / count
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    if dim == 3:
-        # Fibonacci sphere
-        i = np.arange(count) + 0.5
-        phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-        z = 1.0 - 2.0 * i / count
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-    rng = np.random.default_rng(0)
-    d = rng.normal(size=(count, dim))
-    return d / np.linalg.norm(d, axis=-1, keepdims=True)
-
-
-def _dual_ascent(norm: Norm, x):
-    """Projected gradient ascent of <xi, x> on the unit F-sphere.
-
-    Runs all restarts of the deterministic direction set in lockstep and
-    keeps the best maximizer; step-size convergence threshold 1e-12.
-    """
-    dirs = _restart_directions(norm.dim, _DUAL_RESTARTS)
-    xi = dirs / eval_jet(norm, dirs)[0][..., None]
-    eta = np.full(xi.shape[0], 0.5)
-    obj = np.sum(xi * x, axis=-1)
-    for _ in range(500):
-        _, g, _ = eval_jet(norm, xi)
-        grad = x[None, :] - obj[:, None] * g
-        cand = xi + eta[:, None] * grad
-        cand = cand / eval_jet(norm, cand)[0][..., None]
-        new_obj = np.sum(cand * x, axis=-1)
-        better = new_obj >= obj
-        step = np.max(np.abs(cand - xi), axis=-1)
-        xi = np.where(better[:, None], cand, xi)
-        obj = np.where(better, new_obj, obj)
-        eta = np.where(better, np.minimum(eta * 1.3, 4.0), eta * 0.5)
-        if np.max(np.where(better, step, 0.0)) < _DUAL_TOL and np.all(eta < 1e-14):
-            break
-        if np.all(eta < 1e-16):
-            break
-    best = int(np.argmax(obj))
-    return xi[best]
+    return np.sum(xi * omega, axis=-1), xi
 
 
 @lru_cache(maxsize=None)
@@ -317,24 +267,10 @@ def wulff_volume(norm: Norm) -> float:
         return unit_ball_volume(n)
     if norm.family == "ellipsoid":
         return unit_ball_volume(n) * math.sqrt(np.linalg.det(norm.matrix))
-    if n == 2:
-        count = 2048
-        theta = 2.0 * math.pi * np.arange(count) / count
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        r = 1.0 / dual_jet(norm, dirs)[0]
-        return float(np.sum(r * r) * (math.pi / count))
-    if n == 3:
-        nc, nphi = 128, 256
-        c, wc = gauss_legendre(-1.0, 1.0, nc)
-        phi = 2.0 * math.pi * np.arange(nphi) / nphi
-        s = np.sqrt(1.0 - c * c)
-        dirs = np.stack([
-            np.outer(s, np.cos(phi)),
-            np.outer(s, np.sin(phi)),
-            np.broadcast_to(c[:, None], (nc, nphi)).copy(),
-        ], axis=-1)
-        r = 1.0 / dual_jet(norm, dirs.reshape(-1, 3))[0].reshape(nc, nphi)
-        dphi = 2.0 * math.pi / nphi
-        return float(np.sum(wc @ (r ** 3)) * dphi / 3.0)
+    if n in (2, 3):
+        # the unit ball of F* has boundary radius 1/F*(w) along w
+        grid = _DirectionGrid(n, 2048 if n == 2 else 256)
+        r = 1.0 / dual_jet(norm, grid.omega)[0]
+        return float(grid.solid @ r ** n) / n
     raise CapabilityError(
         f"no numeric Wulff-volume path for family {norm.family} in n={n}")

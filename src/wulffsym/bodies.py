@@ -2,15 +2,10 @@
 
 Every body is the boundary of a sublevel set {u < t} of an admissible
 field, sampled by ray shooting from the interior anchor along a
-deterministic direction grid (uniform angles in 2D, Gauss latitudes times
-uniform longitudes in 3D). One root solver serves every level and ray at
-once: on the field's ray restriction s -> (u(anchor + s w), du/ds) it runs
-safeguarded Newton inside the bisection bracket from the anchor to the
-bounding-box exit (a Newton step that leaves the bracket or fails to halve
-the previous step is replaced by a bisection step); a field without a ray
-restriction is solved by plain bisection on its values. The sample carries
-surface-measure weights, anisotropic curvatures of every order, and the
-data needed for the mixed-volume functionals
+deterministic direction grid; the ray roots of every level and direction
+come from one solve (rays._ray_roots). The sample carries surface-measure
+weights, anisotropic curvatures of every order, and the data needed for
+the mixed-volume functionals
 
     W_k = [n binom(n-1, k-1)]^{-1} * integral of S_{k-1}(curv) F(normal),
 
@@ -35,22 +30,19 @@ from .errors import DegenerateLevelError, DomainError, NumericError
 from .field_ops import curvature_batch, level_grid
 from .fields import Field
 from .parallel import thread_count
-from .quad import chunked, legendre_rule
+from .quad import chunked
+# boundary_radii and default_rays are re-exported: the benchmark tracer
+# and the tests reach them here
+from .rays import (  # noqa: F401
+    _DirectionGrid,
+    _ray_roots,
+    _restrict,
+    boundary_radii,
+    default_rays,
+)
 
-_BISECT_ITERS = 54
-_NEWTON_ITERS = 100
-# after a Newton step this small (relative to the root) the error is of
-# the order of its square, far below rounding; the steps that rounding
-# noise in u makes on the flattest rays (levels next to the minimum, about
-# 1e-13) stay below it, so those solves end too
-_NEWTON_RTOL = 1e-11
-_EPS = np.finfo(float).eps
 _GRAD_TOL = 1e-10
 _JET_CHUNK = 1 << 16
-
-
-def default_rays(dim: int) -> int:
-    return 2048 if dim <= 2 else 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,124 +65,6 @@ class LevelSetSample:
     diagnostics: dict
 
 
-class _DirectionGrid:
-    """Deterministic direction grid with angular derivatives and weights.
-
-    ``measure`` integrates surface parametrization Jacobians, ``solid``
-    integrates over the solid angle (for polar volume quadrature).
-    """
-
-    def __init__(self, dim: int, rays: int):
-        self.dim = dim
-        if dim == 2:
-            theta = 2.0 * math.pi * np.arange(rays) / rays
-            self.omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            self.d_theta = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-            self.measure = np.full(rays, 2.0 * math.pi / rays)
-            self.solid = self.measure
-        elif dim == 3:
-            nphi = rays
-            nc = max(8, nphi // 2)
-            c, wc = legendre_rule(nc)
-            s = np.sqrt(1.0 - c * c)
-            phi = 2.0 * math.pi * np.arange(nphi) / nphi
-            cp, sp = np.cos(phi), np.sin(phi)
-            self.omega = np.stack([
-                np.outer(s, cp), np.outer(s, sp),
-                np.broadcast_to(c[:, None], (nc, nphi)).copy()],
-                axis=-1).reshape(-1, 3)
-            self.d_theta = np.stack([
-                np.outer(c, cp), np.outer(c, sp),
-                np.broadcast_to(-s[:, None], (nc, nphi)).copy()],
-                axis=-1).reshape(-1, 3)
-            self.d_phi = np.stack([
-                np.outer(s, -sp), np.outer(s, cp), np.zeros((nc, nphi))],
-                axis=-1).reshape(-1, 3)
-            # quadrature in (cos(theta), phi); the 1/sin(theta) factor undoes
-            # the theta parametrization of the area element
-            self.measure = (np.outer(wc / s, np.full(nphi, 2.0 * math.pi / nphi))
-                            .reshape(-1))
-            self.solid = (np.outer(wc, np.full(nphi, 2.0 * math.pi / nphi))
-                          .reshape(-1))
-        else:
-            raise DomainError("level-set sampling supports dimensions 2 and 3")
-
-    @property
-    def count(self):
-        return self.omega.shape[0]
-
-
-def _box_exit(anchor, box, omega):
-    """Distance from the anchor to the bounding-box boundary along omega."""
-    lo = (box[:, 0] - anchor)[None, :]
-    hi = (box[:, 1] - anchor)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_hi = np.where(omega > 0, hi / omega, np.inf)
-        t_lo = np.where(omega < 0, lo / omega, np.inf)
-    return np.min(np.minimum(t_hi, t_lo), axis=-1)
-
-
-def _restrict(u: Field, grid: _DirectionGrid):
-    """The field's ray restriction to the grid directions, if it has one."""
-    return None if u.ray is None else u.ray(grid.omega)
-
-
-def _ray_roots(u: Field, grid: _DirectionGrid, levels: np.ndarray, along):
-    """Radii s with u(anchor + s omega) = t, shape (levels, directions).
-
-    ``along`` is _restrict(u, grid); without it the roots are bisected.
-    """
-    s_hi = _box_exit(u.anchor, u.bounding_box, grid.omega)
-    shape = (levels.shape[0], grid.count)
-    lo = np.zeros(shape)
-    hi = np.broadcast_to(s_hi * (1.0 + 1e-12), shape).copy()
-    tcol = levels[:, None]
-    if along is not None:
-        return _newton_roots(along, tcol, lo, hi)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        pts = u.anchor + mid[..., None] * grid.omega[None, :, :]
-        vals = u.values(pts.reshape(-1, u.dim)).reshape(shape)
-        below = vals < tcol
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _newton_roots(along, t, lo, hi):
-    """Safeguarded Newton (rtsafe) for along(s)[0] = t in brackets [lo, hi].
-
-    along(lo) < t <= along(hi) entrywise; converged entries stay fixed.
-    The solve starts at hi: on rays where u is convex, as on every preset,
-    Newton from above descends to the root without leaving the bracket,
-    also when the root sits at the bracket's edge.
-    """
-    s = hi.copy()
-    step = hi - lo
-    live = np.ones(s.shape, dtype=bool)
-    for _ in range(_NEWTON_ITERS):
-        val, slope = along(s)
-        g = val - t
-        below = g < 0.0
-        lo = np.where(below, s, lo)
-        hi = np.where(below, hi, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = g / slope
-        cand = s - dx
-        done = np.abs(dx) <= _NEWTON_RTOL * s
-        newton = done | ((cand > lo) & (cand < hi)
-                         & (2.0 * np.abs(dx) <= step))
-        nxt = np.where(newton, cand, 0.5 * (lo + hi))
-        step = np.abs(nxt - s)
-        # bisection ends once the bracket is down to rounding
-        done |= step <= _EPS * nxt
-        s = np.where(live, nxt, s)
-        live &= ~done
-        if not np.any(live):
-            break
-    return s
-
-
 def _surface_weights(grid: _DirectionGrid, s, grads):
     """Surface-measure weights from the angular parametrization Jacobian."""
     omega = grid.omega
@@ -208,11 +82,6 @@ def _surface_weights(grid: _DirectionGrid, s, grads):
     x_ph = s_ph[..., None] * omega[None] + s[..., None] * grid.d_phi[None]
     jac = np.linalg.norm(np.cross(x_th, x_ph), axis=-1)
     return jac * grid.measure[None, :]
-
-
-def boundary_radii(u: Field, grid: _DirectionGrid) -> np.ndarray:
-    """Ray lengths from the anchor to the zero level set, one per direction."""
-    return _ray_roots(u, grid, np.array([0.0]), _restrict(u, grid))[0]
 
 
 def sample_many(norm: Norm, u: Field, levels, rays: int | None = None):

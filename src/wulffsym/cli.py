@@ -20,6 +20,10 @@ A config is a single JSON document (unknown keys are rejected):
       "seed":   42
     }
 
+``grids.volume_panels`` is the direction count (longitudes in 3D) of the
+polar rule behind the volume integrals: the direct Hessian energies and
+the L^p norms. Unset, it is 2048 in 2D and 256 in 3D.
+
 Exit status: 0 when every verdict passes, 1 when any check fails or a
 task hits a numeric error, 2 on config errors. The environment variable
 WULFFSYM_THREADS caps worker threads (default: all cores).

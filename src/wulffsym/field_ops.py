@@ -7,10 +7,10 @@ The anisotropic Hessian matrix of u under a norm F is
 the 0-matrix by convention where grad u = 0 (non-euclidean F), and the
 plain Hessian for the euclidean norm. S_k of A is the anisotropic
 k-Hessian operator; S_k of (F_{il} u_{lj}) evaluated on a level set is the
-k-th anisotropic mean curvature of that level set. Energy integrals are
-taken over {u < 0} by tensor Gauss-Legendre quadrature on the bounding
-box with the domain indicator, or through the coarea decomposition over
-sampled level sets.
+k-th anisotropic mean curvature of that level set. Energy integrals over
+{u < 0} are taken on the polar rule of the rays module (Gauss nodes on
+rays from the anchor to the exactly solved boundary), or through the
+coarea decomposition over sampled level sets.
 """
 
 import numpy as np
@@ -19,14 +19,18 @@ from .anisotropy import Norm, eval_jet, half_sq_hessian
 from .errors import CapabilityError, DegenerateLevelError, DomainError, NumericError
 from .fields import Field, FieldJet
 from .invariants import sk as sk_matrix
-from .quad import box_gauss_grid, chunked, legendre_rule, trapezoid
+from .quad import trapezoid
+# polar_grid and polar_integral are re-exported: the benchmark tracer and
+# the tests reach them here
+from .rays import (  # noqa: F401
+    _DirectionGrid,
+    boundary_radii,
+    default_rays,
+    polar_grid,
+    polar_integral,
+)
 
 _GRAD_FLOOR = 1e-150
-_CHUNK = 1 << 17
-
-
-def default_panels(dim: int) -> int:
-    return 400 if dim <= 2 else 96
 
 
 def aniso_hessian(norm: Norm, jet: FieldJet) -> np.ndarray:
@@ -128,70 +132,19 @@ def curvature_batch(norm: Norm, grads, hesses, k: int):
     return primary, alt
 
 
-def domain_grid(u: Field, panels: int | None = None):
-    """Quadrature nodes and weights on the bounding box of the domain."""
-    if panels is None:
-        panels = default_panels(u.dim)
-    return box_gauss_grid(u.bounding_box, panels)
-
-
-def _integrate_over_domain(u: Field, integrand, panels: int | None = None):
-    """Sum integrand(pts, vals, grads, hesses) * w over {u < 0}, chunked."""
-    pts, w = domain_grid(u, panels)
-    total = []
-    for lo, hi in chunked(pts.shape[0], _CHUNK):
-        vals, grads, hesses = u.jets(pts[lo:hi])
-        inside = vals < 0.0
-        if not np.any(inside):
-            continue
-        contrib = integrand(pts[lo:hi][inside], vals[inside],
-                            grads[inside], hesses[inside])
-        if not np.all(np.isfinite(contrib)):
-            raise NumericError("non-finite integrand in volume quadrature")
-        total.append(float(np.sum(contrib * w[lo:hi][inside])))
-    return float(np.sum(total))
-
-
 def hessian_integral(norm: Norm, u: Field, k: int,
                      panels: int | None = None) -> float:
-    """Energy integral of (-u) times S_k of the anisotropic Hessian."""
+    """Energy integral of (-u) times S_k of the anisotropic Hessian.
 
-    def integrand(pts, vals, grads, hesses):
-        a = aniso_hessian_batch(norm, grads, hesses)
-        return -vals * _sk_stack(a, k)
-
-    return _integrate_over_domain(u, integrand, panels)
-
-
-def polar_integral(u: Field, integrand, rays: int | None = None,
-                   radial_nodes: int = 48) -> float:
-    """Integrate over {u < 0} in polar form around the anchor.
-
-    The domain is star-shaped about the anchor, so the integral splits
-    into rays with exactly known lengths; Gauss nodes along each ray give
-    spectral accuracy for smooth integrands, unlike the indicator
-    quadrature whose boundary band limits integrands that do not vanish
-    on the boundary.
+    ``panels`` is the direction count of the polar rule (longitudes in
+    3D); None means default_rays.
     """
-    from . import bodies
 
-    grid = bodies._DirectionGrid(u.dim, rays or bodies.default_rays(u.dim))
-    s = bodies.boundary_radii(u, grid)
-    rho, wr = legendre_rule(radial_nodes)
-    rho = 0.5 * (rho + 1.0)
-    wr = 0.5 * wr
-    n = u.dim
-    total = []
-    dir_chunk = max(1, _CHUNK // radial_nodes)
-    for lo, hi in chunked(grid.count, dir_chunk):
-        r = s[lo:hi, None] * rho[None, :]
-        pts = (u.anchor + r[..., None] * grid.omega[lo:hi, None, :])
-        vals = integrand(pts.reshape(-1, n)).reshape(r.shape)
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("non-finite integrand in polar quadrature")
-        radial = (vals * r ** (n - 1)) @ wr * s[lo:hi]
-        total.append(float(np.sum(radial * grid.solid[lo:hi])))
-    return float(np.sum(total))
+    def integrand(pts):
+        vals, grads, hesses = u.jets(pts)
+        return -vals * _sk_stack(aniso_hessian_batch(norm, grads, hesses), k)
+
+    return polar_integral(u, integrand, rays=panels)
 
 
 def generalized_integral(norm: Norm, u: Field, k: int, p: float,
@@ -200,8 +153,7 @@ def generalized_integral(norm: Norm, u: Field, k: int, p: float,
     """Integral of sum_ij S_k^{ij} F^{p-k} F_i u_j over the domain.
 
     Reduces to k times the Hessian integral at p = k + 1 and to the
-    F-Dirichlet energy of exponent p at k = 1. The integrand does not
-    vanish on the boundary, so it is integrated in polar form.
+    F-Dirichlet energy of exponent p at k = 1.
     """
     if p < 1.0:
         raise DomainError("exponent p must be >= 1")
@@ -258,39 +210,21 @@ def hessian_integral_coarea(table, k: int) -> float:
 
 
 def lp_norm(u: Field, p: float, panels: int | None = None) -> float:
-    """L^p norm of u over its domain (u <= 0 inside)."""
+    """L^p norm of u over its domain (u <= 0 inside), from values only.
+
+    ``panels`` is the direction count of the polar rule, as in
+    hessian_integral.
+    """
     if p < 1.0:
         raise DomainError("p must be >= 1")
 
-    def integrand(pts, vals, grads, hesses):
-        return (-vals) ** p
+    def integrand(pts):
+        return np.maximum(-u.values(pts), 0.0) ** p
 
-    return _integrate_over_domain(u, integrand, panels) ** (1.0 / p)
+    return polar_integral(u, integrand, rays=panels) ** (1.0 / p)
 
 
 def domain_volume(u: Field, panels: int | None = None) -> float:
-    """Volume of {u < 0} by the same indicator quadrature."""
-
-    def integrand(pts, vals, grads, hesses):
-        return np.ones(vals.shape)
-
-    return _integrate_over_domain(u, integrand, panels)
-
-
-def polar_grid(u: Field, rays: int | None = None, radial_nodes: int = 48):
-    """Boundary-fitted quadrature grid of {u < 0} (points, weights).
-
-    Nodes lie on Gauss points along exactly-solved rays from the anchor,
-    so no point is misclassified; weights include the polar Jacobian.
-    """
-    from . import bodies
-
-    grid = bodies._DirectionGrid(u.dim, rays or bodies.default_rays(u.dim))
-    s = bodies.boundary_radii(u, grid)
-    rho, wr = legendre_rule(radial_nodes)
-    rho = 0.5 * (rho + 1.0)
-    wr = 0.5 * wr
-    r = s[:, None] * rho[None, :]
-    pts = u.anchor + r[..., None] * grid.omega[:, None, :]
-    w = grid.solid[:, None] * wr[None, :] * r ** (u.dim - 1) * s[:, None]
-    return pts.reshape(-1, u.dim), w.reshape(-1)
+    """Volume of {u < 0} from the boundary radii of ``panels`` directions."""
+    grid = _DirectionGrid(u.dim, panels or default_rays(u.dim))
+    return float(grid.solid @ boundary_radii(u, grid) ** u.dim) / u.dim

@@ -186,30 +186,34 @@ def newton_transform_delta_oracle(a, k: int) -> np.ndarray:
     n = m.shape[0]
     _check_order(k, n, lo=1)
     _guard(n, k)
-    out = np.zeros((n, n))
-    for i in range(n):
-        others = [x for x in range(n) if x != i]
-        for rest in itertools.combinations(others, k - 1):
-            support = sorted(rest + (i,))
-            sources = [x for x in support if x != i]
-            for j in support:
-                remaining = [x for x in support if x != j]
-                acc = 0.0
-                for assign in itertools.permutations(remaining):
-                    bij = {i: j}
-                    bij.update(zip(sources, assign))
-                    sign = _bijection_sign(support, bij)
-                    prod = 1.0
-                    for s in sources:
-                        prod *= m[s, bij[s]]
-                    acc += sign * prod
-                out[i, j] += acc
-    return out
+    target, rows, cols, signs = _newton_delta_table(n, k)
+    prods = np.prod(m[rows, cols], axis=-1)
+    return np.bincount(target, weights=signs * prods,
+                       minlength=n * n).reshape(n, n)
 
 
-def _bijection_sign(support, bij) -> int:
-    pos = {v: idx for idx, v in enumerate(support)}
-    return _perm_sign(tuple(pos[bij[s]] for s in support))
+@lru_cache(maxsize=None)
+def _newton_delta_table(n: int, k: int):
+    """Terms of the Newton-transform delta sum for dimension n, order k.
+
+    One term per index set T (sorted), permutation pi of its k slots and
+    slot a: it adds sign(pi) * prod_{b != a} A[T_b, T_pi(b)] to entry
+    (T_a, T_pi(a)), flattened to T_a * n + T_pi(a). Returns (target,
+    rows, cols, signs) with rows and cols of shape (terms, k - 1).
+    """
+    perms, signs = _perm_table(k)
+    sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    images = sets[:, perms]                                  # (C, P, k)
+    others = np.array([[b for b in range(k) if b != a] for a in range(k)],
+                      dtype=np.intp).reshape(k, k - 1)
+    shape = images.shape + (k - 1,)
+    rows = np.broadcast_to(sets[:, None, others], shape)
+    cols = images[:, :, others]
+    target = sets[:, None, :] * n + images
+    terms = target.size
+    return (target.reshape(-1), rows.reshape(terms, k - 1),
+            cols.reshape(terms, k - 1),
+            np.broadcast_to(signs[None, :, None], images.shape).reshape(-1))
 
 
 def mixed_discriminant(mats) -> float:

@@ -1,4 +1,4 @@
-"""Quadrature building blocks: tensor Gauss-Legendre grids and panel rules."""
+"""Quadrature building blocks: cached Gauss-Legendre rules and panel rules."""
 
 import math
 from functools import lru_cache
@@ -18,32 +18,6 @@ def legendre_rule(nodes: int):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
-
-
-def gauss_legendre(a: float, b: float, nodes: int):
-    """Gauss-Legendre nodes/weights rescaled from [-1, 1] to [a, b]."""
-    x, w = legendre_rule(nodes)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
-def box_gauss_grid(box, panels):
-    """Tensor-product Gauss-Legendre grid on an axis-aligned box.
-
-    box: (n, 2) array of [lo, hi] per axis. panels: node count per axis
-    (int, applied to every axis). Returns (points (N, n), weights (N,)).
-    """
-    box = np.asarray(box, dtype=float)
-    dim = box.shape[0]
-    axes = [gauss_legendre(lo, hi, panels) for lo, hi in box]
-    grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    w = np.ones(pts.shape[0])
-    for k in range(dim):
-        wk = np.meshgrid(*[axes[i][1] if i == k else np.ones_like(axes[i][1])
-                           for i in range(dim)], indexing="ij")[k]
-        w *= wk.reshape(-1)
-    return pts, w
 
 
 def chunked(n_total: int, chunk: int):

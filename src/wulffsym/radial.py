@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .fields import Field
 from .quad import panel_cumulative
+from .rays import polar_grid
 
 _MONOTONE_SLACK = 1e-10
 
@@ -212,8 +213,6 @@ def rearrange(f, u: Field, kappa_n: float, rays: int | None = None,
     resolution (the profile is a staircase for radial densities), so it
     is kept much finer than the angular one.
     """
-    from .field_ops import polar_grid
-
     if rays is None:
         rays = 256 if u.dim == 2 else 64
     if radial_nodes is None:

@@ -32,7 +32,6 @@ from .field_ops import (
     hessian_integral,
     hessian_integral_coarea,
     lp_norm,
-    polar_grid,
     sk_field_batch,
 )
 from .fields import Field
@@ -44,6 +43,7 @@ from .radial import (
     rearrange,
     solve_radial,
 )
+from .rays import polar_grid
 
 _ZETA_SLACK = 1e-8
 

@@ -42,3 +42,22 @@ def _agm_elliptic(k: float):
             break
     big_k = np.pi / (2.0 * an)
     return big_k, total
+
+
+def box_gauss_grid(box, nodes: int):
+    """Tensor Gauss-Legendre rule on an axis-aligned box (points, weights).
+
+    box is an (n, 2) array of [lo, hi] per axis, with ``nodes`` points per
+    axis. Applied to an indicator it is a boundary-blind oracle, independent
+    of the polar rule of the library.
+    """
+    box = np.asarray(box, dtype=float)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * (box[:, 1] - box[:, 0])
+    axes = [lo + h * (x + 1.0) for (lo, _), h in zip(box, half)]
+    pts = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")],
+                   axis=-1)
+    weights = np.ones(1)
+    for h in half:
+        weights = np.outer(weights, h * w).reshape(-1)
+    return pts, weights

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wulffsym import anisotropy
 from wulffsym.anisotropy import (
     dual_hessian,
     dual_jet,
@@ -13,7 +16,7 @@ from wulffsym.anisotropy import (
     regularized_p_norm,
     wulff_volume,
 )
-from wulffsym.errors import CapabilityError, DomainError
+from wulffsym.errors import CapabilityError, DomainError, NumericError
 from wulffsym.invariants import sk
 
 
@@ -154,6 +157,38 @@ class TestDualJet:
     def test_rejects_origin(self):
         with pytest.raises(DomainError):
             dual_jet(euclidean_norm(2), np.zeros(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(1.05, 30.0), eps=st.floats(1e-4, 1.0),
+           s=st.floats(-30.0, 30.0),
+           direction=st.integers(2, 3).flatmap(lambda n: st.lists(
+               st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    # near an axis at |x| ~ 1.6e-6 an absolute residual test stalls
+    @example(p=3.0, eps=1e-2, s=math.log(1.5852608470538693e-06),
+             direction=[1.584893192461114e-06, 3.4145488738336004e-08])
+    def test_numeric_dual_is_homogeneous(self, p, eps, s, direction):
+        # F* is 1-homogeneous, grad F* 0-homogeneous and hess F*
+        # (-1)-homogeneous: the jets at e^s w follow from those at w
+        omega = np.asarray(direction)
+        length = float(np.linalg.norm(omega))
+        if length < 1e-3:
+            return
+        omega = omega / length
+        norm = regularized_p_norm(omega.size, p, eps)
+        x = math.exp(s) * omega
+        v, g = dual_jet(norm, x)
+        v0, g0 = dual_jet(norm, omega)
+        assert abs(v / math.exp(s) - v0) <= 1e-14 * v0
+        assert np.max(np.abs(g - g0)) <= 1e-14
+        h0 = dual_hessian(norm, omega)
+        assert np.max(np.abs(dual_hessian(norm, x) * math.exp(s) - h0)
+                      / (1.0 + np.abs(h0))) <= 1e-12
+
+    def test_nonconvergence_names_the_norm(self, monkeypatch):
+        monkeypatch.setattr(anisotropy, "_DUAL_ITERS", 1)
+        norm = regularized_p_norm(2, 3.0, 0.05)
+        with pytest.raises(NumericError, match=r"p=3\.0, eps=0\.05"):
+            dual_jet(norm, np.array([0.6, 0.8]))
 
 
 class TestDualHessian:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -200,7 +201,16 @@ class TestHessianIntegral:
         norm = euclidean_norm(2)
         u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
         assert hessian_integral(norm, u, 1) == pytest.approx(
-            5.0 * math.pi / 8.0, rel=1e-5)
+            5.0 * math.pi / 8.0, rel=1e-12)
+        assert hessian_integral(norm, u, 2) == pytest.approx(
+            math.pi / 8.0, rel=1e-12)
+
+    def test_ball_closed_form(self):
+        # -u = (1 - r^2)/2 and S_1 = 3 on the unit ball: 4 pi/5
+        norm = euclidean_norm(3)
+        u = quadratic_ellipsoid(3)
+        assert hessian_integral(norm, u, 1) == pytest.approx(
+            4.0 * math.pi / 5.0, rel=1e-12)
 
     def test_coarea_agreement(self):
         norm = euclidean_norm(2)
@@ -356,9 +366,24 @@ class TestIdentities:
 
 class TestAuxiliaries:
     def test_domain_volume(self):
-        # indicator quadrature: the boundary band limits accuracy to O(h)
         u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
-        assert domain_volume(u) == pytest.approx(2.0 * math.pi, rel=2e-3)
+        assert domain_volume(u) == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+    def test_lp_norm_ellipse(self):
+        # ||u||_2^2 = a b pi/12 on the (2, 1) ellipse
+        u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
+        assert lp_norm(u, 2.0) == pytest.approx(math.sqrt(math.pi / 6.0),
+                                                rel=1e-12)
+
+    def test_lp_norm_and_volume_read_values_only(self):
+        def boom(pts):
+            raise AssertionError("jets evaluated")
+
+        u = dataclasses.replace(quadratic_ellipsoid(2, axes=[2.0, 1.0]),
+                                jets_fn=boom)
+        assert lp_norm(u, 2.0) == pytest.approx(math.sqrt(math.pi / 6.0),
+                                                rel=1e-12)
+        assert domain_volume(u) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_lp_norm_disc(self):
         # integral of ((1 - |x|^2)/2)^2 over the unit disc = pi/6... times:

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import box_gauss_grid
 from wulffsym.anisotropy import ellipsoid_norm, euclidean_norm, wulff_volume
 from wulffsym.bodies import LevelTable, sample_level_set, sample_many
 from wulffsym.errors import DegenerateLevelError
-from wulffsym.field_ops import domain_grid, level_grid
+from wulffsym.field_ops import level_grid
 from wulffsym.fields import perturbed_radial, quadratic_ellipsoid, radial_field
 from wulffsym.parallel import ENV_VAR, thread_count
 from wulffsym.quad import panel_cumulative
@@ -30,7 +31,7 @@ class TestHardyLittlewoodChain:
             return 1.0 + 0.5 * pts[:, 0] ** 2 + 0.1 * np.abs(pts[:, 1])
 
         f_star = rearrange(f, u, kap)
-        pts, w = domain_grid(u)
+        pts, w = box_gauss_grid(u.bounding_box, 400)
         vals = u.values(pts)
         fv = f(pts)
         table = LevelTable(norm, u, levels=60)
