@@ -4,11 +4,13 @@ __version__ = "0.1.0"
 
 from .invariants import (  # noqa: F401
     mixed_discriminant,
+    newton_stack,
     newton_transform,
     newton_transform_delta_oracle,
     sigma_k,
     sk,
     sk_delta_oracle,
+    sk_stack,
 )
 from .anisotropy import (  # noqa: F401
     Norm,

@@ -138,13 +138,8 @@ def _sample_block(norm: Norm, u: Field, levels: np.ndarray,
         fgrad, nu_dir, _ = eval_jet(norm, g)
         nu = g / gn[i][:, None]
         fnu = fgrad / gn[i]
-        curv = np.empty((u.dim, n_dir))
-        disc = 0.0
-        for j in range(u.dim):
-            primary, alt = curvature_batch(norm, g, h, j)
-            curv[j] = primary
-            disc = max(disc, float(np.max(
-                np.abs(primary - alt) / (1.0 + np.abs(primary)))))
+        curv, alt = curvature_batch(norm, g, h)
+        disc = float(np.max(np.abs(curv - alt) / (1.0 + np.abs(curv))))
         out.append(LevelSetSample(
             level=float(t), points=pts[i], normals=nu, f_of_nu=fnu,
             curvatures=curv, weights=weights[i], gradient_norms=fgrad,

@@ -46,12 +46,15 @@ from .anisotropy import (
     Norm,
     ellipsoid_norm,
     euclidean_norm,
+    eval_jet,
     regularized_p_norm,
     wulff_volume,
 )
 from .bodies import LevelTable, af_pairs, mixed_volume, sample_level_set
 from .errors import InputError
 from .field_ops import (
+    aniso_hessian_batch,
+    curvature_batch,
     hessian_integral,
     hessian_integral_coarea,
     sk_field_batch,
@@ -59,10 +62,12 @@ from .field_ops import (
 from .fields import build_preset, preset_catalog
 from .invariants import (
     mixed_discriminant,
+    newton_stack,
     newton_transform,
     newton_transform_delta_oracle,
     sk,
     sk_delta_oracle,
+    sk_stack,
 )
 from .parallel import ENV_VAR, thread_count
 from .symmetrize import (
@@ -231,26 +236,23 @@ def _sample_interior(norm, u, count, seed):
 
 
 def _task_identities(cfg, norm, u, level_table):
-    from .anisotropy import eval_jet
-    from .field_ops import _newton_stack, _sk_stack, aniso_hessian_batch, \
-        curvature_batch
-
     rows = []
     pts = _sample_interior(norm, u, 100, cfg.seed)
     _, grads, hesses = u.jets(pts)
+    primary, alt = curvature_batch(norm, grads, hesses)
     for k in range(0, u.dim):
-        primary, alt = curvature_batch(norm, grads, hesses, k)
-        spread = float(np.max(np.abs(primary - alt)
-                              / (1.0 + np.abs(primary))))
+        spread = float(np.max(np.abs(primary[k] - alt[k])
+                              / (1.0 + np.abs(primary[k]))))
         rows.append(_row("identities", "curvature two-route spread",
                          spread, 0.0, 1e-8, spread <= 1e-8, k=k))
     fv, fg, fh = eval_jet(norm, grads)
     a = aniso_hessian_batch(norm, grads, hesses)
+    newtons = newton_stack(a, u.dim)
     for k in range(1, u.dim + 1):
-        skv = _sk_stack(a, k)
-        curv = _sk_stack(fh @ hesses, k) if k <= u.dim else None
-        t = _newton_stack(a, k)
-        corr = np.einsum("...ij,...i,...l,...lj->...", t, fg, grads, a) / fv
+        skv = sk_stack(a, k)
+        curv = sk_stack(fh @ hesses, k)
+        corr = np.einsum("...ij,...i,...l,...lj->...", newtons[k - 1], fg,
+                         grads, a) / fv
         rhs = curv * fv ** k + corr
         spread = float(np.max(np.abs(skv - rhs) / (1.0 + np.abs(skv))))
         rows.append(_row("identities", "operator decomposition residual",

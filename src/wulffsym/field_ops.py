@@ -16,9 +16,9 @@ coarea decomposition over sampled level sets.
 import numpy as np
 
 from .anisotropy import Norm, eval_jet, half_sq_hessian
-from .errors import CapabilityError, DegenerateLevelError, DomainError, NumericError
+from .errors import DegenerateLevelError, DomainError, NumericError
 from .fields import Field, FieldJet
-from .invariants import sk as sk_matrix
+from .invariants import newton_stack, sk as sk_matrix, sk_stack
 from .quad import trapezoid
 # polar_grid and polar_integral are re-exported: the benchmark tracer and
 # the tests reach them here
@@ -53,39 +53,6 @@ def aniso_hessian_batch(norm: Norm, grads, hesses):
     return out
 
 
-def _sk_stack(mats, k: int):
-    """S_k over a stack of small matrices (dimension <= 3)."""
-    mats = np.asarray(mats, dtype=float)
-    n = mats.shape[-1]
-    if n > 3:
-        raise CapabilityError("stacked invariants are implemented for n <= 3")
-    if not 0 <= k <= n:
-        raise DomainError(f"order k={k} outside [0, {n}]")
-    if k == 0:
-        return np.ones(mats.shape[:-2])
-    tr = np.trace(mats, axis1=-2, axis2=-1)
-    if k == 1:
-        return tr
-    tr2 = np.einsum("...ij,...ji->...", mats, mats)
-    if k == 2:
-        return 0.5 * (tr * tr - tr2)
-    return np.linalg.det(mats)
-
-
-def _newton_stack(mats, k: int):
-    """Newton transformation over a stack (dimension <= 3, 1 <= k <= n)."""
-    mats = np.asarray(mats, dtype=float)
-    n = mats.shape[-1]
-    if not 1 <= k <= n:
-        raise DomainError(f"order k={k} outside [1, {n}]")
-    eye = np.eye(n)
-    t = np.broadcast_to(eye, mats.shape).copy()
-    for j in range(2, k + 1):
-        s = _sk_stack(mats, j - 1)
-        t = s[..., None, None] * eye - t @ np.swapaxes(mats, -1, -2)
-    return t
-
-
 def sk_field(norm: Norm, u: Field, x, k: int) -> float:
     """S_k of the anisotropic Hessian of u at a point."""
     jet = u.jet(np.asarray(x, dtype=float))
@@ -94,41 +61,39 @@ def sk_field(norm: Norm, u: Field, x, k: int) -> float:
 
 def sk_field_batch(norm: Norm, u: Field, pts, k: int):
     _, grads, hesses = u.jets(pts)
-    return _sk_stack(aniso_hessian_batch(norm, grads, hesses), k)
+    return sk_stack(aniso_hessian_batch(norm, grads, hesses), k)
 
 
 def level_curvature(norm: Norm, u: Field, x, k: int) -> float:
     """k-th anisotropic mean curvature of the level set of u through x."""
-    primary, _ = level_curvature_both(norm, u, x, k)
-    return primary
-
-
-def level_curvature_both(norm: Norm, u: Field, x, k: int):
-    """Both evaluation routes of the level-set curvature at one point.
-
-    Returns (S_k of the curvature matrix (F_il u_lj),
-             the Newton-transform route sum_ij S_{k+1}^{ij} u_j F_i / F^{k+1});
-    the two agree analytically, their spread measures numerical error.
-    """
+    if not 0 <= k <= u.dim - 1:
+        raise DomainError(f"curvature order k={k} outside [0, {u.dim - 1}]")
     x = np.asarray(x, dtype=float)
     _, grads, hesses = u.jets(x[None, :])
     if np.linalg.norm(grads[0]) < 1e-10:
         raise DegenerateLevelError("level set is degenerate: grad u ~ 0")
-    a, b = curvature_batch(norm, grads, hesses, k)
-    return float(a[0]), float(b[0])
+    primary, _ = curvature_batch(norm, grads, hesses)
+    return float(primary[k, 0])
 
 
-def curvature_batch(norm: Norm, grads, hesses, k: int):
-    """Vectorized level-set curvature, both routes, for sampling loops."""
+def curvature_batch(norm: Norm, grads, hesses):
+    """Level-set curvatures of every order at m points, by two routes.
+
+    For grads (m, n) and hesses (m, n, n) returns (primary, alt), each of
+    shape (n, m); row k holds the k-th anisotropic mean curvature,
+    k = 0..n-1 (row 0 is one). primary is S_k of the curvature matrix
+    (F_il u_lj); alt is the Newton-transform route
+    sum_ij S_{k+1}^{ij} u_j F_i / F^{k+1}. The two agree analytically,
+    their spread measures numerical error. One norm jet, one anisotropic
+    Hessian and one Newton recursion serve all orders.
+    """
     n = grads.shape[-1]
-    if not 0 <= k <= n - 1:
-        raise DomainError(f"curvature order k={k} outside [0, {n - 1}]")
     fv, fg, fh = eval_jet(norm, grads)
     curv_matrix = fh @ hesses
-    primary = _sk_stack(curv_matrix, k)
-    a = aniso_hessian_batch(norm, grads, hesses)
-    t = _newton_stack(a, k + 1)
-    alt = np.einsum("...ij,...j,...i->...", t, grads, fg) / fv ** (k + 1)
+    primary = np.stack([sk_stack(curv_matrix, k) for k in range(n)])
+    t = newton_stack(aniso_hessian_batch(norm, grads, hesses), n)
+    pair = np.einsum("kmij,mj,mi->km", t, grads, fg)
+    alt = pair / fv ** np.arange(1, n + 1)[:, None]
     return primary, alt
 
 
@@ -142,7 +107,7 @@ def hessian_integral(norm: Norm, u: Field, k: int,
 
     def integrand(pts):
         vals, grads, hesses = u.jets(pts)
-        return -vals * _sk_stack(aniso_hessian_batch(norm, grads, hesses), k)
+        return -vals * sk_stack(aniso_hessian_batch(norm, grads, hesses), k)
 
     return polar_integral(u, integrand, rays=panels)
 
@@ -167,7 +132,7 @@ def generalized_integral(norm: Norm, u: Field, k: int, p: float,
             g, h = grads[live], hesses[live]
             fv, fg, _ = eval_jet(norm, g)
             a = aniso_hessian_batch(norm, g, h)
-            t = _newton_stack(a, k)
+            t = newton_stack(a, k)[-1]
             pair = np.einsum("...ij,...j,...i->...", t, g, fg)
             out[live] = fv ** (p - k) * pair
         return out

@@ -4,9 +4,13 @@ For an n-by-n real matrix A (symmetry is never assumed), S_k(A) is the sum
 of all k-by-k principal minors, equivalently the degree-(n-k) coefficient
 invariant of det(t*I - A). The entrywise derivative d S_k / d A_ij is the
 (k-1)-th Newton transformation; polarizing S_k over k matrix slots gives
-the mixed discriminant. Every production evaluator here is paired with a
-combinatorial oracle that expands the generalized Kronecker symbol
-directly, so the two routes share no linear algebra.
+the mixed discriminant. One stacked kernel computes S_k (sk_stack, from
+the C(n, k) principal minors) and the Newton transformations
+(newton_stack, one recursion over sk_stack) for matrices of any
+dimension; sk and newton_transform are its single-matrix forms. Every
+production evaluator here is paired with a combinatorial oracle that
+expands the generalized Kronecker symbol directly, so the two routes
+share no linear algebra.
 """
 
 import itertools
@@ -98,41 +102,75 @@ def _guard(n: int, k: int):
             f"k <= {DELTA_MAX_ORDER}; got n={n}, k={k}")
 
 
+@lru_cache(maxsize=None)
+def _minor_sets(n: int, k: int) -> np.ndarray:
+    """Index sets of the k-by-k principal minors of an n-by-n matrix."""
+    idx = np.array(list(itertools.combinations(range(n), k)),
+                   dtype=np.intp).reshape(-1, k)
+    idx.setflags(write=False)
+    return idx
+
+
+def _as_stack(mats) -> np.ndarray:
+    """Validate and return a float64 stack of square matrices (..., n, n)."""
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim < 2 or mats.shape[-1] < 1 or (
+            mats.shape[-1] != mats.shape[-2]):
+        raise DomainError(
+            f"expected a stack of square matrices, got shape {mats.shape}")
+    return mats
+
+
+def sk_stack(mats, k: int) -> np.ndarray:
+    """S_k over a stack of matrices of shape (..., n, n), any n.
+
+    Sums the C(n, k) principal k-minors: S_0 = 1, S_1 is the trace, S_2
+    the written-out sum of a_ii a_jj - a_ij a_ji over i < j, and k >= 3
+    batched LU determinants of the principal submatrices. A singular
+    diagonal matrix gives exactly 0.
+    """
+    mats = _as_stack(mats)
+    _check_order(k, mats.shape[-1])
+    if k == 0:
+        return np.ones(mats.shape[:-2])
+    if k == 1:
+        return np.trace(mats, axis1=-2, axis2=-1)
+    idx = _minor_sets(mats.shape[-1], k)
+    if k == 2:
+        i, j = idx[:, 0], idx[:, 1]
+        return np.sum(mats[..., i, i] * mats[..., j, j]
+                      - mats[..., i, j] * mats[..., j, i], axis=-1)
+    minors = mats[..., idx[:, :, None], idx[:, None, :]]
+    return np.sum(np.linalg.det(minors), axis=-1)
+
+
+def newton_stack(mats, k: int) -> np.ndarray:
+    """Newton transformations T_1..T_k over a stack of shape (..., n, n).
+
+    Returns shape (k, ..., n, n), entry j - 1 holding T_j with
+    (T_j)_il = d S_j / d A_il, from the recursion
+    T_j = S_{j-1}(A) I - T_{j-1} A^T seeded with T_1 = I; each S_{j-1}
+    comes from sk_stack. The transforms are in general not symmetric.
+    """
+    mats = _as_stack(mats)
+    n = mats.shape[-1]
+    _check_order(k, n, lo=1)
+    eye = np.eye(n)
+    at = np.swapaxes(mats, -1, -2)
+    out = np.empty((k,) + mats.shape)
+    out[0] = eye
+    for j in range(1, k):
+        out[j] = sk_stack(mats, j)[..., None, None] * eye - out[j - 1] @ at
+    return out
+
+
 def sk(a, k: int) -> float:
     """S_k(A), the sum of all k-by-k principal minors.
 
-    Production path: batched LU determinants of the principal submatrices
-    for k <= n/2, coefficient recursion of the characteristic polynomial
-    (Faddeev-LeVerrier) for larger k.
+    Validates A and evaluates sk_stack: C(n, k) minors, batched LU
+    determinants for k >= 3.
     """
-    m = as_square_matrix(a)
-    n = m.shape[0]
-    _check_order(k, n)
-    if k == 0:
-        return 1.0
-    if k <= n // 2:
-        idx = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-        minors = m[idx[:, :, None], idx[:, None, :]]
-        return float(np.sum(np.linalg.det(minors)))
-    return float(_char_poly_invariants(m)[k])
-
-
-def _char_poly_invariants(m: np.ndarray) -> np.ndarray:
-    """All S_0..S_n via the trace recursion k S_k = sum_j (-1)^{j-1} S_{k-j} tr(A^j)."""
-    n = m.shape[0]
-    traces = np.empty(n)
-    cur = np.eye(n)
-    for j in range(n):
-        cur = cur @ m
-        traces[j] = np.trace(cur)
-    out = np.empty(n + 1)
-    out[0] = 1.0
-    for k in range(1, n + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += (-1.0) ** (j - 1) * out[k - j] * traces[j - 1]
-        out[k] = acc / k
-    return out
+    return float(sk_stack(as_square_matrix(a), k))
 
 
 def sk_delta_oracle(a, k: int) -> float:
@@ -162,17 +200,12 @@ def sk_delta_oracle(a, k: int) -> float:
 def newton_transform(a, k: int) -> np.ndarray:
     """Newton transformation T with T_ij = d S_k(A) / d A_ij.
 
-    Built by the recursion T_k = S_{k-1}(A) I - T_{k-1} A^T seeded with
-    T_1 = I; each S_{k-1} comes from the principal-minor evaluator. The
-    result is in general not symmetric.
+    Validates A and takes the last transform of newton_stack, whose
+    recursion T_k = S_{k-1}(A) I - T_{k-1} A^T reads each S_{k-1} from
+    the principal minors (C(n, k-1) of them). The result is in general
+    not symmetric.
     """
-    m = as_square_matrix(a)
-    n = m.shape[0]
-    _check_order(k, n, lo=1)
-    t = np.eye(n)
-    for j in range(2, k + 1):
-        t = sk(m, j - 1) * np.eye(n) - t @ m.T
-    return t
+    return newton_stack(as_square_matrix(a), k)[-1]
 
 
 def newton_transform_delta_oracle(a, k: int) -> np.ndarray:

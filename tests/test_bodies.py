@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ellipse_perimeter
+from wulffsym import bodies
 from wulffsym.anisotropy import (
     ellipsoid_norm,
     euclidean_norm,
@@ -91,6 +92,22 @@ class TestSampling:
             single = sample_level_set(norm, u, t, rays=128)
             assert np.allclose(s.points, single.points)
             assert np.allclose(s.weights, single.weights)
+
+    def test_one_curvature_call_per_level(self, monkeypatch):
+        # every curvature order of a level comes from one call
+        calls = []
+        curvature_batch = bodies.curvature_batch
+
+        def counted(*args):
+            calls.append(1)
+            return curvature_batch(*args)
+
+        monkeypatch.setattr(bodies, "curvature_batch", counted)
+        levels = np.linspace(-0.45, -0.05, 20)
+        samples = sample_many(euclidean_norm(3), quadratic_ellipsoid(3),
+                              levels, rays=16)
+        assert all(s is not None for s in samples)
+        assert len(calls) == levels.size
 
 
 class TestRayRoots:

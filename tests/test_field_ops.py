@@ -13,8 +13,6 @@ from wulffsym.anisotropy import (
 from wulffsym.bodies import LevelTable
 from wulffsym.errors import DegenerateLevelError, DomainError
 from wulffsym.field_ops import (
-    _newton_stack,
-    _sk_stack,
     aniso_hessian,
     aniso_hessian_batch,
     curvature_batch,
@@ -28,7 +26,13 @@ from wulffsym.field_ops import (
     sk_field_batch,
 )
 from wulffsym.fields import FieldJet, quadratic_ellipsoid, radial_power
-from wulffsym.invariants import newton_transform, sigma_k, sk
+from wulffsym.invariants import (
+    newton_stack,
+    newton_transform_delta_oracle,
+    sigma_k,
+    sk_delta_oracle,
+    sk_stack,
+)
 
 
 def rand_sym(rng, n):
@@ -45,23 +49,30 @@ def interior_points(rng, u, count):
 
 
 class TestStackKernels:
+    # the Kronecker-sum oracles cap the order at 5, so n = 6 is checked up
+    # to k = 5
     def test_sk_stack_matches_reference(self):
         rng = np.random.default_rng(0)
-        for n in (2, 3):
-            mats = rng.normal(size=(40, n, n))
-            for k in range(n + 1):
-                got = _sk_stack(mats, k)
-                want = np.array([sk(m, k) for m in mats])
-                assert np.allclose(got, want, atol=1e-12)
+        for n in range(1, 7):
+            mats = rng.uniform(-1.0, 1.0, size=(12, n, n))
+            for k in range(min(n, 5) + 1):
+                got = sk_stack(mats, k)
+                want = np.array([sk_delta_oracle(m, k) for m in mats])
+                assert np.all(np.abs(got - want)
+                              <= 1e-12 * (1.0 + np.abs(want)))
 
     def test_newton_stack_matches_reference(self):
         rng = np.random.default_rng(1)
-        for n in (2, 3):
-            mats = rng.normal(size=(25, n, n))
-            for k in range(1, n + 1):
-                got = _newton_stack(mats, k)
-                want = np.stack([newton_transform(m, k) for m in mats])
-                assert np.allclose(got, want, atol=1e-12)
+        for n in range(1, 7):
+            mats = rng.uniform(-1.0, 1.0, size=(8, n, n))
+            kmax = min(n, 5)
+            got = newton_stack(mats, kmax)
+            assert got.shape == (kmax, 8, n, n)
+            for k in range(1, kmax + 1):
+                want = np.stack([newton_transform_delta_oracle(m, k)
+                                 for m in mats])
+                assert np.all(np.abs(got[k - 1] - want)
+                              <= 1e-12 * (1.0 + np.abs(want)))
 
 
 class TestAnisoHessian:
@@ -126,6 +137,18 @@ class TestSkField:
                 fd += (vp[0] * vp[1][j] - vm[0] * vm[1][j]) / (2.0 * h)
             assert sk_field(norm, u, x, 1) == pytest.approx(fd, abs=1e-6)
 
+    def test_four_dimensional_batch(self):
+        # u = |x|^2/2 - 1/2 in 4D has Hessian I, so S_k = C(4, k)
+        norm = euclidean_norm(4)
+        u = radial_power(norm, a=2.0)
+        pts = np.random.default_rng(11).uniform(-0.4, 0.4, size=(20, 4))
+        for k in range(5):
+            batch = sk_field_batch(norm, u, pts, k)
+            assert np.allclose(batch, math.comb(4, k), rtol=1e-12, atol=0.0)
+            for i, x in enumerate(pts):
+                assert batch[i] == pytest.approx(sk_field(norm, u, x, k),
+                                                 rel=1e-12)
+
     def test_batch_matches_scalar(self):
         norm = regularized_p_norm(2, 1.5)
         u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
@@ -151,8 +174,9 @@ class TestLevelCurvature:
             from wulffsym.anisotropy import dual_jet
             fv, _ = dual_jet(norm, pts)
             n = 2
+            primary, alt = curvature_batch(norm, grads, hesses)
             for k in range(n):
-                vals, alts = curvature_batch(norm, grads, hesses, k)
+                vals, alts = primary[k], alt[k]
                 want = math.comb(n - 1, k) / fv ** k
                 assert np.allclose(vals, want, rtol=1e-8)
                 assert np.allclose(alts, want, rtol=1e-8)
@@ -171,8 +195,9 @@ class TestLevelCurvature:
         u = quadratic_ellipsoid(2, axes=[1.7, 0.8])
         pts = interior_points(rng, u, 100)
         _, grads, hesses = u.jets(pts)
+        primary, alt = curvature_batch(norm, grads, hesses)
         for k in range(0, 2):
-            vals, alts = curvature_batch(norm, grads, hesses, k)
+            vals, alts = primary[k], alt[k]
             assert np.max(np.abs(vals - alts) / (1.0 + np.abs(vals))) < 1e-8
 
     def test_degenerate_gradient_rejected(self):
@@ -297,9 +322,9 @@ class TestIdentities:
         fv, fg, fh = eval_jet(norm, grads)
         b = fv[:, None, None] * (fh @ hesses)
         for k in range(0, 2):
-            lhs = _sk_stack(b, k)
+            lhs = sk_stack(b, k)
             a = aniso_hessian_batch(norm, grads, hesses)
-            t = _newton_stack(a, k + 1)
+            t = newton_stack(a, k + 1)[k]
             rhs = np.einsum("...ij,...j,...i->...", t, grads, fg) / fv
             assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))) < 1e-9
 
@@ -313,13 +338,13 @@ class TestIdentities:
         fv, fg, _ = eval_jet(norm, grads)
         a = aniso_hessian_batch(norm, grads, hesses)
         for k in (1, 2):
-            sk_vals = _sk_stack(a, k)
-            curv, _ = curvature_batch(norm, grads, hesses, k) if k <= 1 else (
-                None, None)
-            if curv is None:
+            sk_vals = sk_stack(a, k)
+            if k <= 1:
+                curv = curvature_batch(norm, grads, hesses)[0][k]
+            else:
                 fh = eval_jet(norm, grads)[2]
-                curv = _sk_stack(fh @ hesses, k)
-            t = _newton_stack(a, k)
+                curv = sk_stack(fh @ hesses, k)
+            t = newton_stack(a, k)[k - 1]
             corr = np.einsum("...ij,...i,...l,...lj->...",
                              t, fg, grads, a) / fv
             rhs = curv * fv ** k + corr
@@ -346,7 +371,7 @@ class TestIdentities:
         def newton_at(x, k):
             _, g, h = cubic_field(x[None])
             a = aniso_hessian_batch(norm, g, h)
-            return _newton_stack(a, k)[0]
+            return newton_stack(a, k)[k - 1, 0]
 
         x0 = np.array([0.4, 0.3])
         for k in (1, 2):

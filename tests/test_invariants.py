@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wulffsym.errors import CostGuardError, DomainError
@@ -68,6 +68,10 @@ class TestSk:
 
     def test_k_zero(self):
         assert sk(np.ones((3, 3)), 0) == 1.0
+
+    def test_singular_diagonal_determinant_is_exact(self):
+        assert sk(np.diag([10.0, 0.0, -1e-2]), 3) == 0.0
+        assert sk(np.diag([1.0, 0.0, -1e-3, 1.0]), 4) == 0.0
 
     def test_rejects_bad_order(self):
         with pytest.raises(DomainError):
@@ -202,6 +206,7 @@ def test_oracle_equivalence(a):
 
 @settings(max_examples=30, deadline=None)
 @given(square_matrices(max_dim=5), st.sampled_from([0.5, 2.0, 10.0]))
+@example(np.diag([1.0, 0.0, -1e-3, 1.0]), 10.0)
 def test_homogeneity(a, c):
     n = a.shape[0]
     for k in range(0, n + 1):
