@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericError
 from .quad import unit_ball_volume
-from .rays import _DirectionGrid
+from .rays import _DirectionGrid, default_rays
 
 FAMILIES = ("euclidean", "ellipsoid", "regularized_p")
 
@@ -269,7 +269,7 @@ def wulff_volume(norm: Norm) -> float:
         return unit_ball_volume(n) * math.sqrt(np.linalg.det(norm.matrix))
     if n in (2, 3):
         # the unit ball of F* has boundary radius 1/F*(w) along w
-        grid = _DirectionGrid(n, 2048 if n == 2 else 256)
+        grid = _DirectionGrid(n, default_rays(n))
         r = 1.0 / dual_jet(norm, grid.omega)[0]
         return float(grid.solid @ r ** n) / n
     raise CapabilityError(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anisotropy import Norm, eval_jet, wulff_volume
+from .anisotropy import Norm, wulff_volume
 from .errors import DegenerateLevelError, DomainError, NumericError
 from .field_ops import curvature_batch, level_grid
 from .fields import Field
@@ -49,8 +49,10 @@ _JET_CHUNK = 1 << 16
 class LevelSetSample:
     """A sampled level set with per-point geometric data.
 
-    curvatures[j] holds the j-th anisotropic mean curvature at each point,
-    j = 0..n-1 (row 0 is identically one).
+    For m points in dimension n: points, normals (m, n); f_of_nu = F(nu),
+    gradient_norms = F(grad u), weights (m,); curvatures (n, m), row j the
+    j-th anisotropic mean curvature S_j(F_il u_lj) (row 0 is one).
+    diagnostics["residual_max"] is the largest |u - level| at the points.
     """
 
     level: float
@@ -134,18 +136,14 @@ def _sample_block(norm: Norm, u: Field, levels: np.ndarray,
         if np.min(gn[i]) < _GRAD_TOL:
             out.append(None)
             continue
-        g, h = grads[i], hesses[i]
-        fgrad, nu_dir, _ = eval_jet(norm, g)
-        nu = g / gn[i][:, None]
+        fgrad, curv = curvature_batch(norm, grads[i], hesses[i])
+        nu = grads[i] / gn[i][:, None]
         fnu = fgrad / gn[i]
-        curv, alt = curvature_batch(norm, g, h)
-        disc = float(np.max(np.abs(curv - alt) / (1.0 + np.abs(curv))))
         out.append(LevelSetSample(
             level=float(t), points=pts[i], normals=nu, f_of_nu=fnu,
             curvatures=curv, weights=weights[i], gradient_norms=fgrad,
             norm=norm, anchor=u.anchor,
-            diagnostics={"curvature_discrepancy": disc,
-                         "residual_max": float(np.max(residual[i]))}))
+            diagnostics={"residual_max": float(np.max(residual[i]))}))
     return out
 
 

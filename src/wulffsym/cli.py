@@ -57,6 +57,7 @@ from .field_ops import (
     curvature_batch,
     hessian_integral,
     hessian_integral_coarea,
+    newton_curvatures,
     sk_field_batch,
 )
 from .fields import build_preset, preset_catalog
@@ -239,7 +240,8 @@ def _task_identities(cfg, norm, u, level_table):
     rows = []
     pts = _sample_interior(norm, u, 100, cfg.seed)
     _, grads, hesses = u.jets(pts)
-    primary, alt = curvature_batch(norm, grads, hesses)
+    _, primary = curvature_batch(norm, grads, hesses)
+    alt = newton_curvatures(norm, grads, hesses)
     for k in range(0, u.dim):
         spread = float(np.max(np.abs(primary[k] - alt[k])
                               / (1.0 + np.abs(primary[k]))))

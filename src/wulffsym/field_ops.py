@@ -7,10 +7,11 @@ The anisotropic Hessian matrix of u under a norm F is
 the 0-matrix by convention where grad u = 0 (non-euclidean F), and the
 plain Hessian for the euclidean norm. S_k of A is the anisotropic
 k-Hessian operator; S_k of (F_{il} u_{lj}) evaluated on a level set is the
-k-th anisotropic mean curvature of that level set. Energy integrals over
-{u < 0} are taken on the polar rule of the rays module (Gauss nodes on
-rays from the anchor to the exactly solved boundary), or through the
-coarea decomposition over sampled level sets.
+k-th anisotropic mean curvature of that level set (curvature_batch; its
+Newton-transform form, newton_curvatures, is only a cross-check). Energy
+integrals over {u < 0} are taken on the polar rule of the rays module
+(Gauss nodes on rays from the anchor to the exactly solved boundary), or
+through the coarea decomposition over sampled level sets.
 """
 
 import numpy as np
@@ -72,29 +73,35 @@ def level_curvature(norm: Norm, u: Field, x, k: int) -> float:
     _, grads, hesses = u.jets(x[None, :])
     if np.linalg.norm(grads[0]) < 1e-10:
         raise DegenerateLevelError("level set is degenerate: grad u ~ 0")
-    primary, _ = curvature_batch(norm, grads, hesses)
-    return float(primary[k, 0])
+    _, curv = curvature_batch(norm, grads, hesses)
+    return float(curv[k, 0])
 
 
 def curvature_batch(norm: Norm, grads, hesses):
-    """Level-set curvatures of every order at m points, by two routes.
+    """F(grad u) and the level-set curvatures of every order at m points.
 
-    For grads (m, n) and hesses (m, n, n) returns (primary, alt), each of
-    shape (n, m); row k holds the k-th anisotropic mean curvature,
-    k = 0..n-1 (row 0 is one). primary is S_k of the curvature matrix
-    (F_il u_lj); alt is the Newton-transform route
-    sum_ij S_{k+1}^{ij} u_j F_i / F^{k+1}. The two agree analytically,
-    their spread measures numerical error. One norm jet, one anisotropic
-    Hessian and one Newton recursion serve all orders.
+    For grads (m, n) and hesses (m, n, n) returns fv = F(grad u), shape
+    (m,), and curv, shape (n, m): row k is the k-th anisotropic mean
+    curvature S_k(F_il u_lj), k = 0..n-1 (row 0 is one), all from one jet.
     """
     n = grads.shape[-1]
-    fv, fg, fh = eval_jet(norm, grads)
+    fv, _, fh = eval_jet(norm, grads)
     curv_matrix = fh @ hesses
-    primary = np.stack([sk_stack(curv_matrix, k) for k in range(n)])
+    return fv, np.stack([sk_stack(curv_matrix, k) for k in range(n)])
+
+
+def newton_curvatures(norm: Norm, grads, hesses):
+    """curvature_batch's curvatures by the Newton-transform route, (n, m).
+
+    Row k is sum_ij S_{k+1}^{ij} u_j F_i / F^{k+1}, k = 0..n-1, with the
+    Newton transform of the anisotropic Hessian; equal to curvature_batch
+    analytically, so the spread of the two measures numerical error.
+    """
+    n = grads.shape[-1]
+    fv, fg, _ = eval_jet(norm, grads)
     t = newton_stack(aniso_hessian_batch(norm, grads, hesses), n)
     pair = np.einsum("kmij,mj,mi->km", t, grads, fg)
-    alt = pair / fv ** np.arange(1, n + 1)[:, None]
-    return primary, alt
+    return pair / fv ** np.arange(1, n + 1)[:, None]
 
 
 def hessian_integral(norm: Norm, u: Field, k: int,
@@ -113,8 +120,7 @@ def hessian_integral(norm: Norm, u: Field, k: int,
 
 
 def generalized_integral(norm: Norm, u: Field, k: int, p: float,
-                         rays: int | None = None,
-                         radial_nodes: int = 48) -> float:
+                         rays: int | None = None) -> float:
     """Integral of sum_ij S_k^{ij} F^{p-k} F_i u_j over the domain.
 
     Reduces to k times the Hessian integral at p = k + 1 and to the
@@ -137,7 +143,7 @@ def generalized_integral(norm: Norm, u: Field, k: int, p: float,
             out[live] = fv ** (p - k) * pair
         return out
 
-    return polar_integral(u, integrand, rays=rays, radial_nodes=radial_nodes)
+    return polar_integral(u, integrand, rays=rays)
 
 
 def level_grid(u: Field, count: int = 200) -> np.ndarray:

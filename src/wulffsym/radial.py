@@ -202,8 +202,7 @@ def solve_radial(f_star: MonotoneProfile, outer_radius: float, n: int, k: int,
                            {"vpp": vpp, "clipped": clipped})
 
 
-def rearrange(f, u: Field, kappa_n: float, rays: int | None = None,
-              radial_nodes: int | None = None) -> MonotoneProfile:
+def rearrange(f, u: Field, kappa_n: float) -> MonotoneProfile:
     """Radially decreasing rearrangement of a density over {u < 0}.
 
     Samples f on the boundary-fitted polar quadrature grid of the domain,
@@ -213,10 +212,7 @@ def rearrange(f, u: Field, kappa_n: float, rays: int | None = None,
     resolution (the profile is a staircase for radial densities), so it
     is kept much finer than the angular one.
     """
-    if rays is None:
-        rays = 256 if u.dim == 2 else 64
-    if radial_nodes is None:
-        radial_nodes = 2048 if u.dim == 2 else 512
+    rays, radial_nodes = (256, 2048) if u.dim == 2 else (64, 512)
     pts, w = polar_grid(u, rays=rays, radial_nodes=radial_nodes)
     fv = np.asarray(f(pts), dtype=float)
     if np.any(fv < -1e-12):

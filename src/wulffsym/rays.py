@@ -179,15 +179,14 @@ def polar_grid(u, rays: int | None = None, radial_nodes: int = 48):
     return pts.reshape(-1, u.dim), w.reshape(-1)
 
 
-def polar_integral(u, integrand, rays: int | None = None,
-                   radial_nodes: int = 48) -> float:
+def polar_integral(u, integrand, rays: int | None = None) -> float:
     """Integral of integrand(points) over {u < 0} on the polar_grid rule.
 
     The nodes end exactly on the boundary, so integrands that do not
     vanish there, or that are smooth only inside the domain, keep the
     Gauss rule's accuracy along every ray.
     """
-    pts, w = polar_grid(u, rays, radial_nodes)
+    pts, w = polar_grid(u, rays)
     total = []
     for lo, hi in chunked(w.shape[0], _CHUNK):
         vals = integrand(pts[lo:hi])

@@ -158,8 +158,8 @@ def _invert_zeta(zeta: MonotoneProfile, min_value: float,
                                 diagnostics=dict(zeta.meta))
 
 
-def ps_margin(table: LevelTable, k: int, panels: int | None = None,
-              cross_check: bool = True) -> PsMarginResult:
+def ps_margin(table: LevelTable, k: int,
+              panels: int | None = None) -> PsMarginResult:
     """Hessian-energy drop under symmetrization; margin must be >= 0.
 
     The left side is the direct volume quadrature, cross-checked against
@@ -169,13 +169,11 @@ def ps_margin(table: LevelTable, k: int, panels: int | None = None,
     norm, u = table.norm, table.field
     sym = symmetrand(table, k)
     lhs = hessian_integral(norm, u, k, panels)
-    lhs_coarea = None
-    if cross_check:
-        lhs_coarea = hessian_integral_coarea(table, k)
-        spread = abs(lhs - lhs_coarea) / (1.0 + abs(lhs))
-        if spread > 5e-3:
-            raise NumericError(
-                f"direct and coarea energies disagree: {spread:.2e}")
+    lhs_coarea = hessian_integral_coarea(table, k)
+    spread = abs(lhs - lhs_coarea) / (1.0 + abs(lhs))
+    if spread > 5e-3:
+        raise NumericError(
+            f"direct and coarea energies disagree: {spread:.2e}")
     kappa = wulff_volume(norm)
     rhs = radial_hessian_integral(sym.rho, u.dim, k, kappa)
     return PsMarginResult(lhs, rhs, lhs - rhs, lhs_coarea, sym)

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import ellipse_perimeter
-from wulffsym import bodies
+from wulffsym import anisotropy, bodies
 from wulffsym.anisotropy import (
     ellipsoid_norm,
     euclidean_norm,
@@ -21,7 +22,7 @@ from wulffsym.bodies import (
     sample_many,
 )
 from wulffsym.errors import DomainError
-from wulffsym.field_ops import level_grid
+from wulffsym.field_ops import level_grid, newton_curvatures
 from wulffsym.fields import perturbed_radial, quadratic_ellipsoid, radial_power
 
 
@@ -73,7 +74,11 @@ class TestSampling:
         sample = sample_level_set(norm, u, -0.2)
         assert np.allclose(sample.curvatures[0], 1.0, atol=1e-14)
         assert np.min(sample.curvatures[1]) > -1e-8  # quasi-convexity
-        assert sample.diagnostics["curvature_discrepancy"] < 1e-8
+        # the Newton-transform route agrees with the sampled curvatures
+        _, grads, hesses = u.jets(sample.points)
+        alt = newton_curvatures(norm, grads, hesses)
+        a = sample.curvatures
+        assert np.max(np.abs(a - alt) / (1.0 + np.abs(a))) < 1e-8
 
     def test_level_out_of_range_rejected(self):
         norm = euclidean_norm(2)
@@ -108,6 +113,26 @@ class TestSampling:
                               levels, rays=16)
         assert all(s is not None for s in samples)
         assert len(calls) == levels.size
+
+    def test_one_norm_jet_per_sampled_point(self, monkeypatch):
+        # F(grad u) and every curvature order of a point share one norm jet;
+        # eval_jet is counted in every wulffsym module that imports it
+        seen = []
+        eval_jet = anisotropy.eval_jet
+
+        def counted(norm, xi):
+            seen.append(np.asarray(xi).size // norm.dim)
+            return eval_jet(norm, xi)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("wulffsym")
+                    and getattr(mod, "eval_jet", None) is eval_jet):
+                monkeypatch.setattr(mod, "eval_jet", counted)
+        norm = ellipsoid_norm(np.diag([3.0, 2.0, 1.0]))
+        levels = np.linspace(-0.45, -0.05, 5)
+        samples = sample_many(norm, quadratic_ellipsoid(3), levels, rays=16)
+        assert all(s is not None for s in samples)
+        assert sum(seen) == sum(s.points.shape[0] for s in samples)
 
 
 class TestRayRoots:
