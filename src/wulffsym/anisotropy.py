@@ -136,9 +136,8 @@ def _reg_p_jet(norm: Norm, xi):
     return value, grad, hess
 
 
-def half_sq_hessian(norm: Norm, xi):
-    """Hessian of F^2/2, equal to gradF x gradF + F * hessF."""
-    v, g, h = eval_jet(norm, xi)
+def half_sq_hessian(v, g, h):
+    """Hessian of F^2/2, gradF x gradF + F * hessF, from eval_jet (v, g, h)."""
     return g[..., :, None] * g[..., None, :] + v[..., None, None] * h
 
 

@@ -3,7 +3,8 @@
 Every body is the boundary of a sublevel set {u < t} of an admissible
 field, sampled by ray shooting from the interior anchor along a
 deterministic direction grid; the ray roots of every level and direction
-come from one solve (rays._ray_roots). The sample carries surface-measure
+come from one solve (rays._ray_roots), and the field jets at the roots from
+the same ray restriction (rays._ray_jets). The sample carries surface-measure
 weights, anisotropic curvatures of every order, and the data needed for
 the mixed-volume functionals
 
@@ -35,6 +36,7 @@ from .quad import chunked
 # and the tests reach them here
 from .rays import (  # noqa: F401
     _DirectionGrid,
+    _ray_jets,
     _ray_roots,
     _restrict,
     boundary_radii,
@@ -97,7 +99,7 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None):
     if rays is None:
         rays = default_rays(u.dim)
     grid = _DirectionGrid(u.dim, rays)
-    along = _restrict(u, grid)
+    restriction = _restrict(u, grid)
 
     workers = min(thread_count(), max(1, levels.shape[0] // 8))
     if workers > 1:
@@ -105,29 +107,27 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None):
         out: list = [None] * levels.shape[0]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futs = {pool.submit(_sample_block, norm, u, levels[b], grid,
-                                along): b
+                                restriction): b
                     for b in blocks if b.size}
             for fut, b in futs.items():
                 for i, sample in zip(b, fut.result()):
                     out[i] = sample
         return out
-    return _sample_block(norm, u, levels, grid, along)
+    return _sample_block(norm, u, levels, grid, restriction)
 
 
 def _sample_block(norm: Norm, u: Field, levels: np.ndarray,
-                  grid: _DirectionGrid, along):
-    s = _ray_roots(u, grid, levels, along)
+                  grid: _DirectionGrid, restriction):
+    s = _ray_roots(u, grid, levels, restriction)
     pts = u.anchor + s[..., None] * grid.omega[None, :, :]
     n_lev, n_dir = s.shape
-    flat = pts.reshape(-1, u.dim)
-    vals = np.empty(flat.shape[0])
-    grads = np.empty_like(flat)
-    hesses = np.empty(flat.shape + (u.dim,))
-    for a, b in chunked(flat.shape[0], _JET_CHUNK):
-        vals[a:b], grads[a:b], hesses[a:b] = u.jets(flat[a:b])
-    residual = np.abs(vals.reshape(n_lev, n_dir) - levels[:, None])
-    grads = grads.reshape(n_lev, n_dir, u.dim)
-    hesses = hesses.reshape(n_lev, n_dir, u.dim, u.dim)
+    vals = np.empty(s.shape)
+    grads = np.empty(pts.shape)
+    hesses = np.empty(pts.shape + (u.dim,))
+    for a, b in chunked(n_lev, max(1, _JET_CHUNK // n_dir)):
+        vals[a:b], grads[a:b], hesses[a:b] = _ray_jets(u, grid, restriction,
+                                                       s[a:b])
+    residual = np.abs(vals - levels[:, None])
     gn = np.linalg.norm(grads, axis=-1)
     weights = _surface_weights(grid, s, grads)
 

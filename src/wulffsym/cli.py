@@ -25,7 +25,8 @@ polar rule behind the volume integrals: the direct Hessian energies and
 the L^p norms. Unset, it is 2048 in 2D and 256 in 3D.
 
 Exit status: 0 when every verdict passes, 1 when any check fails or a
-task hits a numeric error, 2 on config errors. The environment variable
+task raises a wulffsym error (recorded as a "task error (<class>)" row),
+2 on config errors; any other exception propagates. The environment variable
 WULFFSYM_THREADS caps worker threads (default: all cores).
 """
 
@@ -51,10 +52,18 @@ from .anisotropy import (
     wulff_volume,
 )
 from .bodies import LevelTable, af_pairs, mixed_volume, sample_level_set
-from .errors import InputError
+from .errors import (
+    CapabilityError,
+    CostGuardError,
+    DomainError,
+    InputError,
+    ModelError,
+    NumericError,
+)
 from .field_ops import (
     aniso_hessian_batch,
     curvature_batch,
+    generalized_integral,
     hessian_integral,
     hessian_integral_coarea,
     newton_curvatures,
@@ -83,6 +92,12 @@ from .symmetrize import (
 
 TASKS = ("invariants", "identities", "mixedvol", "af", "symmetrize",
          "polya_szego", "compare", "sobolev")
+
+# a task that raises one of these records an error row; any other
+# exception is a bug and propagates
+_TASK_ERRORS = (DomainError, InputError, CostGuardError, CapabilityError,
+                NumericError, ModelError, np.linalg.LinAlgError,
+                FloatingPointError)
 
 _CSV_COLUMNS = ("task", "case", "k", "p", "value", "oracle", "margin",
                 "tolerance", "passed")
@@ -339,7 +354,7 @@ def _task_symmetrize(cfg, norm, u, level_table, out_dir):
     return rows
 
 
-def _task_polya_szego(cfg, norm, u, level_table):
+def _task_polya_szego(cfg, norm, u, level_table, energy):
     rows = []
     table = level_table()
     for k in cfg.orders:
@@ -348,7 +363,7 @@ def _task_polya_szego(cfg, norm, u, level_table):
         rows.append(_margin_row("polya_szego", "hessian energy drop",
                                 res.lhs, res.rhs, tol, k=k))
         for p in cfg.exponents:
-            resp = ps_margin_p(table, k, p)
+            resp = ps_margin_p(table, k, p, energy(k, p))
             tol = 1e-4 * (1.0 + abs(resp.lhs))
             rows.append(_margin_row("polya_szego", "generalized energy drop",
                                     resp.lhs, resp.rhs, tol, k=k, p=p))
@@ -372,7 +387,7 @@ def _task_compare(cfg, norm, u, level_table):
     return rows
 
 
-def _task_sobolev(cfg, norm, u):
+def _task_sobolev(cfg, norm, u, energy):
     rows = []
     n = u.dim
     for k in cfg.orders:
@@ -380,9 +395,8 @@ def _task_sobolev(cfg, norm, u):
             if p >= n - k + 1:
                 continue
             c = sobolev_constant(norm, k, p)
-            res = sobolev_margin(norm, u, k, p,
-                                 cfg.grids.get("volume_panels"),
-                                 cfg.grids.get("rays"))
+            res = sobolev_margin(norm, u, k, p, energy(k, p),
+                                 cfg.grids.get("volume_panels"))
             tol = 1e-4 * (1.0 + res.constant * res.energy)
             rows.append(_margin_row(
                 "sobolev", f"embedding slack (C={c:.8g})",
@@ -434,6 +448,10 @@ def run(cfg: ExperimentConfig) -> dict:
     # that reads it
     level_table = functools.cache(lambda: LevelTable(
         norm, u, cfg.grid("levels", 200), cfg.grids.get("rays")))
+    # and one generalized energy per (k, p), shared by polya_szego and
+    # sobolev
+    energy = functools.cache(lambda k, p: generalized_integral(
+        norm, u, k, p, rays=cfg.grids.get("rays")))
     runners = {
         "invariants": lambda: _task_invariants(cfg, norm, u),
         "identities": lambda: _task_identities(cfg, norm, u, level_table),
@@ -441,16 +459,17 @@ def run(cfg: ExperimentConfig) -> dict:
         "af": lambda: _task_af(cfg, norm, u, level_table),
         "symmetrize": lambda: _task_symmetrize(cfg, norm, u, level_table,
                                                out_dir),
-        "polya_szego": lambda: _task_polya_szego(cfg, norm, u, level_table),
+        "polya_szego": lambda: _task_polya_szego(cfg, norm, u, level_table,
+                                                 energy),
         "compare": lambda: _task_compare(cfg, norm, u, level_table),
-        "sobolev": lambda: _task_sobolev(cfg, norm, u),
+        "sobolev": lambda: _task_sobolev(cfg, norm, u, energy),
     }
     for task in cfg.tasks:
         try:
             rows = runners[task]()
-        except Exception as exc:  # numeric failure recorded, not raised
-            rows = [_row(task, f"task error: {exc}", None, None, None,
-                         False)]
+        except _TASK_ERRORS as exc:
+            rows = [_row(task, f"task error ({type(exc).__name__}): {exc}",
+                         None, None, None, False)]
         ok = all(r["passed"] for r in rows)
         report["tasks"][task] = {"rows": rows, "passed": ok}
         report["passed"] = report["passed"] and ok

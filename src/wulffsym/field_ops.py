@@ -10,8 +10,9 @@ k-Hessian operator; S_k of (F_{il} u_{lj}) evaluated on a level set is the
 k-th anisotropic mean curvature of that level set (curvature_batch; its
 Newton-transform form, newton_curvatures, is only a cross-check). Energy
 integrals over {u < 0} are taken on the polar rule of the rays module
-(Gauss nodes on rays from the anchor to the exactly solved boundary), or
-through the coarea decomposition over sampled level sets.
+(Gauss nodes on rays from the anchor to the exactly solved boundary), whose
+integrands receive the field jets at the nodes from the field's ray
+restriction, or through the coarea decomposition over sampled level sets.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from .quad import trapezoid
 # the tests reach them here
 from .rays import (  # noqa: F401
     _DirectionGrid,
+    _restrict,
     boundary_radii,
     default_rays,
     polar_grid,
@@ -41,16 +43,23 @@ def aniso_hessian(norm: Norm, jet: FieldJet) -> np.ndarray:
     return aniso_hessian_batch(norm, g[None, :], h[None, :, :])[0]
 
 
-def aniso_hessian_batch(norm: Norm, grads, hesses):
+def aniso_hessian_batch(norm: Norm, grads, hesses, jet=None):
+    """Anisotropic Hessian matrices of stacked gradients and Hessians.
+
+    ``jet`` is eval_jet(norm, grads) when the caller already has it; every
+    gradient must then be nonzero.
+    """
     grads = np.asarray(grads, dtype=float)
     hesses = np.asarray(hesses, dtype=float)
     if norm.family == "euclidean":
         return hesses.copy()
+    if jet is not None:
+        return half_sq_hessian(*jet) @ hesses
     live = np.sum(grads * grads, axis=-1) > _GRAD_FLOOR
     out = np.zeros_like(hesses)
     if np.any(live):
-        w = half_sq_hessian(norm, grads[live])
-        out[live] = w @ hesses[live]
+        jet = eval_jet(norm, grads[live])
+        out[live] = half_sq_hessian(*jet) @ hesses[live]
     return out
 
 
@@ -112,8 +121,7 @@ def hessian_integral(norm: Norm, u: Field, k: int,
     3D); None means default_rays.
     """
 
-    def integrand(pts):
-        vals, grads, hesses = u.jets(pts)
+    def integrand(vals, grads, hesses):
         return -vals * sk_stack(aniso_hessian_batch(norm, grads, hesses), k)
 
     return polar_integral(u, integrand, rays=panels)
@@ -124,23 +132,28 @@ def generalized_integral(norm: Norm, u: Field, k: int, p: float,
     """Integral of sum_ij S_k^{ij} F^{p-k} F_i u_j over the domain.
 
     Reduces to k times the Hessian integral at p = k + 1 and to the
-    F-Dirichlet energy of exponent p at k = 1.
+    F-Dirichlet energy of exponent p at k = 1. At each node the anisotropic
+    Hessian A is built from one norm jet, and sum_ij S_k^{ij} F_i u_j is
+    z_k . grad u with z_1 = grad F, z_j = S_{j-1}(A) grad F - A z_{j-1}
+    (z_j is the Newton transformation T_j^T applied to grad F).
     """
     if p < 1.0:
         raise DomainError("exponent p must be >= 1")
 
-    def integrand(pts):
-        _, grads, hesses = u.jets(pts)
+    def integrand(vals, grads, hesses):
         gn2 = np.sum(grads * grads, axis=-1)
         live = gn2 > 1e-28
         out = np.zeros(gn2.shape)
         if np.any(live):
             g, h = grads[live], hesses[live]
-            fv, fg, _ = eval_jet(norm, g)
-            a = aniso_hessian_batch(norm, g, h)
-            t = newton_stack(a, k)[-1]
-            pair = np.einsum("...ij,...j,...i->...", t, g, fg)
-            out[live] = fv ** (p - k) * pair
+            jet = eval_jet(norm, g)
+            fv, fg, _ = jet
+            a = aniso_hessian_batch(norm, g, h, jet)
+            z = fg
+            for j in range(1, k):
+                z = (sk_stack(a, j)[:, None] * fg
+                     - np.einsum("mij,mj->mi", a, z))
+            out[live] = fv ** (p - k) * np.sum(z * g, axis=-1)
         return out
 
     return polar_integral(u, integrand, rays=rays)
@@ -189,13 +202,15 @@ def lp_norm(u: Field, p: float, panels: int | None = None) -> float:
     if p < 1.0:
         raise DomainError("p must be >= 1")
 
-    def integrand(pts):
-        return np.maximum(-u.values(pts), 0.0) ** p
+    def integrand(vals, grads, hesses):
+        return np.maximum(-vals, 0.0) ** p
 
-    return polar_integral(u, integrand, rays=panels) ** (1.0 / p)
+    return polar_integral(u, integrand, rays=panels,
+                          values_only=True) ** (1.0 / p)
 
 
 def domain_volume(u: Field, panels: int | None = None) -> float:
     """Volume of {u < 0} from the boundary radii of ``panels`` directions."""
     grid = _DirectionGrid(u.dim, panels or default_rays(u.dim))
-    return float(grid.solid @ boundary_radii(u, grid) ** u.dim) / u.dim
+    s = boundary_radii(u, grid, _restrict(u, grid))
+    return float(grid.solid @ s ** u.dim) / u.dim

@@ -11,14 +11,19 @@ points. Three preset families cover the built-in corpus:
                            breaking the radial symmetry while keeping all
                            level sets convex (validated at build time)
 
-Every preset is star-shaped about its anchor, and the dual norm F* is
-1-homogeneous, so along a ray u(anchor + s w) is a scalar function of s
-whose constants depend on the direction w alone. A preset therefore
-carries a ray restriction ``ray``: given directions w of shape (m, n) it
-computes those constants once (F*(w) once per direction for the radial
-families) and returns s -> (u(anchor + s w), du/ds), with s broadcast
-against the m directions. The level-set sampler solves its ray roots on
-it; a Field built without ``ray`` is sampled by bisection on ``values``.
+Every preset is star-shaped about its anchor. F* is 1-homogeneous, grad F*
+0-homogeneous and hess F* (-1)-homogeneous, so along a ray
+x = anchor + s w the field and its derivatives are functions of s whose
+constants depend on the direction w alone. A preset therefore carries a
+ray restriction ``ray``: given directions w of shape (m, n) it computes
+those constants once (one dual solve per direction for the radial
+families: F*(w), grad F*(w) and hess F*(w)) and returns a
+``RayRestriction`` whose ``along(s)`` gives (u, du/ds) and whose
+``jets(s)`` gives (u, grad u, hess u) at anchor + s w, s of shape
+(..., m) broadcast against the m directions. The ray roots, the level-set
+samples and the polar quadrature all evaluate the field through it; a
+Field built without ``ray`` is bisected on ``values`` and evaluated
+through ``jets`` at the points instead.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -36,6 +41,18 @@ class FieldJet(NamedTuple):
     hessian: np.ndarray
 
 
+class RayRestriction(NamedTuple):
+    """A field on the rays anchor + s w of m fixed directions w.
+
+    ``along(s)`` -> (u, du/ds) and ``jets(s)`` -> (u, grad u, hess u),
+    with s of shape (..., m) and the outputs of shape (..., m),
+    (..., m, n) and (..., m, n, n).
+    """
+
+    along: Callable
+    jets: Callable
+
+
 @dataclass(frozen=True, eq=False)
 class Field:
     dim: int
@@ -45,8 +62,7 @@ class Field:
     bounding_box: np.ndarray
     jets_fn: Callable = dc_field(repr=False, default=None)
     values_fn: Callable = dc_field(repr=False, default=None)
-    # directions (m, n) -> (s -> (u(anchor + s w), du/ds)); see the module
-    # docstring
+    # directions (m, n) -> RayRestriction; see the module docstring
     ray: Callable | None = dc_field(repr=False, default=None)
     # (v, v', outer_radius) for u = v(F*(x)) centered at the origin; the
     # mixedvol task reads the Wulff-ball radii of its levels from it
@@ -92,8 +108,18 @@ def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
         return 0.5 * (np.sum((pts @ q) * pts, axis=-1) - 1.0)
 
     def ray(omega):
-        qw = np.sum((omega @ q) * omega, axis=-1)
-        return lambda s: (0.5 * (s * s * qw - 1.0), s * qw)
+        qo = omega @ q
+        qw = np.sum(qo * omega, axis=-1)
+
+        def along(s):
+            return 0.5 * (s * s * qw - 1.0), s * qw
+
+        def jets(s):
+            s = np.asarray(s, dtype=float)
+            return (0.5 * (s * s * qw - 1.0), s[..., None] * qo,
+                    np.broadcast_to(q, s.shape + (dim, dim)).copy())
+
+        return RayRestriction(along, jets)
 
     return Field(dim, name, np.zeros(dim), -0.5, box, jets, values, ray)
 
@@ -147,8 +173,28 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
                 hess.reshape(lead + (dim, dim)))
 
     def ray(omega):
-        fo = dual_jet(norm, omega)[0]
-        return lambda s: (v_fn(s * fo), vp_fn(s * fo) * fo)
+        fo, xi = dual_jet(norm, omega)
+        hd = _dual_hessian(norm, omega, (fo, xi))
+        xx = xi[:, :, None] * xi[:, None, :]
+
+        def along(s):
+            return v_fn(s * fo), vp_fn(s * fo) * fo
+
+        def jets(s):
+            # grad F* is 0-homogeneous and hess F* (-1)-homogeneous; on the
+            # anchor itself (s = 0) the Hessian is its limit v''(0) I
+            s = np.asarray(s, dtype=float)
+            r = s * fo
+            vp = np.asarray(vp_fn(r))
+            live = s > 1e-14
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hess = (np.asarray(vpp_fn(r))[..., None, None] * xx
+                        + (vp / s)[..., None, None] * hd)
+            hess = np.where(live[..., None, None], hess,
+                            origin_vpp * np.eye(dim))
+            return np.asarray(v_fn(r)), vp[..., None] * xi, hess
+
+        return RayRestriction(along, jets)
 
     return Field(dim, name, np.zeros(dim), float(v_fn(np.zeros(1))[0]),
                  box, jets, values, ray, radial_profile=(v_fn, vp_fn, radius))
@@ -207,14 +253,21 @@ def perturbed_radial(norm: Norm, a: float = 2.0, radius: float = 1.0,
         return v, g, h
 
     def ray(omega):
-        along = base.ray(omega)
-        pw = strength * np.sum((omega @ p) * omega, axis=-1)
+        radial = base.ray(omega)
+        op = omega @ p
+        pw = strength * np.sum(op * omega, axis=-1)
 
-        def restricted(s):
-            v, dv = along(s)
+        def along(s):
+            v, dv = radial.along(s)
             return v + 0.5 * pw * s * s, dv + pw * s
 
-        return restricted
+        def jets(s):
+            s = np.asarray(s, dtype=float)
+            v, g, h = radial.jets(s)
+            return (v + 0.5 * pw * s * s, g + strength * s[..., None] * op,
+                    h + strength * p)
+
+        return RayRestriction(along, jets)
 
     out = Field(dim, name, np.zeros(dim), base.min_value,
                 base.bounding_box, jets, values, ray)

@@ -3,16 +3,21 @@
 Every field domain {u < 0} is star-shaped about the field's anchor, so
 points of the domain are written anchor + s w with w from a deterministic
 direction grid (uniform angles in 2D, Gauss latitudes times uniform
-longitudes in 3D). One root solver serves every level and ray at once: on
-the field's ray restriction s -> (u(anchor + s w), du/ds) it runs
-safeguarded Newton inside the bisection bracket from the anchor to the
-bounding-box exit (a Newton step that leaves the bracket or fails to halve
-the previous step is replaced by a bisection step); a field without a ray
-restriction is solved by plain bisection on its values. The roots at level
-0 are the boundary radii, and Gauss nodes on each ray up to its boundary
-radius give the polar quadrature rule that every domain integral uses.
-Arguments named u are fields.Field instances; the module does not import
-fields, so anisotropy can integrate Wulff-ball volumes on the same grids.
+longitudes in 3D). The field's ray restriction to a grid (fields.
+RayRestriction) is built once and serves every evaluation on that grid.
+One root solver serves every level and ray at once: on the restriction's
+s -> (u(anchor + s w), du/ds) it runs safeguarded Newton inside the
+bisection bracket from the anchor to the bounding-box exit (a Newton step
+that leaves the bracket or fails to halve the previous step is replaced by
+a bisection step); a field without a ray restriction is solved by plain
+bisection on its values. The roots at level 0 are the boundary radii, and
+Gauss nodes on each ray up to its boundary radius give the polar
+quadrature rule that every domain integral uses. polar_integral hands its
+integrand the field jets (u, grad u, hess u) at the nodes, read from the
+restriction (``u.jets`` only for a field without one), at most _CHUNK
+nodes per evaluation. Arguments named u are fields.Field instances; the
+module does not import fields, so anisotropy can integrate Wulff-ball
+volumes on the same grids.
 """
 
 import math
@@ -31,6 +36,7 @@ _NEWTON_ITERS = 100
 _NEWTON_RTOL = 1e-11
 _EPS = np.finfo(float).eps
 _CHUNK = 1 << 17
+_RADIAL_NODES = 48
 
 
 def default_rays(dim: int) -> int:
@@ -99,18 +105,36 @@ def _restrict(u, grid: _DirectionGrid):
     return None if u.ray is None else u.ray(grid.omega)
 
 
-def _ray_roots(u, grid: _DirectionGrid, levels: np.ndarray, along):
+def _ray_jets(u, grid: _DirectionGrid, restriction, s, values_only=False):
+    """(u, grad u, hess u) at anchor + s omega, s of shape (..., directions).
+
+    Read from ``restriction`` (_restrict(u, grid)) when there is one, from
+    the field's oracles at the points otherwise. With ``values_only`` the
+    gradient and Hessian are None and only values are evaluated.
+    """
+    if restriction is not None:
+        if values_only:
+            return restriction.along(s)[0], None, None
+        return restriction.jets(s)
+    pts = u.anchor + s[..., None] * grid.omega
+    if values_only:
+        return u.values(pts), None, None
+    return u.jets(pts)
+
+
+def _ray_roots(u, grid: _DirectionGrid, levels: np.ndarray, restriction):
     """Radii s with u(anchor + s omega) = t, shape (levels, directions).
 
-    ``along`` is _restrict(u, grid); without it the roots are bisected.
+    ``restriction`` is _restrict(u, grid); without it the roots are
+    bisected.
     """
     s_hi = _box_exit(u.anchor, u.bounding_box, grid.omega)
     shape = (levels.shape[0], grid.count)
     lo = np.zeros(shape)
     hi = np.broadcast_to(s_hi * (1.0 + 1e-12), shape).copy()
     tcol = levels[:, None]
-    if along is not None:
-        return _newton_roots(along, tcol, lo, hi)
+    if restriction is not None:
+        return _newton_roots(restriction.along, tcol, lo, hi)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         pts = u.anchor + mid[..., None] * grid.omega[None, :, :]
@@ -155,42 +179,66 @@ def _newton_roots(along, t, lo, hi):
     return s
 
 
-def boundary_radii(u, grid: _DirectionGrid) -> np.ndarray:
-    """Ray lengths from the anchor to the zero level set, one per direction."""
-    return _ray_roots(u, grid, np.array([0.0]), _restrict(u, grid))[0]
+def boundary_radii(u, grid: _DirectionGrid, restriction) -> np.ndarray:
+    """Ray lengths from the anchor to the zero level set, one per direction.
+
+    ``restriction`` is _restrict(u, grid).
+    """
+    return _ray_roots(u, grid, np.array([0.0]), restriction)[0]
 
 
-def polar_grid(u, rays: int | None = None, radial_nodes: int = 48):
+def _polar_rule(u, rays: int | None, radial_nodes: int):
+    """The polar rule node-major: (grid, restriction, radii, weights).
+
+    radii and weights have shape (radial_nodes, directions): Gauss nodes
+    on each ray from the anchor to its boundary radius, the weights with
+    the polar Jacobian.
+    """
+    grid = _DirectionGrid(u.dim, rays or default_rays(u.dim))
+    restriction = _restrict(u, grid)
+    s = boundary_radii(u, grid, restriction)
+    rho, wr = legendre_rule(radial_nodes)
+    rho = 0.5 * (rho + 1.0)
+    wr = 0.5 * wr
+    r = rho[:, None] * s[None, :]
+    w = wr[:, None] * grid.solid[None, :] * r ** (u.dim - 1) * s[None, :]
+    return grid, restriction, r, w
+
+
+def polar_grid(u, rays: int | None = None,
+               radial_nodes: int = _RADIAL_NODES):
     """Boundary-fitted quadrature grid of {u < 0} (points, weights).
 
     ``rays`` directions (longitudes in 3D; default ``default_rays``) with
     ``radial_nodes`` Gauss points on each ray from the anchor to its
     exactly solved boundary radius, so no point is misclassified; weights
-    include the polar Jacobian.
+    include the polar Jacobian. Points run ray by ray.
     """
-    grid = _DirectionGrid(u.dim, rays or default_rays(u.dim))
-    s = boundary_radii(u, grid)
-    rho, wr = legendre_rule(radial_nodes)
-    rho = 0.5 * (rho + 1.0)
-    wr = 0.5 * wr
-    r = s[:, None] * rho[None, :]
-    pts = u.anchor + r[..., None] * grid.omega[:, None, :]
-    w = grid.solid[:, None] * wr[None, :] * r ** (u.dim - 1) * s[:, None]
-    return pts.reshape(-1, u.dim), w.reshape(-1)
+    grid, _, r, w = _polar_rule(u, rays, radial_nodes)
+    pts = u.anchor + r.T[..., None] * grid.omega[:, None, :]
+    return pts.reshape(-1, u.dim), w.T.reshape(-1)
 
 
-def polar_integral(u, integrand, rays: int | None = None) -> float:
-    """Integral of integrand(points) over {u < 0} on the polar_grid rule.
+def polar_integral(u, integrand, rays: int | None = None,
+                   values_only: bool = False) -> float:
+    """Integral over {u < 0} of integrand(u, grad u, hess u) on the polar rule.
 
-    The nodes end exactly on the boundary, so integrands that do not
-    vanish there, or that are smooth only inside the domain, keep the
-    Gauss rule's accuracy along every ray.
+    The integrand receives the field jets at the polar_grid nodes, arrays
+    of shape (nodes, directions), (..., n) and (..., n, n), and returns
+    the integrand values of shape (nodes, directions). The jets come from
+    the field's ray restriction, built once for the grid and shared with
+    the boundary-radius solve, or from ``u.jets`` for a field without one.
+    With ``values_only`` the gradient and Hessian are None and only field
+    values are evaluated. The nodes end exactly on the boundary, so
+    integrands that do not vanish there, or that are smooth only inside
+    the domain, keep the Gauss rule's accuracy along every ray.
     """
-    pts, w = polar_grid(u, rays)
+    grid, restriction, r, w = _polar_rule(u, rays, _RADIAL_NODES)
     total = []
-    for lo, hi in chunked(w.shape[0], _CHUNK):
-        vals = integrand(pts[lo:hi])
+    for lo, hi in chunked(r.shape[0], max(1, _CHUNK // grid.count)):
+        vals = integrand(*_ray_jets(u, grid, restriction, r[lo:hi],
+                                    values_only))
         if not np.all(np.isfinite(vals)):
             raise NumericError("non-finite integrand in polar quadrature")
-        total.append(float(vals @ w[lo:hi]))
+        total.append(float(np.sum(vals * w[lo:hi])))
     return float(np.sum(total))

@@ -28,7 +28,6 @@ from .anisotropy import Norm, wulff_volume
 from .bodies import LevelTable
 from .errors import DomainError, InputError, ModelError, NumericError
 from .field_ops import (
-    generalized_integral,
     hessian_integral,
     hessian_integral_coarea,
     lp_norm,
@@ -179,16 +178,18 @@ def ps_margin(table: LevelTable, k: int,
     return PsMarginResult(lhs, rhs, lhs - rhs, lhs_coarea, sym)
 
 
-def ps_margin_p(table: LevelTable, k: int, p: float) -> PsMarginResult:
-    """Generalized p-energy drop under symmetrization."""
+def ps_margin_p(table: LevelTable, k: int, p: float,
+                energy: float) -> PsMarginResult:
+    """Generalized p-energy drop under symmetrization.
+
+    ``energy`` is the field's generalized_integral(norm, u, k, p).
+    """
     if p < 1.0:
         raise DomainError("exponent p must be >= 1")
-    norm, u = table.norm, table.field
     sym = symmetrand(table, k)
-    lhs = generalized_integral(norm, u, k, p, rays=table.rays)
-    kappa = wulff_volume(norm)
-    rhs = radial_energy(sym.rho, u.dim, k, p, kappa)
-    return PsMarginResult(lhs, rhs, lhs - rhs, None, sym)
+    kappa = wulff_volume(table.norm)
+    rhs = radial_energy(sym.rho, table.field.dim, k, p, kappa)
+    return PsMarginResult(energy, rhs, energy - rhs, None, sym)
 
 
 def lp_compare(table: LevelTable, k: int, p: float,
@@ -268,14 +269,15 @@ def sobolev_constant(norm: Norm, k: int, p: float) -> float:
     return lead / (k * math.comb(n, k)) * gammas ** (s / n)
 
 
-def sobolev_margin(norm: Norm, u: Field, k: int, p: float,
-                   panels: int | None = None,
-                   rays: int | None = None) -> SobolevMarginResult:
-    """Slack C * I_{k,p}[u] - ||u||_q^p of the sharp Sobolev inequality."""
+def sobolev_margin(norm: Norm, u: Field, k: int, p: float, energy: float,
+                   panels: int | None = None) -> SobolevMarginResult:
+    """Slack C * I_{k,p}[u] - ||u||_q^p of the sharp Sobolev inequality.
+
+    ``energy`` is I_{k,p}[u] = generalized_integral(norm, u, k, p).
+    """
     n = u.dim
     c = sobolev_constant(norm, k, p)
     q = n * p / (n - k + 1.0 - p)
-    energy = generalized_integral(norm, u, k, p, rays=rays)
     norm_power = lp_norm(u, q, panels) ** p
     return SobolevMarginResult(c, energy, norm_power,
                                c * energy - norm_power)

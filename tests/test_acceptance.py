@@ -22,6 +22,7 @@ from wulffsym.bodies import (
 )
 from wulffsym.field_ops import (
     curvature_batch,
+    generalized_integral,
     hessian_integral,
     hessian_integral_coarea,
     newton_curvatures,
@@ -348,7 +349,8 @@ def test_criterion_09_sobolev_constants():
         for p_try in (1.0, 1.5, 2.0):
             if p_try >= nn - k + 1:
                 continue
-            r = sobolev_margin(norm, u, k, p_try)
+            r = sobolev_margin(norm, u, k, p_try,
+                               generalized_integral(norm, u, k, p_try))
             worst = min(worst, r.margin
                         / (1.0 + r.constant * r.energy))
             count += 1

@@ -93,7 +93,7 @@ class TestEvalJet:
         rng = np.random.default_rng(4)
         xi = sample_vectors(rng, n, 1000)
         for norm in all_norms(n):
-            w = half_sq_hessian(norm, xi)
+            w = half_sq_hessian(*eval_jet(norm, xi))
             # leading principal minors positive at every sample
             for k in range(1, n + 1):
                 minors = np.linalg.det(w[:, :k, :k])

@@ -135,6 +135,22 @@ class TestSampling:
         assert sum(seen) == sum(s.points.shape[0] for s in samples)
 
 
+    def test_samples_read_the_ray_restriction(self):
+        # a preset is evaluated at its ray roots through its restriction
+        def boom(pts):
+            raise AssertionError("pointwise oracle evaluated")
+
+        norm = regularized_p_norm(2, 3.0)
+        u = perturbed_radial(norm)
+        blind = dataclasses.replace(u, jets_fn=boom, values_fn=boom)
+        levels = np.linspace(-0.45, -0.05, 4)
+        got = sample_many(norm, blind, levels, rays=32)
+        want = sample_many(norm, u, levels, rays=32)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.curvatures, b.curvatures)
+
+
 class TestRayRoots:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_newton_roots_match_bisection(self, dim):

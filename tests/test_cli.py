@@ -90,6 +90,26 @@ class TestRun:
         assert len(calls) == 1
         assert np.array_equal(calls[0], level_grid(u, 80))
 
+    def test_generalized_energy_once_per_experiment(self, tmp_path,
+                                                    monkeypatch):
+        # polya_szego and sobolev share each (k, p) energy; it is counted
+        # in every wulffsym module that holds generalized_integral
+        calls = []
+        generalized_integral = cli.generalized_integral
+
+        def counted(norm, u, k, p, rays=None):
+            calls.append((k, p))
+            return generalized_integral(norm, u, k, p, rays)
+
+        for mod in (cli, symmetrize):
+            if hasattr(mod, "generalized_integral"):
+                monkeypatch.setattr(mod, "generalized_integral", counted)
+        raw = base_config(tmp_path, ["polya_szego", "sobolev"],
+                          exponents=[1.5])
+        report = run(ExperimentConfig.from_dict(raw))
+        assert report["passed"]
+        assert calls == [(1, 1.5)]
+
     def test_rays_reach_comparison_grid(self, tmp_path, monkeypatch):
         calls = []
         polar_grid = symmetrize.polar_grid
@@ -199,3 +219,14 @@ class TestMain:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(path)]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        (row,) = report["tasks"]["compare"]["rows"]
+        assert row["case"].startswith("task error (InputError): ")
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(cli, "_task_af", broken)
+        with pytest.raises(TypeError):
+            run(ExperimentConfig.from_dict(base_config(tmp_path, ["af"])))

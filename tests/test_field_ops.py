@@ -26,7 +26,12 @@ from wulffsym.field_ops import (
     sk_field,
     sk_field_batch,
 )
-from wulffsym.fields import FieldJet, quadratic_ellipsoid, radial_power
+from wulffsym.fields import (
+    FieldJet,
+    perturbed_radial,
+    quadratic_ellipsoid,
+    radial_power,
+)
 from wulffsym.invariants import (
     newton_stack,
     newton_transform_delta_oracle,
@@ -294,8 +299,9 @@ class TestGeneralizedIntegral:
             grads = u.jets(pts)[1]
             return eval_jet(norm, grads)[0] ** p
 
-        from wulffsym.field_ops import polar_integral
-        want = polar_integral(u, dirichlet)
+        from wulffsym.field_ops import polar_grid
+        pts, w = polar_grid(u)
+        want = float(dirichlet(pts) @ w)
         assert generalized_integral(norm, u, 1, p) == pytest.approx(
             want, rel=1e-10)
 
@@ -312,6 +318,55 @@ class TestGeneralizedIntegral:
         want = n * kap * math.comb(n - 1, k - 1) / (expo + 1.0)
         got = generalized_integral(norm, u, k, p)
         assert got == pytest.approx(want, rel=1e-4)
+
+
+class TestRayJetsInQuadrature:
+    """The polar integrals read the field jets from its ray restriction."""
+
+    @staticmethod
+    def integrals(norm):
+        return {
+            "hessian": lambda v: hessian_integral(norm, v, 1, 256),
+            "lp": lambda v: lp_norm(v, 2.0, 256),
+            "generalized k=1": lambda v: generalized_integral(
+                norm, v, 1, 1.5, 256),
+            "generalized k=2": lambda v: generalized_integral(
+                norm, v, 2, 2.5, 256),
+        }
+
+    def test_match_the_field_without_restriction(self):
+        norm = regularized_p_norm(2, 3.0)
+        u = perturbed_radial(norm)
+        plain = dataclasses.replace(u, ray=None)
+        for name, integral in self.integrals(norm).items():
+            got, want = integral(u), integral(plain)
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), name
+
+    def test_pointwise_oracles_are_not_evaluated(self):
+        def boom(pts):
+            raise AssertionError("pointwise oracle evaluated")
+
+        norm = regularized_p_norm(2, 3.0)
+        u = perturbed_radial(norm)
+        blind = dataclasses.replace(u, jets_fn=boom, values_fn=boom)
+        for name, integral in self.integrals(norm).items():
+            assert integral(blind) == integral(u), name
+
+    def test_one_dual_solve_per_direction(self, monkeypatch):
+        from wulffsym import anisotropy
+
+        rows = []
+        dual_numeric = anisotropy._dual_numeric
+
+        def counted(norm, omega):
+            rows.append(omega.shape[0])
+            return dual_numeric(norm, omega)
+
+        norm = regularized_p_norm(2, 3.0)
+        u = perturbed_radial(norm)
+        monkeypatch.setattr(anisotropy, "_dual_numeric", counted)
+        hessian_integral(norm, u, 1, 128)
+        assert sum(rows) <= 128
 
 
 class TestIdentities:
@@ -407,8 +462,9 @@ class TestAuxiliaries:
         def boom(pts):
             raise AssertionError("jets evaluated")
 
+        # without a ray restriction the field's own oracles are evaluated
         u = dataclasses.replace(quadratic_ellipsoid(2, axes=[2.0, 1.0]),
-                                jets_fn=boom)
+                                jets_fn=boom, ray=None)
         assert lp_norm(u, 2.0) == pytest.approx(math.sqrt(math.pi / 6.0),
                                                 rel=1e-12)
         assert domain_volume(u) == pytest.approx(2.0 * math.pi, rel=1e-12)

@@ -125,12 +125,27 @@ def test_ray_restriction_matches_values_and_jets(n):
     s = rng.uniform(0.05, 1.2, size=(3, 40))
     for norm in norm_list(n):
         for u in preset_list(norm):
-            val, slope = u.ray(omega)(s)
+            val, slope = u.ray(omega).along(s)
             pts = u.anchor + s[..., None] * omega
             _, grads, _ = u.jets(pts)
             assert _relative_gap(val, u.values(pts)) <= 1e-13, u.name
             assert _relative_gap(
                 slope, np.sum(grads * omega, axis=-1)) <= 1e-10, u.name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ray_jets_match_pointwise_jets(n):
+    rng = np.random.default_rng(3)
+    omega = rng.normal(size=(40, n))
+    omega /= np.linalg.norm(omega, axis=-1, keepdims=True)
+    s = rng.uniform(0.05, 1.2, size=(3, 40))
+    for norm in norm_list(n):
+        for u in preset_list(norm):
+            got = u.ray(omega).jets(s)
+            want = u.jets(u.anchor + s[..., None] * omega)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape, u.name
+                assert _relative_gap(a, b) <= 1e-12, (norm, u.name)
 
 
 def test_jets_solve_the_dual_problem_once_per_point(monkeypatch):

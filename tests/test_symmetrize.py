@@ -12,6 +12,7 @@ from wulffsym.anisotropy import (
 )
 from wulffsym.bodies import LevelTable
 from wulffsym.errors import DomainError, InputError
+from wulffsym.field_ops import generalized_integral
 from wulffsym.fields import (
     perturbed_radial,
     quadratic_ellipsoid,
@@ -178,30 +179,38 @@ class TestPolyaSzego:
         assert np.max(np.abs(lhs - rhs) / (1.0 + lhs)) < 1e-4
 
 
+def _energy(table, k, p):
+    return generalized_integral(table.norm, table.field, k, p,
+                                rays=table.rays)
+
+
 class TestPolyaSzegoP:
     def test_p_equal_kplus1_matches_k_times_hessian(self):
         table = LevelTable(euclidean_norm(2), ellipse_field())
         for k in (1, 2):
-            res_p = ps_margin_p(table, k, k + 1.0)
+            res_p = ps_margin_p(table, k, k + 1.0,
+                                _energy(table, k, k + 1.0))
             res = ps_margin(table, k)
             assert res_p.lhs == pytest.approx(k * res.lhs, rel=2e-4)
             assert res_p.rhs == pytest.approx(k * res.rhs, rel=2e-4)
 
     def test_k1_p2_reproduces_order_one_margin(self):
         norm = euclidean_norm(2)
-        res = ps_margin_p(LevelTable(norm, ellipse_field()), 1, 2.0)
+        table = LevelTable(norm, ellipse_field())
+        res = ps_margin_p(table, 1, 2.0, _energy(table, 1, 2.0))
         assert res.margin == pytest.approx(math.pi / 8.0, rel=1e-3)
 
     def test_radial_equality(self):
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))
         table = LevelTable(norm, radial_power(norm, a=2.0))
         for k, p in ((1, 1.5), (1, 3.0), (2, 2.0)):
-            res = ps_margin_p(table, k, p)
+            res = ps_margin_p(table, k, p, _energy(table, k, p))
             assert abs(res.margin) <= 1e-4 * abs(res.lhs)
 
     def test_margins_nonnegative_generally(self):
         norm = regularized_p_norm(2, 3.0)
-        res = ps_margin_p(LevelTable(norm, perturbed_radial(norm)), 1, 2.5)
+        table = LevelTable(norm, perturbed_radial(norm))
+        res = ps_margin_p(table, 1, 2.5, _energy(table, 1, 2.5))
         assert res.margin >= -1e-4 * (1.0 + abs(res.lhs))
 
 
@@ -303,7 +312,9 @@ class TestSobolevConstant:
 class TestSobolevMargin:
     def test_ellipse_strictly_positive(self):
         norm = euclidean_norm(2)
-        res = sobolev_margin(norm, ellipse_field(), 1, 1.0)
+        u = ellipse_field()
+        res = sobolev_margin(norm, u, 1, 1.0,
+                             generalized_integral(norm, u, 1, 1.0))
         assert res.margin > 0.0
         assert res.margin >= -1e-4 * (1.0 + res.constant * res.energy)
 
@@ -326,7 +337,8 @@ class TestSobolevMargin:
             return (1.0 - 2.0 * r ** 2) * (1.0 + r ** 2) ** -2.5
 
         u = radial_field(norm, v, vp, vpp, radius=big_r)
-        res = sobolev_margin(norm, u, 1, 2.0)
+        res = sobolev_margin(norm, u, 1, 2.0,
+                             generalized_integral(norm, u, 1, 2.0))
         scale = res.constant * res.energy
         assert res.margin >= -1e-4 * (1.0 + scale)
         assert res.margin < 0.35 * scale
