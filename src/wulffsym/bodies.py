@@ -3,10 +3,10 @@
 Every body is the boundary of a sublevel set {u < t} of an admissible
 field, sampled by ray shooting from the interior anchor along a
 deterministic direction grid; the ray roots of every level and direction
-come from one solve (rays._ray_roots), and the field jets at the roots from
-the same ray restriction (rays._ray_jets). The sample carries surface-measure
-weights, anisotropic curvatures of every order, and the data needed for
-the mixed-volume functionals
+come from one solve on the field's ray restriction (rays._ray_roots), and
+the field jets at the roots from the same restriction. The sample carries
+surface-measure weights, anisotropic curvatures of every order, and the
+data needed for the mixed-volume functionals
 
     W_k = [n binom(n-1, k-1)]^{-1} * integral of S_{k-1}(curv) F(normal),
 
@@ -36,9 +36,7 @@ from .quad import chunked
 # and the tests reach them here
 from .rays import (  # noqa: F401
     _DirectionGrid,
-    _ray_jets,
     _ray_roots,
-    _restrict,
     boundary_radii,
     default_rays,
 )
@@ -99,7 +97,7 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None):
     if rays is None:
         rays = default_rays(u.dim)
     grid = _DirectionGrid(u.dim, rays)
-    restriction = _restrict(u, grid)
+    restriction = u.ray(grid.omega)
 
     workers = min(thread_count(), max(1, levels.shape[0] // 8))
     if workers > 1:
@@ -125,8 +123,7 @@ def _sample_block(norm: Norm, u: Field, levels: np.ndarray,
     grads = np.empty(pts.shape)
     hesses = np.empty(pts.shape + (u.dim,))
     for a, b in chunked(n_lev, max(1, _JET_CHUNK // n_dir)):
-        vals[a:b], grads[a:b], hesses[a:b] = _ray_jets(u, grid, restriction,
-                                                       s[a:b])
+        vals[a:b], grads[a:b], hesses[a:b] = restriction.jets(s[a:b])
     residual = np.abs(vals - levels[:, None])
     gn = np.linalg.norm(grads, axis=-1)
     weights = _surface_weights(grid, s, grads)

@@ -26,7 +26,6 @@ from .quad import trapezoid
 # the tests reach them here
 from .rays import (  # noqa: F401
     _DirectionGrid,
-    _restrict,
     boundary_radii,
     default_rays,
     polar_grid,
@@ -167,6 +166,10 @@ def level_grid(u: Field, count: int = 200) -> np.ndarray:
     gaps of order sqrt(step) that dominate the symmetrand interpolation
     error; quadratic spacing equidistributes the radii instead.
     """
+    if count < 10:
+        # the bottom block takes at least 8 levels and the top needs two
+        # to end at t = 0
+        raise DomainError(f"level grid needs at least 10 levels; got {count}")
     m = u.min_value
     delta = 1e-3 * abs(m)
     split = m + 0.1 * abs(m)
@@ -212,5 +215,5 @@ def lp_norm(u: Field, p: float, panels: int | None = None) -> float:
 def domain_volume(u: Field, panels: int | None = None) -> float:
     """Volume of {u < 0} from the boundary radii of ``panels`` directions."""
     grid = _DirectionGrid(u.dim, panels or default_rays(u.dim))
-    s = boundary_radii(u, grid, _restrict(u, grid))
+    s = boundary_radii(u, grid, u.ray(grid.omega))
     return float(grid.solid @ s ** u.dim) / u.dim

@@ -21,9 +21,8 @@ families: F*(w), grad F*(w) and hess F*(w)) and returns a
 ``RayRestriction`` whose ``along(s)`` gives (u, du/ds) and whose
 ``jets(s)`` gives (u, grad u, hess u) at anchor + s w, s of shape
 (..., m) broadcast against the m directions. The ray roots, the level-set
-samples and the polar quadrature all evaluate the field through it; a
-Field built without ``ray`` is bisected on ``values`` and evaluated
-through ``jets`` at the points instead.
+samples and the polar quadrature evaluate the field through it alone;
+``jets`` and ``values`` serve points off a direction grid.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -60,10 +59,10 @@ class Field:
     anchor: np.ndarray
     min_value: float
     bounding_box: np.ndarray
-    jets_fn: Callable = dc_field(repr=False, default=None)
-    values_fn: Callable = dc_field(repr=False, default=None)
+    jets_fn: Callable = dc_field(repr=False)
+    values_fn: Callable = dc_field(repr=False)
     # directions (m, n) -> RayRestriction; see the module docstring
-    ray: Callable | None = dc_field(repr=False, default=None)
+    ray: Callable = dc_field(repr=False)
     # (v, v', outer_radius) for u = v(F*(x)) centered at the origin; the
     # mixedvol task reads the Wulff-ball radii of its levels from it
     radial_profile: tuple | None = dc_field(repr=False, default=None)

@@ -210,10 +210,11 @@ def rearrange(f, u: Field, kappa_n: float) -> MonotoneProfile:
     the profile value at radius (V/kappa_n)^{1/n} is the density at
     cumulative volume V. The radial node count bounds the value
     resolution (the profile is a staircase for radial densities), so it
-    is kept much finer than the angular one.
+    is kept much finer than the angular one: 43 panels of 48 Gauss nodes
+    per ray in 2D (2,064 nodes), 11 in 3D (528).
     """
-    rays, radial_nodes = (256, 2048) if u.dim == 2 else (64, 512)
-    pts, w = polar_grid(u, rays=rays, radial_nodes=radial_nodes)
+    rays, panels = (256, 43) if u.dim == 2 else (64, 11)
+    pts, w = polar_grid(u, rays=rays, panels=panels)
     fv = np.asarray(f(pts), dtype=float)
     if np.any(fv < -1e-12):
         raise InputError("rearrangement needs a nonnegative density")

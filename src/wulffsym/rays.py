@@ -3,21 +3,20 @@
 Every field domain {u < 0} is star-shaped about the field's anchor, so
 points of the domain are written anchor + s w with w from a deterministic
 direction grid (uniform angles in 2D, Gauss latitudes times uniform
-longitudes in 3D). The field's ray restriction to a grid (fields.
-RayRestriction) is built once and serves every evaluation on that grid.
-One root solver serves every level and ray at once: on the restriction's
-s -> (u(anchor + s w), du/ds) it runs safeguarded Newton inside the
-bisection bracket from the anchor to the bounding-box exit (a Newton step
-that leaves the bracket or fails to halve the previous step is replaced by
-a bisection step); a field without a ray restriction is solved by plain
-bisection on its values. The roots at level 0 are the boundary radii, and
-Gauss nodes on each ray up to its boundary radius give the polar
-quadrature rule that every domain integral uses. polar_integral hands its
-integrand the field jets (u, grad u, hess u) at the nodes, read from the
-restriction (``u.jets`` only for a field without one), at most _CHUNK
-nodes per evaluation. Arguments named u are fields.Field instances; the
-module does not import fields, so anisotropy can integrate Wulff-ball
-volumes on the same grids.
+longitudes in 3D). The field's ray restriction to a grid, u.ray(omega)
+(fields.RayRestriction), is built once and is the only way the field is
+evaluated on that grid. One root solver serves every level and ray at
+once: safeguarded Newton on the restriction's s -> (u, du/ds) inside the
+bracket from the anchor to the bounding-box exit (a Newton step that
+leaves the bracket or fails to halve the previous step is replaced by a
+bisection step). The roots at level 0 are the boundary radii. The polar
+rule cuts each ray from the anchor to its boundary radius into equal
+panels of the one cached 48-node Gauss rule; every domain integral uses
+it with one panel, the rearrangement with many. polar_nodes hands out
+the field jets (u, grad u, hess u) at the nodes from the restriction, at
+most _CHUNK nodes at a time. Arguments named u are fields.Field
+instances; the module does not import fields, so anisotropy can
+integrate Wulff-ball volumes on the same grids.
 """
 
 import math
@@ -27,7 +26,6 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .quad import chunked, legendre_rule
 
-_BISECT_ITERS = 54
 _NEWTON_ITERS = 100
 # after a Newton step this small (relative to the root) the error is of
 # the order of its square, far below rounding; the steps that rounding
@@ -83,7 +81,9 @@ class _DirectionGrid:
             self.solid = (np.outer(wc, np.full(nphi, 2.0 * math.pi / nphi))
                           .reshape(-1))
         else:
-            raise DomainError("level-set sampling supports dimensions 2 and 3")
+            raise DomainError(
+                "direction grids (level-set sampling and polar rules) "
+                f"support dimensions 2 and 3; got {dim}")
 
     @property
     def count(self):
@@ -100,64 +100,26 @@ def _box_exit(anchor, box, omega):
     return np.min(np.minimum(t_hi, t_lo), axis=-1)
 
 
-def _restrict(u, grid: _DirectionGrid):
-    """The field's ray restriction to the grid directions, if it has one."""
-    return None if u.ray is None else u.ray(grid.omega)
-
-
-def _ray_jets(u, grid: _DirectionGrid, restriction, s, values_only=False):
-    """(u, grad u, hess u) at anchor + s omega, s of shape (..., directions).
-
-    Read from ``restriction`` (_restrict(u, grid)) when there is one, from
-    the field's oracles at the points otherwise. With ``values_only`` the
-    gradient and Hessian are None and only values are evaluated.
-    """
-    if restriction is not None:
-        if values_only:
-            return restriction.along(s)[0], None, None
-        return restriction.jets(s)
-    pts = u.anchor + s[..., None] * grid.omega
-    if values_only:
-        return u.values(pts), None, None
-    return u.jets(pts)
-
-
 def _ray_roots(u, grid: _DirectionGrid, levels: np.ndarray, restriction):
     """Radii s with u(anchor + s omega) = t, shape (levels, directions).
 
-    ``restriction`` is _restrict(u, grid); without it the roots are
-    bisected.
+    Safeguarded Newton (rtsafe) on ``restriction.along`` (the restriction
+    is u.ray(grid.omega)) inside the brackets from the anchor to the
+    bounding-box exit; converged entries stay fixed. The solve starts at
+    the box exit: on rays where u is convex, as on every preset, Newton
+    from above descends to the root without leaving the bracket, also
+    when the root sits at the bracket's edge.
     """
     s_hi = _box_exit(u.anchor, u.bounding_box, grid.omega)
     shape = (levels.shape[0], grid.count)
+    t = levels[:, None]
     lo = np.zeros(shape)
     hi = np.broadcast_to(s_hi * (1.0 + 1e-12), shape).copy()
-    tcol = levels[:, None]
-    if restriction is not None:
-        return _newton_roots(restriction.along, tcol, lo, hi)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        pts = u.anchor + mid[..., None] * grid.omega[None, :, :]
-        vals = u.values(pts.reshape(-1, u.dim)).reshape(shape)
-        below = vals < tcol
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _newton_roots(along, t, lo, hi):
-    """Safeguarded Newton (rtsafe) for along(s)[0] = t in brackets [lo, hi].
-
-    along(lo) < t <= along(hi) entrywise; converged entries stay fixed.
-    The solve starts at hi: on rays where u is convex, as on every preset,
-    Newton from above descends to the root without leaving the bracket,
-    also when the root sits at the bracket's edge.
-    """
     s = hi.copy()
     step = hi - lo
-    live = np.ones(s.shape, dtype=bool)
+    live = np.ones(shape, dtype=bool)
     for _ in range(_NEWTON_ITERS):
-        val, slope = along(s)
+        val, slope = restriction.along(s)
         g = val - t
         below = g < 0.0
         lo = np.where(below, s, lo)
@@ -182,63 +144,76 @@ def _newton_roots(along, t, lo, hi):
 def boundary_radii(u, grid: _DirectionGrid, restriction) -> np.ndarray:
     """Ray lengths from the anchor to the zero level set, one per direction.
 
-    ``restriction`` is _restrict(u, grid).
+    ``restriction`` is u.ray(grid.omega).
     """
     return _ray_roots(u, grid, np.array([0.0]), restriction)[0]
 
 
-def _polar_rule(u, rays: int | None, radial_nodes: int):
+def _polar_rule(u, rays: int | None, panels: int = 1):
     """The polar rule node-major: (grid, restriction, radii, weights).
 
-    radii and weights have shape (radial_nodes, directions): Gauss nodes
-    on each ray from the anchor to its boundary radius, the weights with
-    the polar Jacobian.
+    Each ray from the anchor to its boundary radius is cut into ``panels``
+    equal pieces, each carrying the 48-node Gauss rule; radii and weights
+    have shape (48 panels, directions), the weights with the polar
+    Jacobian.
     """
     grid = _DirectionGrid(u.dim, rays or default_rays(u.dim))
-    restriction = _restrict(u, grid)
+    restriction = u.ray(grid.omega)
     s = boundary_radii(u, grid, restriction)
-    rho, wr = legendre_rule(radial_nodes)
-    rho = 0.5 * (rho + 1.0)
-    wr = 0.5 * wr
+    x, wx = legendre_rule(_RADIAL_NODES)
+    rho = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).reshape(-1)
+    wr = np.tile(0.5 * wx, panels) / panels
     r = rho[:, None] * s[None, :]
     w = wr[:, None] * grid.solid[None, :] * r ** (u.dim - 1) * s[None, :]
     return grid, restriction, r, w
 
 
-def polar_grid(u, rays: int | None = None,
-               radial_nodes: int = _RADIAL_NODES):
+def polar_grid(u, rays: int | None = None, panels: int = 1):
     """Boundary-fitted quadrature grid of {u < 0} (points, weights).
 
-    ``rays`` directions (longitudes in 3D; default ``default_rays``) with
-    ``radial_nodes`` Gauss points on each ray from the anchor to its
-    exactly solved boundary radius, so no point is misclassified; weights
-    include the polar Jacobian. Points run ray by ray.
+    ``rays`` directions (longitudes in 3D; default ``default_rays``); each
+    ray from the anchor to its exactly solved boundary radius carries
+    ``panels`` equal panels of 48 Gauss nodes, so no point is
+    misclassified; weights include the polar Jacobian. Points run ray by
+    ray.
     """
-    grid, _, r, w = _polar_rule(u, rays, radial_nodes)
+    grid, _, r, w = _polar_rule(u, rays, panels)
     pts = u.anchor + r.T[..., None] * grid.omega[:, None, :]
     return pts.reshape(-1, u.dim), w.T.reshape(-1)
+
+
+def polar_nodes(u, rays: int | None = None, values_only: bool = False):
+    """The one-panel polar rule in blocks of at most _CHUNK nodes.
+
+    Yields (radii, omega, jets, weights) node-major for the nodes
+    anchor + radii[..., None] * omega: radii and weights of shape
+    (nodes, directions), and the field jets (u, grad u, hess u) from the
+    ray restriction that also solved the boundary radii. ``values_only``
+    evaluates values only (gradient and Hessian None).
+    """
+    grid, restriction, r, w = _polar_rule(u, rays)
+    for lo, hi in chunked(r.shape[0], max(1, _CHUNK // grid.count)):
+        s = r[lo:hi]
+        jets = ((restriction.along(s)[0], None, None) if values_only
+                else restriction.jets(s))
+        yield s, grid.omega, jets, w[lo:hi]
 
 
 def polar_integral(u, integrand, rays: int | None = None,
                    values_only: bool = False) -> float:
     """Integral over {u < 0} of integrand(u, grad u, hess u) on the polar rule.
 
-    The integrand receives the field jets at the polar_grid nodes, arrays
+    The integrand receives the field jets of one polar_nodes block, arrays
     of shape (nodes, directions), (..., n) and (..., n, n), and returns
-    the integrand values of shape (nodes, directions). The jets come from
-    the field's ray restriction, built once for the grid and shared with
-    the boundary-radius solve, or from ``u.jets`` for a field without one.
-    With ``values_only`` the gradient and Hessian are None and only field
-    values are evaluated. The nodes end exactly on the boundary, so
+    the integrand values of shape (nodes, directions); ``values_only`` is
+    passed on to polar_nodes. The nodes end exactly on the boundary, so
     integrands that do not vanish there, or that are smooth only inside
     the domain, keep the Gauss rule's accuracy along every ray.
     """
-    grid, restriction, r, w = _polar_rule(u, rays, _RADIAL_NODES)
     total = []
-    for lo, hi in chunked(r.shape[0], max(1, _CHUNK // grid.count)):
-        vals = integrand(*_ray_jets(u, grid, restriction, r[lo:hi],
-                                    values_only))
+    for _, _, jets, w in polar_nodes(u, rays, values_only):
+        vals = integrand(*jets)
         if not np.all(np.isfinite(vals)):
             raise NumericError("non-finite integrand in polar quadrature")
-        total.append(float(np.sum(vals * w[lo:hi])))
+        total.append(float(np.sum(vals * w)))
     return float(np.sum(total))

@@ -28,12 +28,13 @@ from .anisotropy import Norm, wulff_volume
 from .bodies import LevelTable
 from .errors import DomainError, InputError, ModelError, NumericError
 from .field_ops import (
+    aniso_hessian_batch,
     hessian_integral,
     hessian_integral_coarea,
     lp_norm,
-    sk_field_batch,
 )
 from .fields import Field
+from .invariants import sk_stack
 from .quad import panel_cumulative
 from .radial import (
     MonotoneProfile,
@@ -42,7 +43,7 @@ from .radial import (
     rearrange,
     solve_radial,
 )
-from .rays import polar_grid
+from .rays import polar_nodes
 
 _ZETA_SLACK = 1e-8
 
@@ -219,15 +220,19 @@ def comparison_margin(table: LevelTable, f, k: int,
                       solver_nodes: int = 4096) -> ComparisonResult:
     """Pointwise gap between the symmetrand and the radial solution.
 
-    Requires S_k[u] <= f on a verification grid, the polar grid at the
-    table's ray count (violations raise with the worst point); then
-    u*_{k-1} dominates the radial solution of S_k[v] = f* on the Wulff
-    ball with matching mixed volume, and the returned margin profile
-    rho - v must be nonnegative.
+    Requires S_k[u] <= f on a verification grid, the nodes of the polar
+    rule at the table's ray count, with S_k[u] from the rule's field jets
+    (violations raise with the worst point); then u*_{k-1} dominates the
+    radial solution of S_k[v] = f* on the Wulff ball with matching mixed
+    volume, and the returned margin profile rho - v must be nonnegative.
     """
     norm, u = table.norm, table.field
-    pts, _ = polar_grid(u, rays=table.rays)
-    sk_vals = sk_field_batch(norm, u, pts, k)
+    pts, sk_vals = [], []
+    for s, omega, (_, grads, hesses), _ in polar_nodes(u, rays=table.rays):
+        pts.append((u.anchor + s[..., None] * omega).reshape(-1, u.dim))
+        sk_vals.append(sk_stack(aniso_hessian_batch(norm, grads, hesses),
+                                k).reshape(-1))
+    pts, sk_vals = np.concatenate(pts), np.concatenate(sk_vals)
     f_vals = np.asarray(f(pts), dtype=float)
     slack = 1e-9 * (1.0 + np.abs(f_vals))
     bad = sk_vals > f_vals + slack

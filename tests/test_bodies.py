@@ -24,6 +24,7 @@ from wulffsym.bodies import (
 from wulffsym.errors import DomainError
 from wulffsym.field_ops import level_grid, newton_curvatures
 from wulffsym.fields import perturbed_radial, quadratic_ellipsoid, radial_power
+from wulffsym.rays import _DirectionGrid
 
 
 def test_frozen_perimeter_constant_matches_agm():
@@ -151,13 +152,32 @@ class TestSampling:
             assert np.array_equal(a.curvatures, b.curvatures)
 
 
+def bisected_radii(u, omega, levels, iters=54):
+    """Radii s with u(anchor + s omega) = t by bisection on u.values alone.
+
+    The bracket runs from the anchor to past every bounding-box corner,
+    where u > 0 >= t.
+    """
+    reach = 1.01 * np.linalg.norm(np.max(np.abs(
+        u.bounding_box - u.anchor[:, None]), axis=-1))
+    lo = np.zeros((levels.size, omega.shape[0]))
+    hi = np.full(lo.shape, reach)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        below = u.values(u.anchor + mid[..., None] * omega) < levels[:, None]
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 class TestRayRoots:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_newton_roots_match_bisection(self, dim):
-        # a field without a ray restriction is sampled by bisection on
-        # u.values, the reference for the Newton roots
+        # the Newton roots on the ray restriction against a bisection on
+        # the field's pointwise values along the same directions
         mats = {2: np.diag([4.0, 1.0]), 3: np.diag([4.0, 1.0, 2.25])}
         rays = 64 if dim == 2 else 16
+        omega = _DirectionGrid(dim, rays).omega
         for norm in (euclidean_norm(dim), ellipsoid_norm(mats[dim]),
                      regularized_p_norm(dim, 3.0)):
             for u in (quadratic_ellipsoid(dim),
@@ -165,12 +185,10 @@ class TestRayRoots:
                       radial_power(norm, a=2.0), radial_power(norm, a=3.0),
                       perturbed_radial(norm)):
                 levels = level_grid(u, 10)
-                oracle = dataclasses.replace(u, ray=None)
-                for got, want in zip(
-                        sample_many(norm, u, levels, rays=rays),
-                        sample_many(norm, oracle, levels, rays=rays)):
+                want = bisected_radii(u, omega, levels)
+                for got, ref in zip(sample_many(norm, u, levels, rays=rays),
+                                    want):
                     s = np.linalg.norm(got.points - u.anchor, axis=-1)
-                    ref = np.linalg.norm(want.points - u.anchor, axis=-1)
                     assert np.max(np.abs(s - ref) / ref) <= 1e-12, u.name
                     assert got.diagnostics["residual_max"] <= 1e-12
 

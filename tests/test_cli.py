@@ -112,17 +112,27 @@ class TestRun:
 
     def test_rays_reach_comparison_grid(self, tmp_path, monkeypatch):
         calls = []
-        polar_grid = symmetrize.polar_grid
+        polar_nodes = symmetrize.polar_nodes
 
-        def recorded(u, rays=None, radial_nodes=48):
+        def recorded(u, rays=None, values_only=False):
             calls.append(rays)
-            return polar_grid(u, rays, radial_nodes)
+            return polar_nodes(u, rays, values_only)
 
-        monkeypatch.setattr(symmetrize, "polar_grid", recorded)
+        monkeypatch.setattr(symmetrize, "polar_nodes", recorded)
         report = run(ExperimentConfig.from_dict(
             base_config(tmp_path, ["compare"])))
         assert report["passed"]
         assert calls == [512]
+
+    def test_too_few_levels_is_an_error_row(self, tmp_path):
+        # below 10 levels the level grid cannot reach t = 0
+        raw = base_config(tmp_path, ["af"])
+        raw["grids"]["levels"] = 5
+        report = run(ExperimentConfig.from_dict(raw))
+        assert not report["passed"]
+        (row,) = report["tasks"]["af"]["rows"]
+        assert row["case"].startswith("task error (DomainError): ")
+        assert "at least 10 levels" in row["case"]
 
     def test_outputs_written(self, tmp_path):
         cfg = ExperimentConfig.from_dict(

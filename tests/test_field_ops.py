@@ -21,6 +21,7 @@ from wulffsym.field_ops import (
     hessian_integral,
     hessian_integral_coarea,
     level_curvature,
+    level_grid,
     lp_norm,
     newton_curvatures,
     sk_field,
@@ -28,6 +29,7 @@ from wulffsym.field_ops import (
 )
 from wulffsym.fields import (
     FieldJet,
+    RayRestriction,
     perturbed_radial,
     quadratic_ellipsoid,
     radial_power,
@@ -39,6 +41,7 @@ from wulffsym.invariants import (
     sk_delta_oracle,
     sk_stack,
 )
+from wulffsym.rays import polar_grid
 
 
 def rand_sym(rng, n):
@@ -335,11 +338,26 @@ class TestRayJetsInQuadrature:
         }
 
     def test_match_the_field_without_restriction(self):
+        # the same integrands on the pointwise jets u.jets at the same nodes
         norm = regularized_p_norm(2, 3.0)
         u = perturbed_radial(norm)
-        plain = dataclasses.replace(u, ray=None)
+        pts, w = polar_grid(u, 256)
+        v, g, h = u.jets(pts)
+        a = aniso_hessian_batch(norm, g, h)
+        fv, fg, _ = eval_jet(norm, g)
+
+        def generalized(k, p):
+            pair = np.einsum("mij,mi,mj->m", newton_stack(a, k)[k - 1], fg, g)
+            return float(np.sum(fv ** (p - k) * pair * w))
+
+        pointwise = {
+            "hessian": float(np.sum(-v * sk_stack(a, 1) * w)),
+            "lp": float(np.sum(v * v * w)) ** 0.5,
+            "generalized k=1": generalized(1, 1.5),
+            "generalized k=2": generalized(2, 2.5),
+        }
         for name, integral in self.integrals(norm).items():
-            got, want = integral(u), integral(plain)
+            got, want = integral(u), pointwise[name]
             assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), name
 
     def test_pointwise_oracles_are_not_evaluated(self):
@@ -459,12 +477,14 @@ class TestAuxiliaries:
                                                 rel=1e-12)
 
     def test_lp_norm_and_volume_read_values_only(self):
-        def boom(pts):
+        def boom(*args):
             raise AssertionError("jets evaluated")
 
-        # without a ray restriction the field's own oracles are evaluated
-        u = dataclasses.replace(quadratic_ellipsoid(2, axes=[2.0, 1.0]),
-                                jets_fn=boom, ray=None)
+        # the ray restriction gives values (and slopes) only
+        base = quadratic_ellipsoid(2, axes=[2.0, 1.0])
+        u = dataclasses.replace(
+            base, jets_fn=boom,
+            ray=lambda omega: RayRestriction(base.ray(omega).along, boom))
         assert lp_norm(u, 2.0) == pytest.approx(math.sqrt(math.pi / 6.0),
                                                 rel=1e-12)
         assert domain_volume(u) == pytest.approx(2.0 * math.pi, rel=1e-12)
@@ -475,3 +495,56 @@ class TestAuxiliaries:
         u = quadratic_ellipsoid(2)
         want = (math.pi / 12.0) ** 0.5
         assert lp_norm(u, 2.0) == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("count", [5, 7, 8, 9])
+    def test_level_grid_needs_ten_levels(self, count):
+        with pytest.raises(DomainError, match="at least 10 levels"):
+            level_grid(quadratic_ellipsoid(2), count)
+
+    @pytest.mark.parametrize("count", [10, 11, 39, 200])
+    def test_level_grid_ends_at_zero(self, count):
+        u = quadratic_ellipsoid(2)
+        levels = level_grid(u, count)
+        assert levels.shape == (count,)
+        assert levels[0] > u.min_value
+        assert levels[-1] == 0.0
+        assert np.all(np.diff(levels) > 0.0)
+
+    def test_polar_rules_name_the_dimension(self):
+        norm = euclidean_norm(4)
+        u = quadratic_ellipsoid(4)
+        for integral in (lambda: hessian_integral(norm, u, 1),
+                         lambda: lp_norm(u, 2.0)):
+            with pytest.raises(DomainError,
+                               match="polar rules.*dimensions 2 and 3; got 4"):
+                integral()
+
+
+class TestPanelRule:
+    def test_one_panel_is_the_default(self):
+        u = perturbed_radial(regularized_p_norm(2, 3.0))
+        for got, want in zip(polar_grid(u, 64, panels=1), polar_grid(u, 64)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_panels_integrate_the_domain(self, dim):
+        # volume and second moment of the unit ball: kappa_n and
+        # n kappa_n / (n + 2)
+        u = quadratic_ellipsoid(dim)
+        kappa = math.pi if dim == 2 else 4.0 * math.pi / 3.0
+        for panels in (1, 3):
+            pts, w = polar_grid(u, 16, panels=panels)
+            assert pts.shape[0] == 48 * panels * (16 if dim == 2 else 128)
+            r = np.linalg.norm(pts, axis=-1)
+            assert np.all(r < 1.0)
+            assert np.sum(w) == pytest.approx(kappa, rel=1e-13)
+            assert np.sum(w * r * r) == pytest.approx(
+                dim * kappa / (dim + 2), rel=1e-13)
+
+    def test_panels_split_each_ray_evenly(self):
+        u = quadratic_ellipsoid(2)
+        pts, _ = polar_grid(u, 4, panels=3)
+        r = np.linalg.norm(pts, axis=-1).reshape(4, 3, 48)
+        assert np.all(r[:, 0] < 1.0 / 3.0)
+        assert np.all((r[:, 1] > 1.0 / 3.0) & (r[:, 1] < 2.0 / 3.0))
+        assert np.all(r[:, 2] > 2.0 / 3.0)

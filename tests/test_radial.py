@@ -9,6 +9,7 @@ from wulffsym.anisotropy import (
     regularized_p_norm,
     wulff_volume,
 )
+from wulffsym import quad, rays
 from wulffsym.errors import DomainError, InputError
 from wulffsym.field_ops import hessian_integral, sk_field
 from wulffsym.fields import quadratic_ellipsoid, radial_field, radial_power
@@ -238,6 +239,27 @@ class TestRearrange:
         with pytest.raises(InputError):
             rearrange(lambda pts: -np.ones(pts.shape[0]), u, math.pi)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gauss_rules_stay_small(self, dim, monkeypatch):
+        # the fine radial resolution comes from panels of the 48-node
+        # rule, not from one rule with thousands of nodes
+        asked = []
+        for mod in (quad, rays):
+            rule = mod.legendre_rule
+
+            def recorded(nodes, rule=rule):
+                asked.append(nodes)
+                return rule(nodes)
+
+            monkeypatch.setattr(mod, "legendre_rule", recorded)
+        u = quadratic_ellipsoid(dim)
+        prof = rearrange(lambda pts: np.exp(-np.sum(pts * pts, axis=-1)), u,
+                         wulff_volume(euclidean_norm(dim)))
+        assert asked and max(asked) <= 48
+        # and at least as many radial nodes per direction as a 2048-node
+        # (2D) or 512-node (3D) rule gives
+        directions = 256 if dim == 2 else 32 * 64
+        assert prof.r.shape[0] >= (2048 if dim == 2 else 512) * directions
 
 def test_profile_from_callable():
     grid = np.linspace(0.0, 2.0, 33)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -261,6 +262,27 @@ class TestComparison:
                                 lambda pts: np.full(pts.shape[0], 2.5), 1)
         interior = res.radii < 0.95 * res.radii[-1]
         assert np.min(res.margins[interior]) > 1e-3
+
+    def test_reads_the_ray_restriction(self):
+        # the S_k check takes the field jets from the polar rule's ray
+        # restriction; the pointwise oracles are never evaluated
+        def boom(pts):
+            raise AssertionError("pointwise oracle evaluated")
+
+        norm = regularized_p_norm(2, 3.0)
+        u = perturbed_radial(norm)
+        table = LevelTable(norm, u, 40, 256)
+        blind = LevelTable(norm, dataclasses.replace(
+            u, jets_fn=boom, values_fn=boom), 40, 256)
+
+        def source(pts):
+            return np.full(pts.shape[0], 4.0)
+
+        want = comparison_margin(table, source, 1)
+        got = comparison_margin(blind, source, 1)
+        assert np.array_equal(got.radii, want.radii)
+        assert np.array_equal(got.margins, want.margins)
+        assert got.min_margin == want.min_margin
 
     def test_precondition_violation_raises(self):
         norm = euclidean_norm(2)
