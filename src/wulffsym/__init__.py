@@ -33,6 +33,7 @@ from .fields import (  # noqa: F401
     radial_power,
 )
 from .field_ops import (  # noqa: F401
+    PolarTable,
     aniso_hessian,
     generalized_integral,
     hessian_integral,
@@ -62,6 +63,7 @@ from .symmetrize import (  # noqa: F401
     ps_margin,
     ps_margin_p,
     sobolev_constant,
+    sobolev_exponent,
     sobolev_margin,
     symmetrand,
     zeta_profile,

@@ -214,7 +214,10 @@ def _dual_numeric(norm: Norm, omega):
         v, g, h = eval_jet(norm, xi)
         r1 = lam[:, None] * g - omega
         res = np.maximum(np.max(np.abs(r1), axis=-1), np.abs(v - 1.0))
-        live = res > _DUAL_TOL
+        # the starting guess can meet the tolerance with its tiny
+        # components only as accurate as the guess: one Newton step always
+        # takes the residual to rounding
+        live = (res > _DUAL_TOL) | (it == 0)
         if not np.any(live) or it == _DUAL_ITERS:
             break
         jac = np.zeros((omega.shape[0], n + 1, n + 1))

@@ -22,7 +22,11 @@ A config is a single JSON document (unknown keys are rejected):
 
 ``grids.volume_panels`` is the direction count (longitudes in 3D) of the
 polar rule behind the volume integrals: the direct Hessian energies and
-the L^p norms. Unset, it is 2048 in 2D and 256 in 3D.
+the L^p norms; ``grids.rays`` that of the generalized energies and the
+comparison check. Unset, each is 2048 in 2D and 256 in 3D. Each polar
+rule is built once per experiment, and one pass over its nodes gives
+every value identities, symmetrize, polya_szego, compare and sobolev
+read from it (field_ops.PolarTable).
 
 Exit status: 0 when every verdict passes, 1 when any check fails or a
 task raises a wulffsym error (recorded as a "task error (<class>)" row),
@@ -61,10 +65,10 @@ from .errors import (
     NumericError,
 )
 from .field_ops import (
+    PolarTable,
     aniso_hessian_batch,
     curvature_batch,
-    generalized_integral,
-    hessian_integral,
+    default_rays,
     hessian_integral_coarea,
     newton_curvatures,
     sk_field_batch,
@@ -80,12 +84,14 @@ from .invariants import (
     sk_stack,
 )
 from .parallel import ENV_VAR, thread_count
+from .radial import rearrangement_grid
 from .symmetrize import (
     comparison_margin,
     lp_compare,
     ps_margin,
     ps_margin_p,
     sobolev_constant,
+    sobolev_exponent,
     sobolev_margin,
     symmetrand,
 )
@@ -251,7 +257,7 @@ def _sample_interior(norm, u, count, seed):
     return pts[keep][:count]
 
 
-def _task_identities(cfg, norm, u, level_table):
+def _task_identities(cfg, norm, u, level_table, polar):
     rows = []
     pts = _sample_interior(norm, u, 100, cfg.seed)
     _, grads, hesses = u.jets(pts)
@@ -275,9 +281,11 @@ def _task_identities(cfg, norm, u, level_table):
         rows.append(_row("identities", "operator decomposition residual",
                          spread, 0.0, 1e-9, spread <= 1e-9, k=k))
     for k in cfg.orders:
-        direct = hessian_integral(norm, u, k,
-                                  cfg.grids.get("volume_panels"))
-        coarea = hessian_integral_coarea(level_table(), k)
+        # the level family before the polar table: sampling allocates the
+        # most, and the polar pass then reuses the memory it freed
+        table = level_table()
+        direct = polar("volume_panels")[("hessian", k)]
+        coarea = hessian_integral_coarea(table, k)
         spread = abs(direct - coarea) / (1.0 + abs(direct))
         rows.append(_row("identities", "coarea vs direct energy",
                          coarea, direct, 1e-3, spread <= 1e-3, k=k))
@@ -331,7 +339,7 @@ def _task_af(cfg, norm, u, level_table):
     return rows
 
 
-def _task_symmetrize(cfg, norm, u, level_table, out_dir):
+def _task_symmetrize(cfg, norm, u, level_table, polar, out_dir):
     rows = []
     table = level_table()
     for k in cfg.orders:
@@ -340,10 +348,11 @@ def _task_symmetrize(cfg, norm, u, level_table, out_dir):
             sym.rho(sym.zeta.values) - sym.zeta.r)))
         rows.append(_row("symmetrize", "profile node consistency",
                          node_err, 0.0, 1e-6, node_err <= 1e-6, k=k))
-        lhs, rhs = lp_compare(table, k, 2.0, cfg.grids.get("volume_panels"))
+        lhs, rhs = lp_compare(table, k, 2.0,
+                              polar("volume_panels")[("lp", 2.0)])
         rows.append(_margin_row("symmetrize", "L2 monotonicity", rhs, lhs,
                                 1e-4, k=k, p=2.0))
-        linf_l, linf_r = lp_compare(table, k, math.inf)
+        linf_l, linf_r = lp_compare(table, k, math.inf, abs(u.min_value))
         rows.append(_row("symmetrize", "Linf equality", linf_l, linf_r,
                          1e-12, abs(linf_l - linf_r) <= 1e-12, k=k))
         if out_dir is not None:
@@ -354,23 +363,24 @@ def _task_symmetrize(cfg, norm, u, level_table, out_dir):
     return rows
 
 
-def _task_polya_szego(cfg, norm, u, level_table, energy):
+def _task_polya_szego(cfg, norm, u, level_table, polar):
     rows = []
     table = level_table()
     for k in cfg.orders:
-        res = ps_margin(table, k, cfg.grids.get("volume_panels"))
+        res = ps_margin(table, k, polar("volume_panels")[("hessian", k)])
         tol = 1e-4 * (1.0 + abs(res.lhs))
         rows.append(_margin_row("polya_szego", "hessian energy drop",
                                 res.lhs, res.rhs, tol, k=k))
         for p in cfg.exponents:
-            resp = ps_margin_p(table, k, p, energy(k, p))
+            resp = ps_margin_p(table, k, p,
+                               polar("rays")[("generalized", k, p)])
             tol = 1e-4 * (1.0 + abs(resp.lhs))
             rows.append(_margin_row("polya_szego", "generalized energy drop",
                                     resp.lhs, resp.rhs, tol, k=k, p=p))
     return rows
 
 
-def _task_compare(cfg, norm, u, level_table):
+def _task_compare(cfg, norm, u, level_table, polar, rearrangement):
     rows = []
     table = level_table()
     for k in cfg.orders:
@@ -380,28 +390,51 @@ def _task_compare(cfg, norm, u, level_table):
             source = float(np.max(sk_field_batch(norm, u, pts, k))) * 1.05
         res = comparison_margin(
             table, lambda pts, c=float(source): np.full(pts.shape[0], c), k,
-            solver_nodes=cfg.grid("radial_nodes", 4096))
+            solver_nodes=cfg.grid("radial_nodes", 4096),
+            polar=polar("rays"), grid=rearrangement())
         rows.append(_row("compare", f"radial domination (f={source:.6g})",
                          res.min_margin, 0.0, 1e-4,
                          res.min_margin >= -1e-4, k=k))
     return rows
 
 
-def _task_sobolev(cfg, norm, u, energy):
+def _task_sobolev(cfg, norm, u, polar):
     rows = []
-    n = u.dim
-    for k in cfg.orders:
-        for p in (cfg.exponents or [1.0]):
-            if p >= n - k + 1:
-                continue
-            c = sobolev_constant(norm, k, p)
-            res = sobolev_margin(norm, u, k, p, energy(k, p),
-                                 cfg.grids.get("volume_panels"))
-            tol = 1e-4 * (1.0 + res.constant * res.energy)
-            rows.append(_margin_row(
-                "sobolev", f"embedding slack (C={c:.8g})",
-                res.constant * res.energy, res.norm_power, tol, k=k, p=p))
+    for k, p in _sobolev_cases(cfg, u.dim):
+        c = sobolev_constant(norm, k, p)
+        q = sobolev_exponent(u.dim, k, p)
+        res = sobolev_margin(norm, k, p, polar("rays")[("generalized", k, p)],
+                             polar("volume_panels")[("lp", q)])
+        tol = 1e-4 * (1.0 + res.constant * res.energy)
+        rows.append(_margin_row(
+            "sobolev", f"embedding slack (C={c:.8g})",
+            res.constant * res.energy, res.norm_power, tol, k=k, p=p))
     return rows
+
+
+def _sobolev_cases(cfg, n):
+    """The (k, p) of the sobolev rows: below the borderline p = n-k+1."""
+    return [(k, p) for k in cfg.orders for p in (cfg.exponents or [1.0])
+            if p < n - k + 1]
+
+
+def _polar_requests(cfg, n):
+    """(grid key, field_ops.PolarTable request) of every value the tasks
+    read from the polar rules of volume_panels and rays."""
+    tasks, ks = set(cfg.tasks), cfg.orders
+    out = [("volume_panels", ("lp", 2.0))] if "symmetrize" in tasks else []
+    if tasks & {"identities", "polya_szego"}:
+        out += [("volume_panels", ("hessian", k)) for k in ks]
+    if "polya_szego" in tasks:
+        out += [("rays", ("generalized", k, p)) for k in ks
+                for p in cfg.exponents]
+    if "compare" in tasks:
+        out += [("rays", ("sk", k)) for k in ks]
+    if "sobolev" in tasks:
+        for k, p in _sobolev_cases(cfg, n):
+            out += [("rays", ("generalized", k, p)),
+                    ("volume_panels", ("lp", sobolev_exponent(n, k, p)))]
+    return out
 
 
 # ------------------------------------------------------------- reports
@@ -444,25 +477,33 @@ def run(cfg: ExperimentConfig) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
     report = {"version": __version__, "config": _config_echo(cfg),
               "tasks": {}, "passed": True}
-    # one sampled level family per experiment, built by the first task
-    # that reads it
+    # one sampled level family, one polar table per distinct polar rule
+    # and one rearrangement grid per experiment, each built by the first
+    # task that reads it
     level_table = functools.cache(lambda: LevelTable(
         norm, u, cfg.grid("levels", 200), cfg.grids.get("rays")))
-    # and one generalized energy per (k, p), shared by polya_szego and
-    # sobolev
-    energy = functools.cache(lambda k, p: generalized_integral(
-        norm, u, k, p, rays=cfg.grids.get("rays")))
+    rules = {key: cfg.grid(key, default_rays(u.dim))
+             for key in ("volume_panels", "rays")}
+    tables = functools.cache(lambda count: PolarTable(norm, u, count, [
+        q for key, q in _polar_requests(cfg, u.dim) if rules[key] == count]))
+
+    def polar(key):
+        return tables(rules[key])
+
+    rearrangement = functools.cache(lambda: rearrangement_grid(u))
     runners = {
         "invariants": lambda: _task_invariants(cfg, norm, u),
-        "identities": lambda: _task_identities(cfg, norm, u, level_table),
+        "identities": lambda: _task_identities(cfg, norm, u, level_table,
+                                               polar),
         "mixedvol": lambda: _task_mixedvol(cfg, norm, u),
         "af": lambda: _task_af(cfg, norm, u, level_table),
         "symmetrize": lambda: _task_symmetrize(cfg, norm, u, level_table,
-                                               out_dir),
+                                               polar, out_dir),
         "polya_szego": lambda: _task_polya_szego(cfg, norm, u, level_table,
-                                                 energy),
-        "compare": lambda: _task_compare(cfg, norm, u, level_table),
-        "sobolev": lambda: _task_sobolev(cfg, norm, u, energy),
+                                                 polar),
+        "compare": lambda: _task_compare(cfg, norm, u, level_table, polar,
+                                         rearrangement),
+        "sobolev": lambda: _task_sobolev(cfg, norm, u, polar),
     }
     for task in cfg.tasks:
         try:

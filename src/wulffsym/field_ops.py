@@ -10,22 +10,28 @@ k-Hessian operator; S_k of (F_{il} u_{lj}) evaluated on a level set is the
 k-th anisotropic mean curvature of that level set (curvature_batch; its
 Newton-transform form, newton_curvatures, is only a cross-check). Energy
 integrals over {u < 0} are taken on the polar rule of the rays module
-(Gauss nodes on rays from the anchor to the exactly solved boundary), whose
-integrands receive the field jets at the nodes from the field's ray
-restriction, or through the coarea decomposition over sampled level sets.
+(Gauss nodes on rays from the anchor to the exactly solved boundary), or
+through the coarea decomposition over sampled level sets. A PolarTable
+takes every integral asked of one rule in one pass over its nodes, from
+the field jets of the field's ray restriction; hessian_integral,
+generalized_integral and lp_norm are tables of one request.
 """
+
+import functools
+import math
 
 import numpy as np
 
 from .anisotropy import Norm, eval_jet, half_sq_hessian
 from .errors import DegenerateLevelError, DomainError, NumericError
 from .fields import Field, FieldJet
-from .invariants import newton_stack, sk as sk_matrix, sk_stack
+from .invariants import _check_order, newton_stack, sk as sk_matrix, sk_stack
 from .quad import trapezoid
 # polar_grid and polar_integral are re-exported: the benchmark tracer and
 # the tests reach them here
 from .rays import (  # noqa: F401
     _DirectionGrid,
+    _polar_rule,
     boundary_radii,
     default_rays,
     polar_grid,
@@ -33,6 +39,8 @@ from .rays import (  # noqa: F401
 )
 
 _GRAD_FLOOR = 1e-150
+# the generalized integrands vanish with grad u below this squared size
+_GENERALIZED_FLOOR = 1e-28
 
 
 def aniso_hessian(norm: Norm, jet: FieldJet) -> np.ndarray:
@@ -42,24 +50,25 @@ def aniso_hessian(norm: Norm, jet: FieldJet) -> np.ndarray:
     return aniso_hessian_batch(norm, g[None, :], h[None, :, :])[0]
 
 
-def aniso_hessian_batch(norm: Norm, grads, hesses, jet=None):
-    """Anisotropic Hessian matrices of stacked gradients and Hessians.
+def aniso_hessian_batch(norm: Norm, grads, hesses):
+    """Anisotropic Hessian matrices of stacked gradients and Hessians."""
+    return _aniso_jet(norm, np.asarray(grads, dtype=float),
+                      np.array(hesses, dtype=float))[0]
 
-    ``jet`` is eval_jet(norm, grads) when the caller already has it; every
-    gradient must then be nonzero.
-    """
-    grads = np.asarray(grads, dtype=float)
-    hesses = np.asarray(hesses, dtype=float)
-    if norm.family == "euclidean":
-        return hesses.copy()
-    if jet is not None:
-        return half_sq_hessian(*jet) @ hesses
+
+def _aniso_jet(norm: Norm, grads, hesses, need_jet: bool = False):
+    """(A, live, jet): the anisotropic Hessians (``hesses`` itself for the
+    euclidean norm), the mask of the gradients above the floor, and
+    eval_jet there (None for euclidean A without need_jet)."""
     live = np.sum(grads * grads, axis=-1) > _GRAD_FLOOR
-    out = np.zeros_like(hesses)
-    if np.any(live):
+    jet = None
+    if need_jet or norm.family != "euclidean":
         jet = eval_jet(norm, grads[live])
-        out[live] = half_sq_hessian(*jet) @ hesses[live]
-    return out
+    if norm.family == "euclidean":
+        return hesses, live, jet
+    out = np.zeros_like(hesses)
+    out[live] = half_sq_hessian(*jet) @ hesses[live]
+    return out, live, jet
 
 
 def sk_field(norm: Norm, u: Field, x, k: int) -> float:
@@ -112,6 +121,109 @@ def newton_curvatures(norm: Norm, grads, hesses):
     return pair / fv ** np.arange(1, n + 1)[:, None]
 
 
+class PolarTable:
+    """Every domain integral asked of one polar rule, from one pass.
+
+    The twin of bodies.LevelTable: built once from (norm, field, rays,
+    requests), it solves the polar rule at ``rays`` directions (None means
+    default_rays) and walks its nodes once through polar_integral, with one
+    norm jet and one anisotropic Hessian A per block for every request:
+    ("hessian", k), the integral of (-u) S_k(A); ("generalized", k, p),
+    that of sum_ij S_k^{ij} F^{p-k} F_i u_j = F^{p-k} z_k . grad u with
+    z_1 = grad F and z_j = S_{j-1}(A) grad F - A z_{j-1} = T_j^T grad F;
+    ("lp", p), the L^p norm of u, from values only when every request is
+    one; ("sk", k), S_k(A) at the nodes ``points``. table[request] reads a
+    value; an invalid request, or one whose integrand is not finite, raises
+    when it is read, so it fails only its reader.
+    """
+
+    def __init__(self, norm: Norm, u: Field, rays: int | None = None,
+                 requests=()):
+        self.norm, self.field = norm, u
+        self.requests = list(dict.fromkeys(requests))
+        self._errors = {}
+        for req in self.requests:
+            try:
+                _check_request(req, u.dim)
+            except DomainError as exc:
+                self._errors[req] = exc
+        live = [q for q in self.requests if q not in self._errors]
+        nodes = {q[1]: [] for q in live if q[0] == "sk"}
+        sums = [q for q in live if q[0] != "sk"]
+        rule = _polar_rule(u, rays)
+        totals = polar_integral(
+            lambda *jets: self._integrands(sums, nodes, *jets), rule,
+            all(q[0] == "lp" for q in live))
+        grid, _, r, _ = rule
+        # the nodes of the "sk" values, shape (nodes, directions, n)
+        self.points = (u.anchor + r[..., None] * grid.omega if nodes
+                       else None)
+        self._values = {("sk", k): np.concatenate(blocks)
+                        for k, blocks in nodes.items()}
+        for q, total in zip(sums, totals):
+            if not math.isfinite(total):
+                self._errors[q] = NumericError(
+                    "non-finite integrand in polar quadrature")
+            elif q[0] == "lp":
+                self._values[q] = float(total) ** (1.0 / q[1])
+            else:
+                self._values[q] = float(total)
+
+    def __getitem__(self, request):
+        if request in self._errors:
+            raise self._errors[request].with_traceback(None)
+        return self._values[request]
+
+    def _integrands(self, sums, nodes, vals, grads, hesses):
+        """The values of the ``sums`` integrands on one block; the S_k of
+        the "sk" requests are appended to ``nodes``."""
+        gen = [q for q in sums if q[0] == "generalized"]
+        if grads is not None:
+            a, live, jet = _aniso_jet(self.norm, grads, hesses, bool(gen))
+            sk = functools.cache(lambda k: sk_stack(a, k))
+            for k, blocks in nodes.items():
+                blocks.append(sk(k))
+        if gen:
+            strong = np.sum(grads * grads, axis=-1) > _GENERALIZED_FLOOR
+            g = grads[strong]
+            fv, fg = jet[0][strong[live]], jet[1][strong[live]]
+            z = [fg]
+            kmax = max(q[1] for q in gen)
+            # A is read only from order 2 on
+            a_strong = a[strong] if kmax > 1 else None
+            for j in range(1, kmax):
+                z.append(sk(j)[strong][:, None] * fg
+                         - np.einsum("mij,mj->mi", a_strong, z[-1]))
+        out = []
+        for q in sums:
+            if q[0] == "hessian":
+                out.append(-vals * sk(q[1]))
+            elif q[0] == "lp":
+                out.append(np.maximum(-vals, 0.0) ** q[1])
+            else:
+                _, k, p = q
+                out.append(np.zeros(vals.shape))
+                out[-1][strong] = fv ** (p - k) * np.sum(z[k - 1] * g,
+                                                         axis=-1)
+        return out
+
+
+def _check_request(req, n: int):
+    """Raise the DomainError of an invalid PolarTable request."""
+    kind, *args = req
+    if kind == "lp":
+        if args[0] < 1.0:
+            raise DomainError("p must be >= 1")
+    elif kind == "generalized":
+        if args[1] < 1.0:
+            raise DomainError("exponent p must be >= 1")
+        _check_order(args[0], n, lo=1)
+    elif kind in ("hessian", "sk"):
+        _check_order(args[0], n)
+    else:
+        raise ValueError(f"unknown polar request {req!r}")
+
+
 def hessian_integral(norm: Norm, u: Field, k: int,
                      panels: int | None = None) -> float:
     """Energy integral of (-u) times S_k of the anisotropic Hessian.
@@ -119,43 +231,18 @@ def hessian_integral(norm: Norm, u: Field, k: int,
     ``panels`` is the direction count of the polar rule (longitudes in
     3D); None means default_rays.
     """
-
-    def integrand(vals, grads, hesses):
-        return -vals * sk_stack(aniso_hessian_batch(norm, grads, hesses), k)
-
-    return polar_integral(u, integrand, rays=panels)
+    return PolarTable(norm, u, panels, [("hessian", k)])[("hessian", k)]
 
 
 def generalized_integral(norm: Norm, u: Field, k: int, p: float,
                          rays: int | None = None) -> float:
-    """Integral of sum_ij S_k^{ij} F^{p-k} F_i u_j over the domain.
+    """Integral of sum_ij S_k^{ij} F^{p-k} F_i u_j over the domain, p >= 1.
 
     Reduces to k times the Hessian integral at p = k + 1 and to the
-    F-Dirichlet energy of exponent p at k = 1. At each node the anisotropic
-    Hessian A is built from one norm jet, and sum_ij S_k^{ij} F_i u_j is
-    z_k . grad u with z_1 = grad F, z_j = S_{j-1}(A) grad F - A z_{j-1}
-    (z_j is the Newton transformation T_j^T applied to grad F).
+    F-Dirichlet energy of exponent p at k = 1; see PolarTable.
     """
-    if p < 1.0:
-        raise DomainError("exponent p must be >= 1")
-
-    def integrand(vals, grads, hesses):
-        gn2 = np.sum(grads * grads, axis=-1)
-        live = gn2 > 1e-28
-        out = np.zeros(gn2.shape)
-        if np.any(live):
-            g, h = grads[live], hesses[live]
-            jet = eval_jet(norm, g)
-            fv, fg, _ = jet
-            a = aniso_hessian_batch(norm, g, h, jet)
-            z = fg
-            for j in range(1, k):
-                z = (sk_stack(a, j)[:, None] * fg
-                     - np.einsum("mij,mj->mi", a, z))
-            out[live] = fv ** (p - k) * np.sum(z * g, axis=-1)
-        return out
-
-    return polar_integral(u, integrand, rays=rays)
+    req = ("generalized", k, p)
+    return PolarTable(norm, u, rays, [req])[req]
 
 
 def level_grid(u: Field, count: int = 200) -> np.ndarray:
@@ -202,14 +289,7 @@ def lp_norm(u: Field, p: float, panels: int | None = None) -> float:
     ``panels`` is the direction count of the polar rule, as in
     hessian_integral.
     """
-    if p < 1.0:
-        raise DomainError("p must be >= 1")
-
-    def integrand(vals, grads, hesses):
-        return np.maximum(-vals, 0.0) ** p
-
-    return polar_integral(u, integrand, rays=panels,
-                          values_only=True) ** (1.0 / p)
+    return PolarTable(None, u, panels, [("lp", p)])[("lp", p)]
 
 
 def domain_volume(u: Field, panels: int | None = None) -> float:

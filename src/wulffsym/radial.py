@@ -202,25 +202,38 @@ def solve_radial(f_star: MonotoneProfile, outer_radius: float, n: int, k: int,
                            {"vpp": vpp, "clipped": clipped})
 
 
-def rearrange(f, u: Field, kappa_n: float) -> MonotoneProfile:
-    """Radially decreasing rearrangement of a density over {u < 0}.
+def rearrangement_grid(u: Field):
+    """The polar grid (points, weights) that rearrange samples densities on.
 
-    Samples f on the boundary-fitted polar quadrature grid of the domain,
-    sorts by value (stable, descending), and matches cumulative volumes:
-    the profile value at radius (V/kappa_n)^{1/n} is the density at
-    cumulative volume V. The radial node count bounds the value
-    resolution (the profile is a staircase for radial densities), so it
-    is kept much finer than the angular one: 43 panels of 48 Gauss nodes
-    per ray in 2D (2,064 nodes), 11 in 3D (528).
+    The radial node count bounds the value resolution (the profile is a
+    staircase for radial densities), so it is kept much finer than the
+    angular one: 43 panels of 48 Gauss nodes per ray in 2D (2,064 nodes,
+    256 rays), 11 in 3D (528, 64 longitudes).
     """
     rays, panels = (256, 43) if u.dim == 2 else (64, 11)
-    pts, w = polar_grid(u, rays=rays, panels=panels)
+    return polar_grid(u, rays=rays, panels=panels)
+
+
+def rearrange(f, u: Field, kappa_n: float, grid=None) -> MonotoneProfile:
+    """Radially decreasing rearrangement of a density over {u < 0}.
+
+    Samples f on ``grid``, by default rearrangement_grid(u), sorts by value
+    (stable, descending), and matches cumulative volumes: the profile
+    value at radius (V/kappa_n)^{1/n} is the density at cumulative volume
+    V. Where node weights fall below the rounding of the running volume
+    (near the anchor in 3D), runs of equal radii keep their last node.
+    """
+    pts, w = rearrangement_grid(u) if grid is None else grid
     fv = np.asarray(f(pts), dtype=float)
     if np.any(fv < -1e-12):
         raise InputError("rearrangement needs a nonnegative density")
     fv = np.maximum(fv, 0.0)
     order = np.argsort(-fv, kind="stable")
+    fv = fv[order]
     vols = np.cumsum(w[order])
     radii = (vols / kappa_n) ** (1.0 / u.dim)
-    return MonotoneProfile(radii, fv[order], "decreasing",
+    last = np.append(np.diff(radii) > 0.0, True)
+    if not np.all(last):
+        radii, fv = radii[last], fv[last]
+    return MonotoneProfile(radii, fv, "decreasing",
                            meta={"total_volume": float(vols[-1])})

@@ -11,19 +11,22 @@ bracket from the anchor to the bounding-box exit (a Newton step that
 leaves the bracket or fails to halve the previous step is replaced by a
 bisection step). The roots at level 0 are the boundary radii. The polar
 rule cuts each ray from the anchor to its boundary radius into equal
-panels of the one cached 48-node Gauss rule; every domain integral uses
-it with one panel, the rearrangement with many. polar_nodes hands out
-the field jets (u, grad u, hess u) at the nodes from the restriction, at
-most _CHUNK nodes at a time. Arguments named u are fields.Field
-instances; the module does not import fields, so anisotropy can
-integrate Wulff-ball volumes on the same grids.
+panels of the one cached 48-node Gauss rule; the domain integrals use it
+with one panel, the rearrangement grid with many. polar_integral walks a
+rule once, at most _CHUNK nodes at a time, hands the field jets
+(u, grad u, hess u) at the nodes from the restriction to an integrand
+that returns a stack of quantities, and sums each of them; the polar
+table of field_ops asks it for every domain integral of one rule at
+once. Arguments named u are fields.Field instances; the module does not
+import fields, so anisotropy can integrate Wulff-ball volumes on the
+same grids.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .quad import chunked, legendre_rule
 
 _NEWTON_ITERS = 100
@@ -182,38 +185,25 @@ def polar_grid(u, rays: int | None = None, panels: int = 1):
     return pts.reshape(-1, u.dim), w.T.reshape(-1)
 
 
-def polar_nodes(u, rays: int | None = None, values_only: bool = False):
-    """The one-panel polar rule in blocks of at most _CHUNK nodes.
+def polar_integral(integrand, rule, values_only: bool = False) -> list:
+    """Integrals over {u < 0} of a stack of integrands on a polar rule.
 
-    Yields (radii, omega, jets, weights) node-major for the nodes
-    anchor + radii[..., None] * omega: radii and weights of shape
-    (nodes, directions), and the field jets (u, grad u, hess u) from the
-    ray restriction that also solved the boundary radii. ``values_only``
-    evaluates values only (gradient and Hessian None).
+    ``rule`` is _polar_rule(u, rays). The integrand receives the field
+    jets (u, grad u, hess u) of one block of at most _CHUNK nodes from the
+    rule's ray restriction, arrays of shape (nodes, directions), (..., n)
+    and (..., n, n) (gradient and Hessian None with ``values_only``), and
+    returns a sequence of q integrand values of shape (nodes, directions).
+    Returns the q integrals, each summed block by block; nan marks an
+    integrand that is not finite somewhere. The nodes end exactly on the
+    boundary, so integrands that do not vanish there, or that are smooth
+    only inside the domain, keep the Gauss rule's accuracy along every ray.
     """
-    grid, restriction, r, w = _polar_rule(u, rays)
+    grid, restriction, r, w = rule
+    blocks = []
     for lo, hi in chunked(r.shape[0], max(1, _CHUNK // grid.count)):
         s = r[lo:hi]
         jets = ((restriction.along(s)[0], None, None) if values_only
                 else restriction.jets(s))
-        yield s, grid.omega, jets, w[lo:hi]
-
-
-def polar_integral(u, integrand, rays: int | None = None,
-                   values_only: bool = False) -> float:
-    """Integral over {u < 0} of integrand(u, grad u, hess u) on the polar rule.
-
-    The integrand receives the field jets of one polar_nodes block, arrays
-    of shape (nodes, directions), (..., n) and (..., n, n), and returns
-    the integrand values of shape (nodes, directions); ``values_only`` is
-    passed on to polar_nodes. The nodes end exactly on the boundary, so
-    integrands that do not vanish there, or that are smooth only inside
-    the domain, keep the Gauss rule's accuracy along every ray.
-    """
-    total = []
-    for _, _, jets, w in polar_nodes(u, rays, values_only):
-        vals = integrand(*jets)
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("non-finite integrand in polar quadrature")
-        total.append(float(np.sum(vals * w)))
-    return float(np.sum(total))
+        blocks.append([float(np.sum(v * w[lo:hi])) if np.all(np.isfinite(v))
+                       else math.nan for v in integrand(*jets)])
+    return [float(np.sum(sums)) for sums in zip(*blocks)]

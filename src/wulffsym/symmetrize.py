@@ -16,7 +16,9 @@ harnesses quantify, at desk scale, that this symmetrization
 Every harness except the Sobolev one reads a bodies.LevelTable: the mean
 radii and coarea integrands of one sampled family of level sets. Build
 the table once per (norm, field, level grid, rays) and pass it to each
-harness and order that needs it.
+harness and order that needs it. The domain integrals of the field (its
+energies and L^p norms) are arguments, read from a field_ops.PolarTable
+or its one-request wrappers.
 """
 
 import math
@@ -27,14 +29,7 @@ import numpy as np
 from .anisotropy import Norm, wulff_volume
 from .bodies import LevelTable
 from .errors import DomainError, InputError, ModelError, NumericError
-from .field_ops import (
-    aniso_hessian_batch,
-    hessian_integral,
-    hessian_integral_coarea,
-    lp_norm,
-)
-from .fields import Field
-from .invariants import sk_stack
+from .field_ops import PolarTable, hessian_integral_coarea
 from .quad import panel_cumulative
 from .radial import (
     MonotoneProfile,
@@ -43,7 +38,6 @@ from .radial import (
     rearrange,
     solve_radial,
 )
-from .rays import polar_nodes
 
 _ZETA_SLACK = 1e-8
 
@@ -158,17 +152,16 @@ def _invert_zeta(zeta: MonotoneProfile, min_value: float,
                                 diagnostics=dict(zeta.meta))
 
 
-def ps_margin(table: LevelTable, k: int,
-              panels: int | None = None) -> PsMarginResult:
+def ps_margin(table: LevelTable, k: int, lhs: float) -> PsMarginResult:
     """Hessian-energy drop under symmetrization; margin must be >= 0.
 
-    The left side is the direct volume quadrature, cross-checked against
-    the coarea form computed from the same level table; the right side is
-    the closed radial energy of the symmetrand profile.
+    The left side ``lhs`` is the direct volume quadrature
+    hessian_integral(norm, u, k), cross-checked against the coarea form
+    computed from the same level table; the right side is the closed
+    radial energy of the symmetrand profile.
     """
     norm, u = table.norm, table.field
     sym = symmetrand(table, k)
-    lhs = hessian_integral(norm, u, k, panels)
     lhs_coarea = hessian_integral_coarea(table, k)
     spread = abs(lhs - lhs_coarea) / (1.0 + abs(lhs))
     if spread > 5e-3:
@@ -193,19 +186,18 @@ def ps_margin_p(table: LevelTable, k: int, p: float,
     return PsMarginResult(energy, rhs, energy - rhs, None, sym)
 
 
-def lp_compare(table: LevelTable, k: int, p: float,
-               panels: int | None = None):
+def lp_compare(table: LevelTable, k: int, p: float, lhs: float):
     """(||u||_p, ||u*||_p); symmetrization does not decrease L^p norms.
 
-    p = inf compares the minima, which agree exactly.
+    ``lhs`` is ||u||_p, lp_norm(u, p); p = inf compares the minima, which
+    agree exactly (``lhs`` is then |min u|).
     """
     u = table.field
     sym = symmetrand(table, k)
     if p == math.inf:
-        return abs(u.min_value), abs(float(sym.rho(0.0)))
+        return lhs, abs(float(sym.rho(0.0)))
     if p < 1.0:
         raise DomainError("p must be >= 1 (or inf)")
-    lhs = lp_norm(u, p, panels)
     kappa = wulff_volume(table.norm)
     n = u.dim
     rho = sym.rho
@@ -217,7 +209,9 @@ def lp_compare(table: LevelTable, k: int, p: float,
 
 
 def comparison_margin(table: LevelTable, f, k: int,
-                      solver_nodes: int = 4096) -> ComparisonResult:
+                      solver_nodes: int = 4096,
+                      polar: PolarTable | None = None,
+                      grid=None) -> ComparisonResult:
     """Pointwise gap between the symmetrand and the radial solution.
 
     Requires S_k[u] <= f on a verification grid, the nodes of the polar
@@ -225,14 +219,15 @@ def comparison_margin(table: LevelTable, f, k: int,
     (violations raise with the worst point); then u*_{k-1} dominates the
     radial solution of S_k[v] = f* on the Wulff ball with matching mixed
     volume, and the returned margin profile rho - v must be nonnegative.
+    ``polar`` is a PolarTable of that rule holding ("sk", k), and ``grid``
+    the rearrangement grid of f (radial.rearrangement_grid); either is
+    built here when not given.
     """
     norm, u = table.norm, table.field
-    pts, sk_vals = [], []
-    for s, omega, (_, grads, hesses), _ in polar_nodes(u, rays=table.rays):
-        pts.append((u.anchor + s[..., None] * omega).reshape(-1, u.dim))
-        sk_vals.append(sk_stack(aniso_hessian_batch(norm, grads, hesses),
-                                k).reshape(-1))
-    pts, sk_vals = np.concatenate(pts), np.concatenate(sk_vals)
+    if polar is None:
+        polar = PolarTable(norm, u, table.rays, [("sk", k)])
+    pts = polar.points.reshape(-1, u.dim)
+    sk_vals = polar[("sk", k)].reshape(-1)
     f_vals = np.asarray(f(pts), dtype=float)
     slack = 1e-9 * (1.0 + np.abs(f_vals))
     bad = sk_vals > f_vals + slack
@@ -244,7 +239,7 @@ def comparison_margin(table: LevelTable, f, k: int,
             f"{f_vals[worst]:.6g}")
     sym = symmetrand(table, k)
     kappa = wulff_volume(norm)
-    f_star = rearrange(f, u, kappa)
+    f_star = rearrange(f, u, kappa, grid)
     v = solve_radial(f_star, sym.outer_radius, u.dim, k, nodes=solver_nodes)
     margins = sym.rho(v.r) - v.values
     return ComparisonResult(v.r, margins, float(np.min(margins)))
@@ -274,15 +269,19 @@ def sobolev_constant(norm: Norm, k: int, p: float) -> float:
     return lead / (k * math.comb(n, k)) * gammas ** (s / n)
 
 
-def sobolev_margin(norm: Norm, u: Field, k: int, p: float, energy: float,
-                   panels: int | None = None) -> SobolevMarginResult:
+def sobolev_exponent(n: int, k: int, p: float) -> float:
+    """The exponent q = np/(n-k+1-p) of the sharp Sobolev inequality."""
+    return n * p / (n - k + 1.0 - p)
+
+
+def sobolev_margin(norm: Norm, k: int, p: float, energy: float,
+                   lq: float) -> SobolevMarginResult:
     """Slack C * I_{k,p}[u] - ||u||_q^p of the sharp Sobolev inequality.
 
-    ``energy`` is I_{k,p}[u] = generalized_integral(norm, u, k, p).
+    ``energy`` is I_{k,p}[u] = generalized_integral(norm, u, k, p) and
+    ``lq`` is ||u||_q = lp_norm(u, sobolev_exponent(n, k, p)).
     """
-    n = u.dim
     c = sobolev_constant(norm, k, p)
-    q = n * p / (n - k + 1.0 - p)
-    norm_power = lp_norm(u, q, panels) ** p
+    norm_power = lq ** p
     return SobolevMarginResult(c, energy, norm_power,
                                c * energy - norm_power)

@@ -25,6 +25,7 @@ from wulffsym.field_ops import (
     generalized_integral,
     hessian_integral,
     hessian_integral_coarea,
+    lp_norm,
     newton_curvatures,
 )
 from wulffsym.fields import perturbed_radial, quadratic_ellipsoid, radial_power
@@ -40,6 +41,7 @@ from wulffsym.symmetrize import (
     lp_compare,
     ps_margin,
     sobolev_constant,
+    sobolev_exponent,
     sobolev_margin,
 )
 
@@ -246,7 +248,8 @@ def test_criterion_05_aleksandrov_fenchel():
 def test_criterion_06_polya_szego():
     e2 = euclidean_norm(2)
     ellipse = quadratic_ellipsoid(2, axes=[2.0, 1.0])
-    res = ps_margin(LevelTable(e2, ellipse), 1)
+    res = ps_margin(LevelTable(e2, ellipse), 1,
+                    hessian_integral(e2, ellipse, 1))
     head_ok = (abs(res.lhs - 5 * math.pi / 8) <= 0.01 * 5 * math.pi / 8
                and abs(res.rhs - math.pi / 2) <= 0.01 * math.pi / 2
                and abs(res.margin - math.pi / 8) <= 0.01 * math.pi / 8)
@@ -254,7 +257,8 @@ def test_criterion_06_polya_szego():
     worst_margin = np.inf
     worst_radial = 0.0
     for label, norm, u, k, is_radial, grids in ps_corpus():
-        r = ps_margin(LevelTable(norm, u, **grids), k)
+        r = ps_margin(LevelTable(norm, u, **grids), k,
+                      hessian_integral(norm, u, k))
         worst_margin = min(worst_margin, r.margin / (1.0 + abs(r.lhs)))
         if is_radial:
             worst_radial = max(worst_radial, abs(r.margin) / abs(r.lhs))
@@ -349,8 +353,9 @@ def test_criterion_09_sobolev_constants():
         for p_try in (1.0, 1.5, 2.0):
             if p_try >= nn - k + 1:
                 continue
-            r = sobolev_margin(norm, u, k, p_try,
-                               generalized_integral(norm, u, k, p_try))
+            r = sobolev_margin(
+                norm, k, p_try, generalized_integral(norm, u, k, p_try),
+                lp_norm(u, sobolev_exponent(nn, k, p_try)))
             worst = min(worst, r.margin
                         / (1.0 + r.constant * r.energy))
             count += 1
@@ -365,12 +370,13 @@ def test_criterion_10_lp_monotonicity():
     e2 = euclidean_norm(2)
     ellipse = quadratic_ellipsoid(2, axes=[2.0, 1.0])
     table = LevelTable(e2, ellipse)
-    lhs1, rhs1 = lp_compare(table, 1, 2.0)
+    l2 = lp_norm(ellipse, 2.0)
+    lhs1, rhs1 = lp_compare(table, 1, 2.0, l2)
     eq_ok = (abs(lhs1 ** 2 - math.pi / 6.0) <= 1e-4
              and abs(rhs1 ** 2 - math.pi / 6.0) <= 1e-4)
-    lhs2, rhs2 = lp_compare(table, 2, 2.0)
+    lhs2, rhs2 = lp_compare(table, 2, 2.0, l2)
     strict_ok = lhs2 < rhs2 - 1e-3
-    linf = lp_compare(table, 2, math.inf)
+    linf = lp_compare(table, 2, math.inf, abs(ellipse.min_value))
     inf_ok = linf[0] == linf[1]
     ok = eq_ok and strict_ok and inf_ok
     report(10, ok,

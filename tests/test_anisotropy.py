@@ -166,6 +166,9 @@ class TestDualJet:
     # near an axis at |x| ~ 1.6e-6 an absolute residual test stalls
     @example(p=3.0, eps=1e-2, s=math.log(1.5852608470538693e-06),
              direction=[1.584893192461114e-06, 3.4145488738336004e-08])
+    # the p-norm starting guess already meets the tolerance here, with a
+    # second gradient component 2.4e-14 that underflows at e^-1 times it
+    @example(p=25.0, eps=1.0, s=-1.0, direction=[1.0, 5e-324])
     def test_numeric_dual_is_homogeneous(self, p, eps, s, direction):
         # F* is 1-homogeneous, grad F* 0-homogeneous and hess F*
         # (-1)-homogeneous: the jets at e^s w follow from those at w

@@ -1,12 +1,31 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wulffsym import bodies, cli, symmetrize
+from wulffsym import bodies, cli, field_ops, rays
 from wulffsym.cli import ExperimentConfig, main, run
 from wulffsym.errors import InputError
-from wulffsym.field_ops import level_grid
+from wulffsym.field_ops import (
+    PolarTable,
+    generalized_integral,
+    hessian_integral,
+    level_grid,
+    lp_norm,
+)
+
+ELLIPSE_CONFIG = (Path(__file__).resolve().parents[1] / "scripts" / "configs"
+                  / "ellipse_polya_szego.json")
+BALL3D = {
+    "norm": {"family": "euclidean", "dim": 3},
+    "field": {"preset": "quadratic_ellipsoid"},
+    "orders": [1],
+    "exponents": [1.5],
+    "grids": {"levels": 150, "rays": 96, "volume_panels": 96},
+    "tasks": ["identities", "mixedvol", "af", "polya_szego", "sobolev"],
+    "seed": 42,
+}
 
 
 def base_config(tmp_path, tasks, **overrides):
@@ -90,39 +109,96 @@ class TestRun:
         assert len(calls) == 1
         assert np.array_equal(calls[0], level_grid(u, 80))
 
-    def test_generalized_energy_once_per_experiment(self, tmp_path,
-                                                    monkeypatch):
-        # polya_szego and sobolev share each (k, p) energy; it is counted
-        # in every wulffsym module that holds generalized_integral
-        calls = []
-        generalized_integral = cli.generalized_integral
+    @pytest.mark.parametrize("name, most", [("ellipse", 3), ("ball3d", 1)],
+                             ids=["ellipse", "ball3d"])
+    def test_polar_rules_once_per_experiment(self, tmp_path, monkeypatch,
+                                             name, most):
+        # each polar rule is built once and its table serves every task;
+        # it is counted in every wulffsym module that holds _polar_rule
+        rules, tables = [], []
+        polar_rule = rays._polar_rule
 
-        def counted(norm, u, k, p, rays=None):
-            calls.append((k, p))
-            return generalized_integral(norm, u, k, p, rays)
+        def counted(u, count=None, panels=1):
+            rules.append((count, panels))
+            return polar_rule(u, count, panels)
 
-        for mod in (cli, symmetrize):
-            if hasattr(mod, "generalized_integral"):
-                monkeypatch.setattr(mod, "generalized_integral", counted)
-        raw = base_config(tmp_path, ["polya_szego", "sobolev"],
-                          exponents=[1.5])
-        report = run(ExperimentConfig.from_dict(raw))
+        def recorded(norm, u, count, requests):
+            tables.append((count, PolarTable(norm, u, count, requests)))
+            return tables[-1][1]
+
+        for mod in (rays, field_ops):
+            monkeypatch.setattr(mod, "_polar_rule", counted)
+        monkeypatch.setattr(cli, "PolarTable", recorded)
+        raw = (json.loads(ELLIPSE_CONFIG.read_text()) if name == "ellipse"
+               else dict(BALL3D))
+        raw["output"] = {"directory": str(tmp_path / "out")}
+        cfg = ExperimentConfig.from_dict(raw)
+        report = run(cfg)
         assert report["passed"]
-        assert calls == [(1, 1.5)]
+        assert len(rules) <= most
+        norm = cfg.build_norm()
+        u = cfg.build_field(norm)
+        standalone = {
+            "hessian": lambda k, count: hessian_integral(norm, u, k, count),
+            "generalized": lambda k, p, count: generalized_integral(
+                norm, u, k, p, count),
+            "lp": lambda p, count: lp_norm(u, p, count),
+            "sk": lambda k, count: PolarTable(
+                norm, u, count, [("sk", k)])[("sk", k)],
+        }
+        for count, table in tables:
+            for req in table.requests:
+                want = standalone[req[0]](*req[1:], count)
+                assert np.array_equal(table[req], want), req
+
+    def test_bad_exponent_fails_only_its_tasks(self, tmp_path):
+        # the generalized energy and L^q norm of p = 0.5 share the polar
+        # tables of every other request, and raise only where they are read
+        tasks = ["identities", "symmetrize", "polya_szego", "sobolev"]
+        good = run(ExperimentConfig.from_dict(
+            base_config(tmp_path, tasks, exponents=[1.5])))
+        bad = run(ExperimentConfig.from_dict(
+            base_config(tmp_path, tasks, exponents=[1.5, 0.5])))
+        assert good["passed"]
+        for task in ("identities", "symmetrize"):
+            assert bad["tasks"][task] == good["tasks"][task]
+        for task in ("polya_szego", "sobolev"):
+            (row,) = bad["tasks"][task]["rows"]
+            assert row["case"] == ("task error (DomainError): exponent p "
+                                   "must be >= 1")
+
+    @pytest.mark.parametrize("norm, field, order", [
+        ({"family": "euclidean", "dim": 3},
+         {"preset": "quadratic_ellipsoid"}, 1),
+        ({"family": "ellipsoid", "dim": 3,
+          "matrix": [[4.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.25]]},
+         {"preset": "radial_power", "params": {"a": 2.0}}, 2),
+    ], ids=["ball3", "ellipsoid3"])
+    def test_compare_in_3d(self, tmp_path, norm, field, order):
+        # the constant source ties the rearranged density everywhere
+        raw = base_config(tmp_path, ["compare"], norm=norm, field=field,
+                          orders=[order])
+        raw["grids"] = {"levels": 40, "rays": 32}
+        report = run(ExperimentConfig.from_dict(raw))
+        (row,) = report["tasks"]["compare"]["rows"]
+        assert row["passed"], row["case"]
 
     def test_rays_reach_comparison_grid(self, tmp_path, monkeypatch):
+        # the S_k check reads the polar rule at grids.rays; rearrange reads
+        # its own 256-ray, 43-panel grid
         calls = []
-        polar_nodes = symmetrize.polar_nodes
+        polar_rule = rays._polar_rule
 
-        def recorded(u, rays=None, values_only=False):
-            calls.append(rays)
-            return polar_nodes(u, rays, values_only)
+        def recorded(u, count=None, panels=1):
+            calls.append((count, panels))
+            return polar_rule(u, count, panels)
 
-        monkeypatch.setattr(symmetrize, "polar_nodes", recorded)
+        for mod in (rays, field_ops):
+            monkeypatch.setattr(mod, "_polar_rule", recorded)
         report = run(ExperimentConfig.from_dict(
             base_config(tmp_path, ["compare"])))
         assert report["passed"]
-        assert calls == [512]
+        assert calls == [(512, 1), (256, 43)]
 
     def test_too_few_levels_is_an_error_row(self, tmp_path):
         # below 10 levels the level grid cannot reach t = 0

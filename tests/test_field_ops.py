@@ -11,8 +11,10 @@ from wulffsym.anisotropy import (
     regularized_p_norm,
 )
 from wulffsym.bodies import LevelTable
-from wulffsym.errors import DegenerateLevelError, DomainError
+from wulffsym.errors import DegenerateLevelError, DomainError, NumericError
+from wulffsym import field_ops
 from wulffsym.field_ops import (
+    PolarTable,
     aniso_hessian,
     aniso_hessian_batch,
     curvature_batch,
@@ -385,6 +387,70 @@ class TestRayJetsInQuadrature:
         monkeypatch.setattr(anisotropy, "_dual_numeric", counted)
         hessian_integral(norm, u, 1, 128)
         assert sum(rows) <= 128
+
+
+class TestPolarTable:
+    """One pass over a polar rule gives every request's value."""
+
+    REQUESTS = [("hessian", 1), ("hessian", 2), ("generalized", 1, 1.5),
+                ("generalized", 2, 2.5), ("generalized", 1, 2.0),
+                ("lp", 2.0), ("lp", 3.0), ("sk", 1), ("sk", 2)]
+
+    def test_matches_one_request_tables(self, monkeypatch):
+        rules = []
+        polar_rule = field_ops._polar_rule
+
+        def counted(*args):
+            rules.append(args[1:])
+            return polar_rule(*args)
+
+        norm = regularized_p_norm(2, 3.0)
+        u = perturbed_radial(norm)
+        monkeypatch.setattr(field_ops, "_polar_rule", counted)
+        table = PolarTable(norm, u, 128, self.REQUESTS)
+        assert rules == [(128,)]
+        alone = {
+            "hessian": lambda k: hessian_integral(norm, u, k, 128),
+            "generalized": lambda k, p: generalized_integral(
+                norm, u, k, p, 128),
+            "lp": lambda p: lp_norm(u, p, 128),
+            "sk": lambda k: PolarTable(norm, u, 128,
+                                       [("sk", k)])[("sk", k)],
+        }
+        for req in self.REQUESTS:
+            assert np.array_equal(table[req], alone[req[0]](*req[1:])), req
+
+    def test_sk_values_at_the_points(self):
+        norm = ellipsoid_norm(np.diag([4.0, 1.0]))
+        u = perturbed_radial(norm)
+        table = PolarTable(norm, u, 64, [("sk", 2)])
+        pts = table.points.reshape(-1, 2)
+        want = sk_field_batch(norm, u, pts, 2)
+        got = table[("sk", 2)].reshape(-1)
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+
+    def test_errors_stay_with_their_request(self):
+        # min u = -4.5, so |u|^1000 overflows; the other requests share the
+        # pass and keep their values
+        norm = euclidean_norm(2)
+        u = radial_power(norm, a=2.0, radius=3.0)
+        with np.errstate(over="ignore"):
+            table = PolarTable(norm, u, 64, [
+                ("hessian", 1), ("lp", 1000.0), ("generalized", 1, 0.5),
+                ("lp", 0.5), ("hessian", 3), ("lp", 2.0)])
+        assert table[("hessian", 1)] == hessian_integral(norm, u, 1, 64)
+        assert table[("lp", 2.0)] == lp_norm(u, 2.0, 64)
+        with pytest.raises(NumericError, match="non-finite integrand"):
+            table[("lp", 1000.0)]
+        with pytest.raises(DomainError, match="exponent p must be >= 1"):
+            table[("generalized", 1, 0.5)]
+        with pytest.raises(DomainError, match="p must be >= 1"):
+            table[("lp", 0.5)]
+        with pytest.raises(DomainError, match="order k=3"):
+            table[("hessian", 3)]
+        with pytest.raises(NumericError, match="non-finite integrand"), \
+                np.errstate(over="ignore"):
+            lp_norm(u, 1000.0, 64)
 
 
 class TestIdentities:

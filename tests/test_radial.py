@@ -185,6 +185,19 @@ class TestRearrange:
         assert np.allclose(prof.values, 3.0)
         assert prof.r[-1] == pytest.approx(1.0, rel=2e-3)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_constant_density_ties(self, dim):
+        # in 3D node weights near the anchor fall below the rounding of the
+        # running volume, so cumulative radii repeat; each run keeps its
+        # last node, and in 2D no node is dropped
+        u = quadratic_ellipsoid(dim)
+        kap = wulff_volume(euclidean_norm(dim))
+        prof = rearrange(lambda pts: np.full(pts.shape[0], 3.0), u, kap)
+        assert np.all(prof.values == 3.0)
+        assert prof.r[-1] == pytest.approx(1.0, rel=1e-9)
+        if dim == 2:
+            assert prof.r.shape[0] == 256 * 43 * 48
+
     def test_increasing_radial_density_reflects(self):
         # f = |x|^2 on the unit disc: |{f > s}| = pi (1 - s), so the
         # decreasing profile is 1 - r^2

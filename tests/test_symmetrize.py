@@ -13,7 +13,7 @@ from wulffsym.anisotropy import (
 )
 from wulffsym.bodies import LevelTable
 from wulffsym.errors import DomainError, InputError
-from wulffsym.field_ops import generalized_integral
+from wulffsym.field_ops import generalized_integral, hessian_integral, lp_norm
 from wulffsym.fields import (
     perturbed_radial,
     quadratic_ellipsoid,
@@ -26,6 +26,7 @@ from wulffsym.symmetrize import (
     ps_margin,
     ps_margin_p,
     sobolev_constant,
+    sobolev_exponent,
     sobolev_margin,
     symmetrand,
     zeta_profile,
@@ -119,10 +120,14 @@ class TestSymmetrand:
         assert np.allclose(sym.rho(sym.zeta.values), sym.zeta.r, atol=1e-12)
 
 
+def _ps_margin(table, k):
+    return ps_margin(table, k, hessian_integral(table.norm, table.field, k))
+
+
 class TestPolyaSzego:
     def test_ellipse_order_one(self):
         norm = euclidean_norm(2)
-        res = ps_margin(LevelTable(norm, ellipse_field()), 1)
+        res = _ps_margin(LevelTable(norm, ellipse_field()), 1)
         assert res.lhs == pytest.approx(5.0 * math.pi / 8.0, rel=1e-4)
         assert res.rhs == pytest.approx(math.pi / 2.0, rel=1e-4)
         assert res.margin == pytest.approx(math.pi / 8.0, rel=1e-3)
@@ -130,7 +135,7 @@ class TestPolyaSzego:
 
     def test_disc_order_two_is_equality(self):
         norm = euclidean_norm(2)
-        res = ps_margin(LevelTable(norm, quadratic_ellipsoid(2)), 2)
+        res = _ps_margin(LevelTable(norm, quadratic_ellipsoid(2)), 2)
         assert abs(res.margin) <= 1e-4 * res.lhs
 
     def test_radial_equality_all_norms(self):
@@ -138,14 +143,14 @@ class TestPolyaSzego:
                      regularized_p_norm(2, 3.0)):
             table = LevelTable(norm, radial_power(norm, a=3.0))
             for k in (1, 2):
-                res = ps_margin(table, k)
+                res = _ps_margin(table, k)
                 assert abs(res.margin) <= 1e-4 * abs(res.lhs)
 
     def test_nonradial_margins_positive(self):
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))
         table = LevelTable(norm, perturbed_radial(norm))
         for k in (1, 2):
-            res = ps_margin(table, k)
+            res = _ps_margin(table, k)
             assert res.margin >= -1e-4 * (1.0 + abs(res.lhs))
 
     def test_chain_inequality_at_levels(self):
@@ -191,7 +196,7 @@ class TestPolyaSzegoP:
         for k in (1, 2):
             res_p = ps_margin_p(table, k, k + 1.0,
                                 _energy(table, k, k + 1.0))
-            res = ps_margin(table, k)
+            res = _ps_margin(table, k)
             assert res_p.lhs == pytest.approx(k * res.lhs, rel=2e-4)
             assert res_p.rhs == pytest.approx(k * res.rhs, rel=2e-4)
 
@@ -215,23 +220,29 @@ class TestPolyaSzegoP:
         assert res.margin >= -1e-4 * (1.0 + abs(res.lhs))
 
 
+def _lp_compare(table, k, p):
+    lhs = (abs(table.field.min_value) if p == math.inf
+           else lp_norm(table.field, p))
+    return lp_compare(table, k, p, lhs)
+
+
 class TestLpCompare:
     def test_volume_case_is_equality(self):
         norm = euclidean_norm(2)
-        lhs, rhs = lp_compare(LevelTable(norm, ellipse_field()), 1, 2.0)
+        lhs, rhs = _lp_compare(LevelTable(norm, ellipse_field()), 1, 2.0)
         assert lhs ** 2 == pytest.approx(math.pi / 6.0, rel=1e-4)
         assert rhs ** 2 == pytest.approx(math.pi / 6.0, rel=1e-4)
         assert lhs <= rhs + 1e-4
 
     def test_higher_order_strict(self):
         norm = euclidean_norm(2)
-        lhs, rhs = lp_compare(LevelTable(norm, ellipse_field()), 2, 2.0)
+        lhs, rhs = _lp_compare(LevelTable(norm, ellipse_field()), 2, 2.0)
         assert lhs < rhs - 1e-3
 
     def test_infinity_norm_equality(self):
         norm = euclidean_norm(2)
-        lhs, rhs = lp_compare(LevelTable(norm, ellipse_field()), 2,
-                              math.inf)
+        lhs, rhs = _lp_compare(LevelTable(norm, ellipse_field()), 2,
+                               math.inf)
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert lhs == pytest.approx(0.5)
 
@@ -331,12 +342,16 @@ class TestSobolevConstant:
             sobolev_constant(norm, 1, 2.0)
 
 
+def _sobolev_margin(norm, u, k, p):
+    return sobolev_margin(norm, k, p, generalized_integral(norm, u, k, p),
+                          lp_norm(u, sobolev_exponent(u.dim, k, p)))
+
+
 class TestSobolevMargin:
     def test_ellipse_strictly_positive(self):
         norm = euclidean_norm(2)
         u = ellipse_field()
-        res = sobolev_margin(norm, u, 1, 1.0,
-                             generalized_integral(norm, u, 1, 1.0))
+        res = _sobolev_margin(norm, u, 1, 1.0)
         assert res.margin > 0.0
         assert res.margin >= -1e-4 * (1.0 + res.constant * res.energy)
 
@@ -359,8 +374,7 @@ class TestSobolevMargin:
             return (1.0 - 2.0 * r ** 2) * (1.0 + r ** 2) ** -2.5
 
         u = radial_field(norm, v, vp, vpp, radius=big_r)
-        res = sobolev_margin(norm, u, 1, 2.0,
-                             generalized_integral(norm, u, 1, 2.0))
+        res = _sobolev_margin(norm, u, 1, 2.0)
         scale = res.constant * res.energy
         assert res.margin >= -1e-4 * (1.0 + scale)
         assert res.margin < 0.35 * scale
