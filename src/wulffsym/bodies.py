@@ -3,10 +3,11 @@
 Every body is the boundary of a sublevel set {u < t} of an admissible
 field, sampled by ray shooting from the interior anchor along a
 deterministic direction grid; the ray roots of every level and direction
-come from one solve on the field's ray restriction (rays._ray_roots), and
-the field jets at the roots from the same restriction. The sample carries
-surface-measure weights, anisotropic curvatures of every order, and the
-data needed for the mixed-volume functionals
+come from one Newton solve on the field's ray restriction, which drops
+the levels it has converged (rays._ray_roots), and the field jets at the
+roots from the same restriction. The sample carries the closed-form
+surface weights s^(n-1) |grad u| / (grad u . w) dsigma(w), anisotropic
+curvatures of every order, and the data for the mixed-volume functionals
 
     W_k = [n binom(n-1, k-1)]^{-1} * integral of S_{k-1}(curv) F(normal),
 
@@ -14,14 +15,14 @@ with W_0 the enclosed volume via the divergence identity. The k-th mean
 radius is (W_k / kappa_n)^{1/(n-k)}, the radius of the Wulff ball sharing
 that mixed volume; differences of mean radii across orders are the
 Aleksandrov-Fenchel margins, nonnegative for convex bodies and zero
-exactly on Wulff balls. A LevelTable reduces one sampled family of level
-sets to the mean radii and coarea integrands that every symmetrization
-harness reads.
+exactly on Wulff balls. A LevelTable has the sampler threads reduce each
+level set of one family to the mean radii and coarea integrands that
+every symmetrization harness reads.
 """
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .anisotropy import Norm, wulff_volume
 from .errors import DegenerateLevelError, DomainError, NumericError
 from .field_ops import curvature_batch, level_grid
 from .fields import Field
-from .parallel import thread_count
+from .parallel import map_blocks
 from .quad import chunked
 # boundary_radii and default_rays are re-exported: the benchmark tracer
 # and the tests reach them here
@@ -67,81 +68,56 @@ class LevelSetSample:
     diagnostics: dict
 
 
-def _surface_weights(grid: _DirectionGrid, s, grads):
-    """Surface-measure weights from the angular parametrization Jacobian."""
-    omega = grid.omega
-    g_omega = np.einsum("lkd,kd->lk", grads, omega)
-    if grid.dim == 2:
-        g_t = np.einsum("lkd,kd->lk", grads, grid.d_theta)
-        s_t = -s * g_t / g_omega
-        jac = np.sqrt(s_t * s_t + s * s)
-        return jac * grid.measure[None, :]
-    g_th = np.einsum("lkd,kd->lk", grads, grid.d_theta)
-    g_ph = np.einsum("lkd,kd->lk", grads, grid.d_phi)
-    s_th = -s * g_th / g_omega
-    s_ph = -s * g_ph / g_omega
-    x_th = s_th[..., None] * omega[None] + s[..., None] * grid.d_theta[None]
-    x_ph = s_ph[..., None] * omega[None] + s[..., None] * grid.d_phi[None]
-    jac = np.linalg.norm(np.cross(x_th, x_ph), axis=-1)
-    return jac * grid.measure[None, :]
+def _surface_weights(grid: _DirectionGrid, s, grads, gn):
+    """Surface weights of x = s(w) w: its area element is
+    s^(n-1) |grad u| / (grad u . w) dsigma(w), dsigma the grid's solid
+    angle weights, and grad u . w = du/ds is positive at every root."""
+    g_omega = np.sum(grads * grid.omega, axis=-1)
+    return s ** (grid.dim - 1) * gn / g_omega * grid.solid
 
 
-def sample_many(norm: Norm, u: Field, levels, rays: int | None = None):
-    """Sample many level sets at once; degenerate entries come back None."""
+def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
+                reduce=lambda sample: sample):
+    """Sample many level sets at once; degenerate entries come back None.
+
+    The levels are cut into blocks of about _JET_CHUNK ray roots, mapped
+    over the worker threads (parallel.map_blocks). Each sample is passed
+    to ``reduce`` on the thread that made it, and the list holds what
+    ``reduce`` returns, in level order.
+    """
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     m = u.min_value
     if np.any(levels <= m) or np.any(levels > 0.0):
         raise DomainError(
             f"levels must lie in ({m:.6g}, 0]; got range "
             f"[{levels.min():.6g}, {levels.max():.6g}]")
-    if rays is None:
-        rays = default_rays(u.dim)
-    grid = _DirectionGrid(u.dim, rays)
+    grid = _DirectionGrid(u.dim, rays or default_rays(u.dim))
     restriction = u.ray(grid.omega)
 
-    workers = min(thread_count(), max(1, levels.shape[0] // 8))
-    if workers > 1:
-        blocks = np.array_split(np.arange(levels.shape[0]), workers)
-        out: list = [None] * levels.shape[0]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_sample_block, norm, u, levels[b], grid,
-                                restriction): b
-                    for b in blocks if b.size}
-            for fut, b in futs.items():
-                for i, sample in zip(b, fut.result()):
-                    out[i] = sample
+    def block(bounds):
+        block_levels = levels[slice(*bounds)]
+        s = _ray_roots(u, grid, block_levels, restriction)
+        pts = u.anchor + s[..., None] * grid.omega
+        vals, grads, hesses = restriction.jets(s)
+        residual = np.abs(vals - block_levels[:, None])
+        gn = np.linalg.norm(grads, axis=-1)
+        weights = _surface_weights(grid, s, grads, gn)
+        out = []
+        for i, t in enumerate(block_levels):
+            if np.min(gn[i]) < _GRAD_TOL:
+                out.append(None)
+                continue
+            fgrad, curv = curvature_batch(norm, grads[i], hesses[i])
+            out.append(reduce(LevelSetSample(
+                level=float(t), points=pts[i],
+                normals=grads[i] / gn[i][:, None], f_of_nu=fgrad / gn[i],
+                curvatures=curv, weights=weights[i], gradient_norms=fgrad,
+                norm=norm, anchor=u.anchor,
+                diagnostics={"residual_max": float(np.max(residual[i]))})))
         return out
-    return _sample_block(norm, u, levels, grid, restriction)
 
-
-def _sample_block(norm: Norm, u: Field, levels: np.ndarray,
-                  grid: _DirectionGrid, restriction):
-    s = _ray_roots(u, grid, levels, restriction)
-    pts = u.anchor + s[..., None] * grid.omega[None, :, :]
-    n_lev, n_dir = s.shape
-    vals = np.empty(s.shape)
-    grads = np.empty(pts.shape)
-    hesses = np.empty(pts.shape + (u.dim,))
-    for a, b in chunked(n_lev, max(1, _JET_CHUNK // n_dir)):
-        vals[a:b], grads[a:b], hesses[a:b] = restriction.jets(s[a:b])
-    residual = np.abs(vals - levels[:, None])
-    gn = np.linalg.norm(grads, axis=-1)
-    weights = _surface_weights(grid, s, grads)
-
-    out = []
-    for i, t in enumerate(levels):
-        if np.min(gn[i]) < _GRAD_TOL:
-            out.append(None)
-            continue
-        fgrad, curv = curvature_batch(norm, grads[i], hesses[i])
-        nu = grads[i] / gn[i][:, None]
-        fnu = fgrad / gn[i]
-        out.append(LevelSetSample(
-            level=float(t), points=pts[i], normals=nu, f_of_nu=fnu,
-            curvatures=curv, weights=weights[i], gradient_norms=fgrad,
-            norm=norm, anchor=u.anchor,
-            diagnostics={"residual_max": float(np.max(residual[i]))}))
-    return out
+    blocks = chunked(levels.shape[0], max(1, _JET_CHUNK // grid.count))
+    return [x for part in map_blocks(block, blocks) for x in part]
 
 
 def sample_level_set(norm: Norm, u: Field, t: float,
@@ -193,6 +169,23 @@ def af_margins(sample: LevelSetSample) -> np.ndarray:
     return np.array([zeta[k] - zeta[l] for k, l in af_pairs(n)])
 
 
+# what a LevelTable keeps of one sampled level set: the mean radii
+# zeta_0..zeta_{n-1}, the coarea sums of orders 1..n, residual_max, and
+# the points (m, n), which callers that count sampled points (the
+# benchmark tracer) read
+LevelSums = namedtuple("LevelSums", "points zeta coarea residual_max")
+
+
+def _level_sums(sample: LevelSetSample) -> LevelSums:
+    n = sample.points.shape[-1]
+    return LevelSums(
+        sample.points, [mean_radius(sample, j) for j in range(n)],
+        [float(np.sum(sample.weights * sample.curvatures[k - 1]
+                      * sample.gradient_norms ** k * sample.f_of_nu))
+         for k in range(1, n + 1)],
+        sample.diagnostics["residual_max"])
+
+
 class LevelTable:
     """Mean radii and coarea integrands of one sampled family of level sets.
 
@@ -202,28 +195,23 @@ class LevelTable:
     kept ``levels``, ``zeta[j]`` holds the mean radius zeta_j, j = 0..n-1,
     and ``coarea[k - 1]`` the surface integral of
     S_{k-1}(curv) F(grad u)^k F(nu), the coarea integrand of the
-    k-Hessian energy, k = 1..n. The level-set samples themselves are not
-    kept.
+    k-Hessian energy, k = 1..n; ``residual_max`` is the largest
+    |u - level| at the ray roots of the kept levels. The sampler threads
+    reduce each level set to these sums (LevelSums) as soon as it is
+    sampled; the samples themselves are not kept.
     """
 
     def __init__(self, norm: Norm, u: Field, levels=200,
                  rays: int | None = None):
         grid = (level_grid(u, levels) if np.isscalar(levels)
                 else np.asarray(levels, dtype=float))
-        samples = sample_many(norm, u, grid, rays=rays)
-        live = np.array([s is not None for s in samples], dtype=bool)
+        sums = sample_many(norm, u, grid, rays=rays, reduce=_level_sums)
+        live = np.array([s is not None for s in sums], dtype=bool)
         for t in grid[~live]:
             warnings.warn(f"skipping degenerate level t={t:.6g}")
-        kept = [s for s in samples if s is not None]
-        self.norm = norm
-        self.field = u
-        self.rays = rays
-        self.levels = grid[live]
-        self.skipped = grid[~live]
-        self.zeta = np.array([[mean_radius(s, j) for s in kept]
-                              for j in range(u.dim)])
-        self.coarea = np.array([
-            [float(np.sum(s.weights * s.curvatures[k - 1]
-                          * s.gradient_norms ** k * s.f_of_nu))
-             for s in kept]
-            for k in range(1, u.dim + 1)])
+        kept = [s for s in sums if s is not None]
+        self.norm, self.field, self.rays = norm, u, rays
+        self.levels, self.skipped = grid[live], grid[~live]
+        self.zeta = np.array([s.zeta for s in kept]).T.reshape(u.dim, -1)
+        self.coarea = np.array([s.coarea for s in kept]).T.reshape(u.dim, -1)
+        self.residual_max = max((s.residual_max for s in kept), default=0.0)

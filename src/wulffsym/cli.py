@@ -153,8 +153,14 @@ class ExperimentConfig:
         exponents = [float(p) for p in raw.get("exponents", [])]
         cfg = ExperimentConfig(norm, fld, orders, exponents, grids, tasks,
                                output, int(raw.get("seed", 0)))
-        cfg.build_field(cfg.build_norm())  # validate the norm/field specs
+        cfg.built  # validate the norm/field specs
         return cfg
+
+    @functools.cached_property
+    def built(self) -> tuple:
+        """(norm, field), built once by from_dict and reused by run."""
+        norm = self.build_norm()
+        return norm, self.build_field(norm)
 
     def build_norm(self) -> Norm:
         family = self.norm.get("family", "euclidean")
@@ -280,15 +286,18 @@ def _task_identities(cfg, norm, u, level_table, polar):
         spread = float(np.max(np.abs(skv - rhs) / (1.0 + np.abs(skv))))
         rows.append(_row("identities", "operator decomposition residual",
                          spread, 0.0, 1e-9, spread <= 1e-9, k=k))
+    # the level family before the polar table: sampling allocates the
+    # most, and the polar pass then reuses the memory it freed
+    table = level_table()
     for k in cfg.orders:
-        # the level family before the polar table: sampling allocates the
-        # most, and the polar pass then reuses the memory it freed
-        table = level_table()
         direct = polar("volume_panels")[("hessian", k)]
         coarea = hessian_integral_coarea(table, k)
         spread = abs(direct - coarea) / (1.0 + abs(direct))
         rows.append(_row("identities", "coarea vs direct energy",
                          coarea, direct, 1e-3, spread <= 1e-3, k=k))
+    res = table.residual_max  # sample_level_set warns above 1e-9
+    rows.append(_row("identities", "level-set residual max", res, 0.0,
+                     1e-9, res <= 1e-9))
     return rows
 
 
@@ -468,8 +477,7 @@ def _write_csv(path: Path, rows):
 def run(cfg: ExperimentConfig) -> dict:
     """Execute the configured tasks; returns the report dictionary."""
     start = time.time()
-    norm = cfg.build_norm()
-    u = cfg.build_field(norm)
+    norm, u = cfg.built
     out_dir = None
     formats = cfg.output.get("formats", ["json"])
     if cfg.output.get("directory"):

@@ -148,18 +148,18 @@ class PolarTable:
             except DomainError as exc:
                 self._errors[req] = exc
         live = [q for q in self.requests if q not in self._errors]
-        nodes = {q[1]: [] for q in live if q[0] == "sk"}
-        sums = [q for q in live if q[0] != "sk"]
         rule = _polar_rule(u, rays)
+        grid, _, r, _ = rule
+        # the "sk" values, filled block by block, at the nodes ``points``
+        # of shape (nodes, directions, n)
+        nodes = {q[1]: np.empty(r.shape) for q in live if q[0] == "sk"}
+        sums = [q for q in live if q[0] != "sk"]
         totals = polar_integral(
             lambda *jets: self._integrands(sums, nodes, *jets), rule,
             all(q[0] == "lp" for q in live))
-        grid, _, r, _ = rule
-        # the nodes of the "sk" values, shape (nodes, directions, n)
         self.points = (u.anchor + r[..., None] * grid.omega if nodes
                        else None)
-        self._values = {("sk", k): np.concatenate(blocks)
-                        for k, blocks in nodes.items()}
+        self._values = {("sk", k): v for k, v in nodes.items()}
         for q, total in zip(sums, totals):
             if not math.isfinite(total):
                 self._errors[q] = NumericError(
@@ -174,15 +174,16 @@ class PolarTable:
             raise self._errors[request].with_traceback(None)
         return self._values[request]
 
-    def _integrands(self, sums, nodes, vals, grads, hesses):
-        """The values of the ``sums`` integrands on one block; the S_k of
-        the "sk" requests are appended to ``nodes``."""
+    def _integrands(self, sums, nodes, rows, vals, grads, hesses):
+        """The values of the ``sums`` integrands on the node ``rows`` of
+        one block; the S_k of the "sk" requests go to those rows of
+        ``nodes``."""
         gen = [q for q in sums if q[0] == "generalized"]
         if grads is not None:
             a, live, jet = _aniso_jet(self.norm, grads, hesses, bool(gen))
             sk = functools.cache(lambda k: sk_stack(a, k))
-            for k, blocks in nodes.items():
-                blocks.append(sk(k))
+            for k, values in nodes.items():
+                values[rows] = sk(k)
         if gen:
             strong = np.sum(grads * grads, axis=-1) > _GENERALIZED_FLOOR
             g = grads[strong]

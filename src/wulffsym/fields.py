@@ -289,25 +289,17 @@ def quasiconvexity_defect(u: Field, samples: int = 512, seed: int = 0) -> float:
     vals, grads, hesses = u.jets(pts)
     gn = np.linalg.norm(grads, axis=-1)
     keep = (vals < -1e-6) & (gn > 1e-8)
-    pts, grads, hesses = pts[keep][:samples], grads[keep][:samples], \
-        hesses[keep][:samples]
-    if pts.shape[0] == 0:
+    grads, hesses = grads[keep][:samples], hesses[keep][:samples]
+    if grads.shape[0] == 0:
         raise DomainError("no interior samples found for convexity check")
     nu = grads / np.linalg.norm(grads, axis=-1, keepdims=True)
-    worst = np.inf
-    for point_h, point_nu in zip(hesses, nu):
-        basis = _tangent_basis(point_nu)
-        tang = basis.T @ point_h @ basis
-        worst = min(worst, float(np.min(np.linalg.eigvalsh(
-            0.5 * (tang + tang.T)))))
-    return worst
-
-
-def _tangent_basis(nu: np.ndarray) -> np.ndarray:
-    n = nu.shape[0]
-    full = np.concatenate([nu[:, None], np.eye(n)], axis=1)
-    q, _ = np.linalg.qr(full)
-    return q[:, 1:n]
+    # tangent bases: the last n-1 columns of Q in QR of [nu | I]
+    full = np.concatenate([nu[:, :, None], np.broadcast_to(
+        np.eye(u.dim), (nu.shape[0], u.dim, u.dim))], axis=-1)
+    basis = np.linalg.qr(full)[0][:, :, 1:]
+    tang = np.swapaxes(basis, 1, 2) @ hesses @ basis
+    return float(np.min(np.linalg.eigvalsh(
+        0.5 * (tang + np.swapaxes(tang, 1, 2)))))
 
 
 _PRESET_BUILDERS = {

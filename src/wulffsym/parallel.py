@@ -1,12 +1,13 @@
-"""Thread budget control.
+"""Thread budget control and the one block-parallel map.
 
-The environment variable ``WULFFSYM_THREADS`` caps the number of worker
-threads used for data-parallel loops (level sampling). Unset, the budget
-defaults to the number of available cores. Results never depend on the
-thread count: work is split into independent blocks merged in index order.
+``map_blocks`` serves level sampling and the polar passes on at most
+``WULFFSYM_THREADS`` worker threads (default: the available cores).
+Results never depend on the thread count: the callers cut their work into
+blocks of a fixed size, and the block results come back in block order.
 """
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 ENV_VAR = "WULFFSYM_THREADS"
 
@@ -22,3 +23,14 @@ def thread_count() -> int:
     if value < 1:
         raise ValueError(f"{ENV_VAR} must be >= 1, got {value}")
     return value
+
+
+def map_blocks(fn, blocks) -> list:
+    """[fn(b) for b in blocks] on up to thread_count() worker threads; a
+    single block or a single thread runs without a pool."""
+    blocks = list(blocks)
+    workers = min(thread_count(), len(blocks))
+    if workers <= 1:
+        return [fn(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, blocks))

@@ -9,17 +9,17 @@ evaluated on that grid. One root solver serves every level and ray at
 once: safeguarded Newton on the restriction's s -> (u, du/ds) inside the
 bracket from the anchor to the bounding-box exit (a Newton step that
 leaves the bracket or fails to halve the previous step is replaced by a
-bisection step). The roots at level 0 are the boundary radii. The polar
-rule cuts each ray from the anchor to its boundary radius into equal
-panels of the one cached 48-node Gauss rule; the domain integrals use it
-with one panel, the rearrangement grid with many. polar_integral walks a
-rule once, at most _CHUNK nodes at a time, hands the field jets
-(u, grad u, hess u) at the nodes from the restriction to an integrand
-that returns a stack of quantities, and sums each of them; the polar
-table of field_ops asks it for every domain integral of one rule at
-once. Arguments named u are fields.Field instances; the module does not
-import fields, so anisotropy can integrate Wulff-ball volumes on the
-same grids.
+bisection step); the levels whose rays have all converged leave the
+iteration. The roots at level 0 are the boundary radii. The polar rule
+cuts each ray from the anchor to its boundary radius into equal panels
+of the one cached 48-node Gauss rule; the domain integrals use it with
+one panel, the rearrangement grid with many. polar_integral maps blocks
+of _CHUNK nodes of a rule over the worker threads, hands the field jets
+at the nodes to an integrand that returns a stack of quantities, and
+sums each of them; the polar table of field_ops asks it for every domain
+integral of one rule at once. Arguments named u are fields.Field
+instances; the module does not import fields, so anisotropy can
+integrate Wulff-ball volumes on the same grids.
 """
 
 import math
@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .parallel import map_blocks
 from .quad import chunked, legendre_rule
 
 _NEWTON_ITERS = 100
@@ -36,7 +37,7 @@ _NEWTON_ITERS = 100
 # 1e-13) stay below it, so those solves end too
 _NEWTON_RTOL = 1e-11
 _EPS = np.finfo(float).eps
-_CHUNK = 1 << 17
+_CHUNK = 1 << 15
 _RADIAL_NODES = 48
 
 
@@ -45,42 +46,26 @@ def default_rays(dim: int) -> int:
 
 
 class _DirectionGrid:
-    """Deterministic direction grid with angular derivatives and weights.
-
-    ``measure`` integrates surface parametrization Jacobians, ``solid``
-    integrates over the solid angle (for polar volume quadrature).
-    """
+    """Deterministic direction grid; ``solid`` integrates over the solid
+    angle (polar volume quadrature and level-set surface weights)."""
 
     def __init__(self, dim: int, rays: int):
         self.dim = dim
         if dim == 2:
             theta = 2.0 * math.pi * np.arange(rays) / rays
             self.omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            self.d_theta = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-            self.measure = np.full(rays, 2.0 * math.pi / rays)
-            self.solid = self.measure
+            self.solid = np.full(rays, 2.0 * math.pi / rays)
         elif dim == 3:
             nphi = rays
             nc = max(8, nphi // 2)
             c, wc = legendre_rule(nc)
             s = np.sqrt(1.0 - c * c)
             phi = 2.0 * math.pi * np.arange(nphi) / nphi
-            cp, sp = np.cos(phi), np.sin(phi)
             self.omega = np.stack([
-                np.outer(s, cp), np.outer(s, sp),
+                np.outer(s, np.cos(phi)), np.outer(s, np.sin(phi)),
                 np.broadcast_to(c[:, None], (nc, nphi)).copy()],
                 axis=-1).reshape(-1, 3)
-            self.d_theta = np.stack([
-                np.outer(c, cp), np.outer(c, sp),
-                np.broadcast_to(-s[:, None], (nc, nphi)).copy()],
-                axis=-1).reshape(-1, 3)
-            self.d_phi = np.stack([
-                np.outer(s, -sp), np.outer(s, cp), np.zeros((nc, nphi))],
-                axis=-1).reshape(-1, 3)
-            # quadrature in (cos(theta), phi); the 1/sin(theta) factor undoes
-            # the theta parametrization of the area element
-            self.measure = (np.outer(wc / s, np.full(nphi, 2.0 * math.pi / nphi))
-                            .reshape(-1))
+            # quadrature in (cos(theta), phi)
             self.solid = (np.outer(wc, np.full(nphi, 2.0 * math.pi / nphi))
                           .reshape(-1))
         else:
@@ -108,13 +93,17 @@ def _ray_roots(u, grid: _DirectionGrid, levels: np.ndarray, restriction):
 
     Safeguarded Newton (rtsafe) on ``restriction.along`` (the restriction
     is u.ray(grid.omega)) inside the brackets from the anchor to the
-    bounding-box exit; converged entries stay fixed. The solve starts at
-    the box exit: on rays where u is convex, as on every preset, Newton
-    from above descends to the root without leaving the bracket, also
-    when the root sits at the bracket's edge.
+    bounding-box exit; converged entries stay fixed, and a level whose
+    entries have all converged leaves the iteration, so each row is the
+    single-level solve. The solve starts at the box exit: on rays where u
+    is convex, as on every preset, Newton from above descends to the root
+    without leaving the bracket, also when the root sits at the bracket's
+    edge.
     """
     s_hi = _box_exit(u.anchor, u.bounding_box, grid.omega)
     shape = (levels.shape[0], grid.count)
+    out = np.empty(shape)
+    rows = np.arange(shape[0])
     t = levels[:, None]
     lo = np.zeros(shape)
     hi = np.broadcast_to(s_hi * (1.0 + 1e-12), shape).copy()
@@ -125,8 +114,8 @@ def _ray_roots(u, grid: _DirectionGrid, levels: np.ndarray, restriction):
         val, slope = restriction.along(s)
         g = val - t
         below = g < 0.0
-        lo = np.where(below, s, lo)
-        hi = np.where(below, hi, s)
+        np.copyto(lo, s, where=below)
+        np.copyto(hi, s, where=~below)
         with np.errstate(divide="ignore", invalid="ignore"):
             dx = g / slope
         cand = s - dx
@@ -137,11 +126,17 @@ def _ray_roots(u, grid: _DirectionGrid, levels: np.ndarray, restriction):
         step = np.abs(nxt - s)
         # bisection ends once the bracket is down to rounding
         done |= step <= _EPS * nxt
-        s = np.where(live, nxt, s)
+        np.copyto(s, nxt, where=live)
         live &= ~done
-        if not np.any(live):
-            break
-    return s
+        keep = np.any(live, axis=1)
+        if not np.all(keep):
+            out[rows[~keep]] = s[~keep]
+            rows, t, lo, hi, s, step, live = (
+                x[keep] for x in (rows, t, lo, hi, s, step, live))
+            if rows.size == 0:
+                break
+    out[rows] = s
+    return out
 
 
 def boundary_radii(u, grid: _DirectionGrid, restriction) -> np.ndarray:
@@ -188,22 +183,26 @@ def polar_grid(u, rays: int | None = None, panels: int = 1):
 def polar_integral(integrand, rule, values_only: bool = False) -> list:
     """Integrals over {u < 0} of a stack of integrands on a polar rule.
 
-    ``rule`` is _polar_rule(u, rays). The integrand receives the field
-    jets (u, grad u, hess u) of one block of at most _CHUNK nodes from the
-    rule's ray restriction, arrays of shape (nodes, directions), (..., n)
-    and (..., n, n) (gradient and Hessian None with ``values_only``), and
-    returns a sequence of q integrand values of shape (nodes, directions).
-    Returns the q integrals, each summed block by block; nan marks an
-    integrand that is not finite somewhere. The nodes end exactly on the
-    boundary, so integrands that do not vanish there, or that are smooth
-    only inside the domain, keep the Gauss rule's accuracy along every ray.
+    ``rule`` is _polar_rule(u, rays). Blocks of at most _CHUNK nodes run on
+    the worker threads (parallel.map_blocks). The integrand receives the
+    node rows of one block (a slice of the rule's first axis) and the
+    field jets there from the rule's ray restriction, (u, grad u, hess u)
+    of shape (nodes, directions), (..., n) and (..., n, n) (gradient and
+    Hessian None with ``values_only``), and returns a sequence of q
+    integrand values of shape (nodes, directions). Returns the q
+    integrals, summed block by block in block order, so they do not depend
+    on the thread count; nan marks an integrand that is not finite
+    somewhere. The nodes end exactly on the boundary, so integrands that
+    do not vanish there keep the Gauss rule's accuracy along every ray.
     """
     grid, restriction, r, w = rule
-    blocks = []
-    for lo, hi in chunked(r.shape[0], max(1, _CHUNK // grid.count)):
-        s = r[lo:hi]
-        jets = ((restriction.along(s)[0], None, None) if values_only
-                else restriction.jets(s))
-        blocks.append([float(np.sum(v * w[lo:hi])) if np.all(np.isfinite(v))
-                       else math.nan for v in integrand(*jets)])
-    return [float(np.sum(sums)) for sums in zip(*blocks)]
+
+    def block(bounds):
+        rows = slice(*bounds)
+        jets = ((restriction.along(r[rows])[0], None, None) if values_only
+                else restriction.jets(r[rows]))
+        return [float(np.sum(v * w[rows])) if np.all(np.isfinite(v))
+                else math.nan for v in integrand(rows, *jets)]
+
+    blocks = chunked(r.shape[0], max(1, _CHUNK // grid.count))
+    return [float(np.sum(sums)) for sums in zip(*map_blocks(block, blocks))]

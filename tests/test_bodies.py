@@ -24,7 +24,8 @@ from wulffsym.bodies import (
 from wulffsym.errors import DomainError
 from wulffsym.field_ops import level_grid, newton_curvatures
 from wulffsym.fields import perturbed_radial, quadratic_ellipsoid, radial_power
-from wulffsym.rays import _DirectionGrid
+from wulffsym.quad import legendre_rule
+from wulffsym.rays import _DirectionGrid, _ray_roots
 
 
 def test_frozen_perimeter_constant_matches_agm():
@@ -191,6 +192,78 @@ class TestRayRoots:
                     s = np.linalg.norm(got.points - u.anchor, axis=-1)
                     assert np.max(np.abs(s - ref) / ref) <= 1e-12, u.name
                     assert got.diagnostics["residual_max"] <= 1e-12
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_are_single_level_solves(self, dim):
+        # levels leave the Newton iteration as their rays converge; every
+        # row is still bit-equal to the solve of its level alone
+        mats = {2: np.diag([4.0, 1.0]), 3: np.diag([4.0, 1.0, 2.25])}
+        grid = _DirectionGrid(dim, 64 if dim == 2 else 16)
+        for norm in (euclidean_norm(dim), ellipsoid_norm(mats[dim]),
+                     regularized_p_norm(dim, 3.0)):
+            for u in (quadratic_ellipsoid(dim, axes=[2.0, 1.0, 1.5][:dim]),
+                      radial_power(norm, a=3.0), perturbed_radial(norm)):
+                restriction = u.ray(grid.omega)
+                levels = level_grid(u, 20)
+                many = _ray_roots(u, grid, levels, restriction)
+                for t, row in zip(levels, many):
+                    one = _ray_roots(u, grid, np.array([t]), restriction)
+                    assert np.array_equal(row, one[0]), (u.name, t)
+
+
+def parametrized_weights(grid, rays, s, grads):
+    """Surface weights from the angular parametrization of x = s(w) w.
+
+    2D: |x_theta| dtheta; 3D: |x_theta x x_phi| dtheta dphi, with the
+    quadrature in (cos(theta), phi) of the direction grid. ds/dtheta
+    follows from u(s(w) w) = t: s_theta = -s (grad u . w_theta) /
+    (grad u . w).
+    """
+    omega = grid.omega
+    g_omega = np.sum(grads * omega, axis=-1)
+    if grid.dim == 2:
+        theta = np.arctan2(omega[:, 1], omega[:, 0])
+        d_theta = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+        s_t = -s * np.sum(grads * d_theta, axis=-1) / g_omega
+        return np.sqrt(s_t * s_t + s * s) * 2.0 * math.pi / omega.shape[0]
+    nc, nphi = max(8, rays // 2), rays
+    c, wc = legendre_rule(nc)
+    sin = np.sqrt(1.0 - c * c)
+    phi = 2.0 * math.pi * np.arange(nphi) / nphi
+    cp, sp = np.cos(phi), np.sin(phi)
+    d_theta = np.stack([np.outer(c, cp), np.outer(c, sp),
+                        np.broadcast_to(-sin[:, None], (nc, nphi))],
+                       axis=-1).reshape(-1, 3)
+    d_phi = np.stack([np.outer(sin, -sp), np.outer(sin, cp),
+                      np.zeros((nc, nphi))], axis=-1).reshape(-1, 3)
+    s_th = -s * np.sum(grads * d_theta, axis=-1) / g_omega
+    s_ph = -s * np.sum(grads * d_phi, axis=-1) / g_omega
+    x_th = s_th[..., None] * omega + s[..., None] * d_theta
+    x_ph = s_ph[..., None] * omega + s[..., None] * d_phi
+    # 1/sin(theta) turns dcos(theta) into dtheta
+    measure = np.outer(wc / sin, np.full(nphi, 2.0 * math.pi / nphi))
+    return (np.linalg.norm(np.cross(x_th, x_ph), axis=-1)
+            * measure.reshape(-1))
+
+
+class TestSurfaceWeights:
+    @pytest.mark.parametrize("case", ["ellipse", "perturbed2", "perturbed3"])
+    def test_closed_form_matches_parametrization(self, case):
+        if case == "ellipse":
+            u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
+        else:
+            dim = 2 if case == "perturbed2" else 3
+            u = perturbed_radial(regularized_p_norm(dim, 3.0))
+        rays = 256 if u.dim == 2 else 24
+        grid = _DirectionGrid(u.dim, rays)
+        restriction = u.ray(grid.omega)
+        s = _ray_roots(u, grid, level_grid(u, 10), restriction)
+        grads = restriction.jets(s)[1]
+        got = bodies._surface_weights(grid, s, grads,
+                                      np.linalg.norm(grads, axis=-1))
+        want = parametrized_weights(grid, rays, s, grads)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 class TestMixedVolume:

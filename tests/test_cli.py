@@ -93,9 +93,9 @@ class TestRun:
         calls = []
         sample_many = bodies.sample_many
 
-        def recorded(norm, u, levels, rays=None):
+        def recorded(norm, u, levels, *args, **kwargs):
             calls.append(np.array(levels))
-            return sample_many(norm, u, levels, rays)
+            return sample_many(norm, u, levels, *args, **kwargs)
 
         monkeypatch.setattr(bodies, "sample_many", recorded)
         cfg = ExperimentConfig.from_dict(base_config(
@@ -199,6 +199,42 @@ class TestRun:
             base_config(tmp_path, ["compare"])))
         assert report["passed"]
         assert calls == [(512, 1), (256, 43)]
+
+    def test_norm_and_field_built_once(self, tmp_path, monkeypatch):
+        # from_dict builds them to validate the config and run reuses
+        # them; the grids may still change in between, as check does
+        built = []
+        build_preset = cli.build_preset
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return build_preset(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_preset", counted)
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path, ["af"]))
+        cfg.grids["levels"] = 40
+        calls = []
+        sample_many = bodies.sample_many
+
+        def recorded(norm, u, levels, *args, **kwargs):
+            calls.append(len(levels))
+            return sample_many(norm, u, levels, *args, **kwargs)
+
+        monkeypatch.setattr(bodies, "sample_many", recorded)
+        assert run(cfg)["passed"]
+        assert len(built) == 1
+        assert calls == [40]
+
+    def test_level_residual_row(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(
+            base_config(tmp_path, ["identities"]))
+        rows = run(cfg)["tasks"]["identities"]["rows"]
+        (row,) = [r for r in rows if r["case"] == "level-set residual max"]
+        norm, u = cfg.built
+        want = bodies.LevelTable(norm, u, 80, 512).residual_max
+        assert row["value"] == want
+        assert 0.0 <= want <= 1e-9
+        assert row["tolerance"] == 1e-9 and row["passed"]
 
     def test_too_few_levels_is_an_error_row(self, tmp_path):
         # below 10 levels the level grid cannot reach t = 0
