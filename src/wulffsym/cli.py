@@ -71,7 +71,6 @@ from .field_ops import (
     default_rays,
     hessian_integral_coarea,
     newton_curvatures,
-    sk_field_batch,
 )
 from .fields import build_preset, preset_catalog
 from .invariants import (
@@ -84,7 +83,6 @@ from .invariants import (
     sk_stack,
 )
 from .parallel import ENV_VAR, thread_count
-from .radial import rearrangement_grid
 from .symmetrize import (
     comparison_margin,
     lp_compare,
@@ -389,18 +387,20 @@ def _task_polya_szego(cfg, norm, u, level_table, polar):
     return rows
 
 
-def _task_compare(cfg, norm, u, level_table, polar, rearrangement):
+def _task_compare(cfg, norm, u, level_table, polar):
     rows = []
     table = level_table()
     for k in cfg.orders:
         source = cfg.field.get("source_constant")
         if source is None:
-            pts = _sample_interior(norm, u, 400, cfg.seed)
-            source = float(np.max(sk_field_batch(norm, u, pts, k))) * 1.05
+            sk_max = float(np.max(polar("rays")[("sk", k)]))
+            if not math.isfinite(sk_max):
+                raise NumericError(
+                    f"S_k (k={k}) on the polar nodes has maximum {sk_max}")
+            source = 1.05 * sk_max
         res = comparison_margin(
-            table, lambda pts, c=float(source): np.full(pts.shape[0], c), k,
-            solver_nodes=cfg.grid("radial_nodes", 4096),
-            polar=polar("rays"), grid=rearrangement())
+            table, source, k, solver_nodes=cfg.grid("radial_nodes", 4096),
+            polar=polar("rays"))
         rows.append(_row("compare", f"radial domination (f={source:.6g})",
                          res.min_margin, 0.0, 1e-4,
                          res.min_margin >= -1e-4, k=k))
@@ -485,9 +485,8 @@ def run(cfg: ExperimentConfig) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
     report = {"version": __version__, "config": _config_echo(cfg),
               "tasks": {}, "passed": True}
-    # one sampled level family, one polar table per distinct polar rule
-    # and one rearrangement grid per experiment, each built by the first
-    # task that reads it
+    # one sampled level family and one polar table per distinct polar
+    # rule per experiment, each built by the first task that reads it
     level_table = functools.cache(lambda: LevelTable(
         norm, u, cfg.grid("levels", 200), cfg.grids.get("rays")))
     rules = {key: cfg.grid(key, default_rays(u.dim))
@@ -498,7 +497,6 @@ def run(cfg: ExperimentConfig) -> dict:
     def polar(key):
         return tables(rules[key])
 
-    rearrangement = functools.cache(lambda: rearrangement_grid(u))
     runners = {
         "invariants": lambda: _task_invariants(cfg, norm, u),
         "identities": lambda: _task_identities(cfg, norm, u, level_table,
@@ -509,8 +507,7 @@ def run(cfg: ExperimentConfig) -> dict:
                                                polar, out_dir),
         "polya_szego": lambda: _task_polya_szego(cfg, norm, u, level_table,
                                                  polar),
-        "compare": lambda: _task_compare(cfg, norm, u, level_table, polar,
-                                         rearrangement),
+        "compare": lambda: _task_compare(cfg, norm, u, level_table, polar),
         "sobolev": lambda: _task_sobolev(cfg, norm, u, polar),
     }
     for task in cfg.tasks:
@@ -585,7 +582,8 @@ def regression_corpus():
 
 def _check(fast: bool) -> int:
     failures = 0
-    tasks = ["identities", "mixedvol", "af", "polya_szego", "sobolev"]
+    tasks = ["identities", "mixedvol", "af", "symmetrize", "polya_szego",
+             "compare", "sobolev"]
     for name, norm_spec, field_spec, orders, grids in regression_corpus():
         cfg = ExperimentConfig.from_dict({
             "norm": norm_spec, "field": field_spec, "orders": orders,

@@ -33,7 +33,9 @@ def panel_cumulative(f, grid):
     """Cumulative integral of a callable along an increasing grid.
 
     Returns G with G[i] = integral of f from grid[0] to grid[i], computed
-    with a fixed-order Gauss rule per panel and compensated accumulation.
+    with a fixed-order Gauss rule per panel and a compensated running sum:
+    np.cumsum plus the running sum of its additions' exact rounding errors
+    (Knuth's TwoSum), so long grids of small panels keep full precision.
     """
     grid = np.asarray(grid, dtype=float)
     x, w = legendre_rule(_PANEL_ORDER)
@@ -42,16 +44,12 @@ def panel_cumulative(f, grid):
     nodes = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
     vals = f(nodes.reshape(-1)).reshape(nodes.shape)
     panel = half * (vals @ w)
-    out = np.empty(grid.shape[0])
-    out[0] = 0.0
-    acc = 0.0
-    comp = 0.0
-    for i, p in enumerate(panel):
-        y = p - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        out[i + 1] = acc
+    acc = np.cumsum(panel)
+    back = acc[1:] - acc[:-1]
+    err = (acc[:-1] - (acc[1:] - back)) + (panel[1:] - back)
+    out = np.zeros(grid.shape[0])
+    out[1:] = acc
+    out[2:] += np.cumsum(err)
     return out
 
 

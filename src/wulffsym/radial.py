@@ -208,7 +208,8 @@ def rearrangement_grid(u: Field):
     The radial node count bounds the value resolution (the profile is a
     staircase for radial densities), so it is kept much finer than the
     angular one: 43 panels of 48 Gauss nodes per ray in 2D (2,064 nodes,
-    256 rays), 11 in 3D (528, 64 longitudes).
+    256 rays), 11 in 3D (528, 64 longitudes). comparison_margin needs no
+    such grid: its constant source is its own rearrangement.
     """
     rays, panels = (256, 43) if u.dim == 2 else (64, 11)
     return polar_grid(u, rays=rays, panels=panels)

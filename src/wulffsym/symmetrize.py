@@ -22,6 +22,7 @@ or its one-request wrappers.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ from .radial import (
     MonotoneProfile,
     radial_energy,
     radial_hessian_integral,
-    rearrange,
     solve_radial,
 )
 
@@ -208,38 +208,39 @@ def lp_compare(table: LevelTable, k: int, p: float, lhs: float):
     return lhs, rhs
 
 
-def comparison_margin(table: LevelTable, f, k: int,
+def comparison_margin(table: LevelTable, source, k: int,
                       solver_nodes: int = 4096,
-                      polar: PolarTable | None = None,
-                      grid=None) -> ComparisonResult:
+                      polar: PolarTable | None = None) -> ComparisonResult:
     """Pointwise gap between the symmetrand and the radial solution.
 
-    Requires S_k[u] <= f on a verification grid, the nodes of the polar
+    ``source`` is the constant right-hand side c >= 0 of S_k[v] = c.
+    Requires S_k[u] <= c on a verification grid, the nodes of the polar
     rule at the table's ray count, with S_k[u] from the rule's field jets
     (violations raise with the worst point); then u*_{k-1} dominates the
     radial solution of S_k[v] = f* on the Wulff ball with matching mixed
     volume, and the returned margin profile rho - v must be nonnegative.
-    ``polar`` is a PolarTable of that rule holding ("sk", k), and ``grid``
-    the rearrangement grid of f (radial.rearrangement_grid); either is
-    built here when not given.
+    A constant is its own decreasing rearrangement, so f* is the
+    two-node profile c on [0, R]. ``polar`` is a PolarTable of that rule
+    holding ("sk", k), built here when not given.
     """
+    if not (isinstance(source, numbers.Real) and math.isfinite(source)
+            and source >= 0.0):
+        raise InputError(f"source must be a finite number >= 0, got "
+                         f"{source!r}; pass the constant c of S_k[v] = c")
+    c = float(source)
     norm, u = table.norm, table.field
     if polar is None:
         polar = PolarTable(norm, u, table.rays, [("sk", k)])
-    pts = polar.points.reshape(-1, u.dim)
     sk_vals = polar[("sk", k)].reshape(-1)
-    f_vals = np.asarray(f(pts), dtype=float)
-    slack = 1e-9 * (1.0 + np.abs(f_vals))
-    bad = sk_vals > f_vals + slack
+    bad = sk_vals > c + 1e-9 * (1.0 + c)
     if np.any(bad):
-        worst = int(np.argmax(sk_vals - f_vals))
+        worst = int(np.argmax(sk_vals))
+        pts = polar.points.reshape(-1, u.dim)
         raise InputError(
             "S_k[u] exceeds the source at "
-            f"x={pts[worst].tolist()}: {sk_vals[worst]:.6g} > "
-            f"{f_vals[worst]:.6g}")
+            f"x={pts[worst].tolist()}: {sk_vals[worst]:.6g} > {c:.6g}")
     sym = symmetrand(table, k)
-    kappa = wulff_volume(norm)
-    f_star = rearrange(f, u, kappa, grid)
+    f_star = MonotoneProfile([0.0, sym.outer_radius], [c, c], "decreasing")
     v = solve_radial(f_star, sym.outer_radius, u.dim, k, nodes=solver_nodes)
     margins = sym.rho(v.r) - v.values
     return ComparisonResult(v.r, margins, float(np.min(margins)))

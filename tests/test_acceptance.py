@@ -275,8 +275,7 @@ def test_criterion_06_polya_szego():
 def test_criterion_07_comparison_principle():
     e2 = euclidean_norm(2)
     ellipse = quadratic_ellipsoid(2, axes=[2.0, 1.0])
-    res = comparison_margin(LevelTable(e2, ellipse),
-                            lambda pts: np.full(pts.shape[0], 1.25), 1)
+    res = comparison_margin(LevelTable(e2, ellipse), 1.25, 1)
     want = (2.0 - res.radii ** 2) / 16.0
     pointwise = float(np.max(np.abs(res.margins - want)))
     m2 = ellipsoid_norm(np.diag([4.0, 1.0]))
@@ -291,8 +290,7 @@ def test_criterion_07_comparison_principle():
             from wulffsym.field_ops import sk_field_batch, polar_grid
             pts, _ = polar_grid(u)
             c = float(np.max(sk_field_batch(norm, u, pts, k))) * 1.02
-        r = comparison_margin(LevelTable(norm, u),
-                              lambda pts, cc=c: np.full(pts.shape[0], cc), k)
+        r = comparison_margin(LevelTable(norm, u), c, k)
         worst_min = min(worst_min, r.min_margin)
         if radial:
             worst_radial = max(worst_radial, float(np.max(np.abs(r.margins))))

@@ -109,7 +109,7 @@ class TestRun:
         assert len(calls) == 1
         assert np.array_equal(calls[0], level_grid(u, 80))
 
-    @pytest.mark.parametrize("name, most", [("ellipse", 3), ("ball3d", 1)],
+    @pytest.mark.parametrize("name, most", [("ellipse", 2), ("ball3d", 1)],
                              ids=["ellipse", "ball3d"])
     def test_polar_rules_once_per_experiment(self, tmp_path, monkeypatch,
                                              name, most):
@@ -175,7 +175,8 @@ class TestRun:
          {"preset": "radial_power", "params": {"a": 2.0}}, 2),
     ], ids=["ball3", "ellipsoid3"])
     def test_compare_in_3d(self, tmp_path, norm, field, order):
-        # the constant source ties the rearranged density everywhere
+        # the constant source is its own rearrangement, so the radial
+        # solve reads no 3D rearrangement grid
         raw = base_config(tmp_path, ["compare"], norm=norm, field=field,
                           orders=[order])
         raw["grids"] = {"levels": 40, "rays": 32}
@@ -184,8 +185,8 @@ class TestRun:
         assert row["passed"], row["case"]
 
     def test_rays_reach_comparison_grid(self, tmp_path, monkeypatch):
-        # the S_k check reads the polar rule at grids.rays; rearrange reads
-        # its own 256-ray, 43-panel grid
+        # the S_k check reads the polar rule at grids.rays; the constant
+        # source needs no rearrangement grid
         calls = []
         polar_rule = rays._polar_rule
 
@@ -198,7 +199,21 @@ class TestRun:
         report = run(ExperimentConfig.from_dict(
             base_config(tmp_path, ["compare"])))
         assert report["passed"]
-        assert calls == [(512, 1), (256, 43)]
+        assert calls == [(512, 1)]
+
+    def test_non_finite_sk_maximum_is_a_task_error(self, tmp_path,
+                                                   monkeypatch):
+        # a nan S_k on one polar node must not become the compare source
+        def with_nan(*args):
+            table = PolarTable(*args)
+            table[("sk", 1)][0, 0] = np.nan
+            return table
+
+        monkeypatch.setattr(cli, "PolarTable", with_nan)
+        report = run(ExperimentConfig.from_dict(
+            base_config(tmp_path, ["compare"])))
+        (row,) = report["tasks"]["compare"]["rows"]
+        assert row["case"].startswith("task error (NumericError)")
 
     def test_norm_and_field_built_once(self, tmp_path, monkeypatch):
         # from_dict builds them to validate the config and run reuses

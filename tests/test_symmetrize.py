@@ -20,6 +20,7 @@ from wulffsym.fields import (
     radial_field,
     radial_power,
 )
+from wulffsym.radial import rearrange, solve_radial
 from wulffsym.symmetrize import (
     comparison_margin,
     lp_compare,
@@ -252,8 +253,7 @@ class TestComparison:
         # Delta u = 5/4 exactly, so f = 5/4 makes the inequality tight at
         # the outer radius; the gap profile is (2 - r^2)/16
         norm = euclidean_norm(2)
-        res = comparison_margin(LevelTable(norm, ellipse_field()),
-                                lambda pts: np.full(pts.shape[0], 1.25), 1)
+        res = comparison_margin(LevelTable(norm, ellipse_field()), 1.25, 1)
         want = (2.0 - res.radii ** 2) / 16.0
         assert np.max(np.abs(res.margins - want)) < 1e-3
         assert res.min_margin >= -1e-4
@@ -262,15 +262,12 @@ class TestComparison:
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))
         table = LevelTable(norm, radial_power(norm, a=2.0))
         for k in (1, 2):
-            res = comparison_margin(
-                table, lambda pts: np.full(pts.shape[0],
-                                           float(math.comb(2, k))), k)
+            res = comparison_margin(table, float(math.comb(2, k)), k)
             assert np.max(np.abs(res.margins)) <= 1e-4
 
     def test_inflated_source_strictly_positive(self):
         norm = euclidean_norm(2)
-        res = comparison_margin(LevelTable(norm, ellipse_field()),
-                                lambda pts: np.full(pts.shape[0], 2.5), 1)
+        res = comparison_margin(LevelTable(norm, ellipse_field()), 2.5, 1)
         interior = res.radii < 0.95 * res.radii[-1]
         assert np.min(res.margins[interior]) > 1e-3
 
@@ -286,20 +283,43 @@ class TestComparison:
         blind = LevelTable(norm, dataclasses.replace(
             u, jets_fn=boom, values_fn=boom), 40, 256)
 
-        def source(pts):
-            return np.full(pts.shape[0], 4.0)
-
-        want = comparison_margin(table, source, 1)
-        got = comparison_margin(blind, source, 1)
+        want = comparison_margin(table, 4.0, 1)
+        got = comparison_margin(blind, 4.0, 1)
         assert np.array_equal(got.radii, want.radii)
         assert np.array_equal(got.margins, want.margins)
         assert got.min_margin == want.min_margin
 
+    @pytest.mark.parametrize("dim, axes, c, k", [
+        (2, [2.0, 1.0], 1.25, 1),
+        (3, [1.0, 1.0, 1.0], 3.0, 2),
+    ], ids=["ellipse", "ball3"])
+    def test_constant_source_is_its_own_rearrangement(self, dim, axes, c,
+                                                      k):
+        # the rearranged constant density reads c wherever solve_radial
+        # evaluates it, so the two-node source profile solves bit for bit
+        norm = euclidean_norm(dim)
+        u = quadratic_ellipsoid(dim, axes=axes)
+        table = LevelTable(norm, u, 40, 64 if dim == 2 else 32)
+        res = comparison_margin(table, c, k)
+        sym = symmetrand(table, k)
+        f_star = rearrange(lambda pts: np.full(pts.shape[0], c), u,
+                           wulff_volume(norm))
+        v = solve_radial(f_star, sym.outer_radius, dim, k)
+        assert np.array_equal(res.radii, v.r)
+        assert np.array_equal(res.margins, sym.rho(v.r) - v.values)
+
+    @pytest.mark.parametrize("source", [
+        math.nan, math.inf, -1.0, lambda pts: np.full(pts.shape[0], 2.5)],
+        ids=["nan", "inf", "negative", "callable"])
+    def test_rejects_a_source_that_is_not_a_constant(self, source):
+        table = LevelTable(euclidean_norm(2), ellipse_field(), 40, 64)
+        with pytest.raises(InputError, match="constant"):
+            comparison_margin(table, source, 1)
+
     def test_precondition_violation_raises(self):
         norm = euclidean_norm(2)
         with pytest.raises(InputError):
-            comparison_margin(LevelTable(norm, ellipse_field()),
-                              lambda pts: np.full(pts.shape[0], 1.0), 1)
+            comparison_margin(LevelTable(norm, ellipse_field()), 1.0, 1)
 
 
 class TestSobolevConstant:
