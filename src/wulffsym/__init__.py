@@ -16,6 +16,7 @@ from .anisotropy import (  # noqa: F401
     Norm,
     dual_hessian,
     dual_jet,
+    dual_jets,
     ellipsoid_norm,
     euclidean_norm,
     eval_jet,

@@ -7,12 +7,15 @@ Three closed families are supported:
 * ``regularized_p``  F(xi) = (sum_i (xi_i^2 + eps |xi|^2)^{p/2})^{1/p}
 
 Every family provides analytic value / gradient / Hessian jets away from
-the origin. The dual norm F*(x) = sup_{xi != 0} <xi, x> / F(xi) has closed
-forms for the first two families; for ``regularized_p`` it is computed by
-maximizing over the unit F-sphere with damped Newton on the stationarity
-system. F* is 1-homogeneous and grad F* 0-homogeneous, so the solve runs at
-x/|x| and is rescaled; a solve that does not converge raises NumericError.
-All entry points accept single vectors of shape (n,) or batches of shape
+the origin (eval_jet). The dual norm F*(x) = sup_{xi != 0} <xi, x> / F(xi)
+of a euclidean or ellipsoid norm is a norm of the same family (the polar
+of sqrt(x^T M x) is sqrt(x^T M^-1 x)), so its jets are eval_jet of that
+polar Norm. For ``regularized_p`` F* is computed by maximizing over the
+unit F-sphere with damped Newton on the stationarity system. F* is
+1-homogeneous and grad F* 0-homogeneous, so the solve runs at x/|x| and is
+rescaled; a solve that does not converge raises NumericError. dual_jets
+gives (F*, grad F*, hess F*) from one solve, dual_jet the first two. All
+entry points accept single vectors of shape (n,) or batches of shape
 (..., n).
 """
 
@@ -24,9 +27,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericError
 from .quad import unit_ball_volume
-from .rays import _DirectionGrid, default_rays
-
-FAMILIES = ("euclidean", "ellipsoid", "regularized_p")
+from .rays import _DirectionGrid
 
 _DUAL_TOL = 1e-12
 _DUAL_ITERS = 80
@@ -141,59 +142,53 @@ def half_sq_hessian(v, g, h):
     return g[..., :, None] * g[..., None, :] + v[..., None, None] * h
 
 
+def _polar(norm: Norm) -> Norm | None:
+    """The polar of a closed family as a Norm; None for regularized_p."""
+    if norm.family == "euclidean":
+        return norm
+    if norm.family == "ellipsoid":
+        return Norm("ellipsoid", norm.dim, matrix=norm.matrix_inv,
+                    matrix_inv=norm.matrix)
+    return None
+
+
 def dual_jet(norm: Norm, x):
     """Return (F*(x), grad F*(x)) of the polar norm; batched."""
     x = _check_nonzero(x)
-    if norm.family == "euclidean":
-        v = np.sqrt(np.sum(x * x, axis=-1))
-        return v, x / v[..., None]
-    if norm.family == "ellipsoid":
-        mi = norm.matrix_inv
-        mx = x @ mi
-        v = np.sqrt(np.sum(x * mx, axis=-1))
-        return v, mx / v[..., None]
+    polar = _polar(norm)
+    if polar is not None:
+        return eval_jet(polar, x)[:2]
     flat = x.reshape(-1, norm.dim)
     scale = np.sqrt(np.sum(flat * flat, axis=-1))
     val, grad = _dual_numeric(norm, flat / scale[:, None])
     return (scale * val).reshape(x.shape[:-1]), grad.reshape(x.shape)
 
 
-def dual_hessian(norm: Norm, x):
-    """Hessian of the polar norm; closed form or implicit differentiation."""
-    return _dual_hessian(norm, _check_nonzero(x))
+def dual_jets(norm: Norm, x):
+    """Return (F*(x), grad F*(x), hess F*(x)) of the polar norm; batched.
 
-
-def _dual_hessian(norm: Norm, x, solved=None):
-    """dual_hessian at checked points x.
-
-    ``solved`` is an already computed dual_jet(norm, x); the implicit
-    differentiation of the numeric family reuses it instead of solving
-    the dual problem again. The closed forms do not read it.
+    regularized_p solves once and differentiates the maximizer implicitly:
+    with xi* = grad F*(w) and lam = F*(w) at w = x/|x|, D solving
+    (lam hessF + gradF x gradF) D = I - gradF x xi* gives the Hessian
+    D/|x|; the unit scale keeps the system well conditioned for every |x|.
     """
-    n = norm.dim
-    eye = np.eye(n)
-    if norm.family == "euclidean":
-        v = np.sqrt(np.sum(x * x, axis=-1))
-        g = x / v[..., None]
-        return (eye - g[..., :, None] * g[..., None, :]) / v[..., None, None]
-    if norm.family == "ellipsoid":
-        mi = norm.matrix_inv
-        mx = x @ mi
-        v = np.sqrt(np.sum(x * mx, axis=-1))
-        return (mi / v[..., None, None]
-                - mx[..., :, None] * mx[..., None, :] / v[..., None, None] ** 3)
-    # implicit differentiation of the maximizer: with xi* = grad F*(w) and
-    # lam = F*(w) at w = x/|x|, solve (lam hessF + gradF x gradF) D = I -
-    # gradF x xi*; D/|x| is the Hessian at x. Solving at unit scale keeps
-    # the system as well conditioned as at w for every |x|
-    lam, xistar = dual_jet(norm, x) if solved is None else solved
+    x = _check_nonzero(x)
+    polar = _polar(norm)
+    if polar is not None:
+        return eval_jet(polar, x)
+    lam, xistar = dual_jet(norm, x)
     scale = np.sqrt(np.sum(x * x, axis=-1))
     _, g, h = eval_jet(norm, xistar)
     aug = ((lam / scale)[..., None, None] * h
            + g[..., :, None] * g[..., None, :])
-    rhs = eye - g[..., :, None] * xistar[..., None, :]
+    rhs = np.eye(norm.dim) - g[..., :, None] * xistar[..., None, :]
     d = np.linalg.solve(aug, rhs) / scale[..., None, None]
-    return 0.5 * (d + np.swapaxes(d, -1, -2))
+    return lam, xistar, 0.5 * (d + np.swapaxes(d, -1, -2))
+
+
+def dual_hessian(norm: Norm, x):
+    """Hessian of the polar norm; closed form or implicit differentiation."""
+    return dual_jets(norm, x)[2]
 
 
 def _dual_numeric(norm: Norm, omega):
@@ -271,7 +266,7 @@ def wulff_volume(norm: Norm) -> float:
         return unit_ball_volume(n) * math.sqrt(np.linalg.det(norm.matrix))
     if n in (2, 3):
         # the unit ball of F* has boundary radius 1/F*(w) along w
-        grid = _DirectionGrid(n, default_rays(n))
+        grid = _DirectionGrid(n)
         r = 1.0 / dual_jet(norm, grid.omega)[0]
         return float(grid.solid @ r ** n) / n
     raise CapabilityError(

@@ -91,7 +91,7 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
         raise DomainError(
             f"levels must lie in ({m:.6g}, 0]; got range "
             f"[{levels.min():.6g}, {levels.max():.6g}]")
-    grid = _DirectionGrid(u.dim, rays or default_rays(u.dim))
+    grid = _DirectionGrid(u.dim, rays)
     restriction = u.ray(grid.omega)
 
     def block(bounds):

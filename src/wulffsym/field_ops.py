@@ -33,7 +33,6 @@ from .rays import (  # noqa: F401
     _DirectionGrid,
     _polar_rule,
     boundary_radii,
-    default_rays,
     polar_grid,
     polar_integral,
 )
@@ -226,13 +225,13 @@ def _check_request(req, n: int):
 
 
 def hessian_integral(norm: Norm, u: Field, k: int,
-                     panels: int | None = None) -> float:
+                     rays: int | None = None) -> float:
     """Energy integral of (-u) times S_k of the anisotropic Hessian.
 
-    ``panels`` is the direction count of the polar rule (longitudes in
-    3D); None means default_rays.
+    ``rays`` is the direction count of the polar rule (longitudes in 3D);
+    None means default_rays.
     """
-    return PolarTable(norm, u, panels, [("hessian", k)])[("hessian", k)]
+    return PolarTable(norm, u, rays, [("hessian", k)])[("hessian", k)]
 
 
 def generalized_integral(norm: Norm, u: Field, k: int, p: float,
@@ -284,17 +283,17 @@ def hessian_integral_coarea(table, k: int) -> float:
     return trapezoid(table.coarea[k - 1], table.levels) / k
 
 
-def lp_norm(u: Field, p: float, panels: int | None = None) -> float:
+def lp_norm(u: Field, p: float, rays: int | None = None) -> float:
     """L^p norm of u over its domain (u <= 0 inside), from values only.
 
-    ``panels`` is the direction count of the polar rule, as in
+    ``rays`` is the direction count of the polar rule, as in
     hessian_integral.
     """
-    return PolarTable(None, u, panels, [("lp", p)])[("lp", p)]
+    return PolarTable(None, u, rays, [("lp", p)])[("lp", p)]
 
 
-def domain_volume(u: Field, panels: int | None = None) -> float:
-    """Volume of {u < 0} from the boundary radii of ``panels`` directions."""
-    grid = _DirectionGrid(u.dim, panels or default_rays(u.dim))
+def domain_volume(u: Field, rays: int | None = None) -> float:
+    """Volume of {u < 0} from the boundary radii of ``rays`` directions."""
+    grid = _DirectionGrid(u.dim, rays)
     s = boundary_radii(u, grid, u.ray(grid.omega))
     return float(grid.solid @ s ** u.dim) / u.dim

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .anisotropy import Norm, _dual_hessian, dual_jet, eval_jet
+from .anisotropy import Norm, dual_jet, dual_jets, eval_jet
 from .errors import DomainError, InputError
 
 
@@ -158,8 +158,7 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
         grad = np.zeros((m, dim))
         hess = np.broadcast_to(origin_vpp * np.eye(dim), (m, dim, dim)).copy()
         if np.any(live):
-            rl, xi = dual_jet(norm, flat[live])
-            hd = _dual_hessian(norm, flat[live], (rl, xi))
+            rl, xi, hd = dual_jets(norm, flat[live])
             vp = np.asarray(vp_fn(rl))
             vpp = np.asarray(vpp_fn(rl))
             r[live] = rl
@@ -172,8 +171,7 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
                 hess.reshape(lead + (dim, dim)))
 
     def ray(omega):
-        fo, xi = dual_jet(norm, omega)
-        hd = _dual_hessian(norm, omega, (fo, xi))
+        fo, xi, hd = dual_jets(norm, omega)
         xx = xi[:, :, None] * xi[:, None, :]
 
         def along(s):

@@ -9,6 +9,7 @@ the closed form
 its energy integral over the Wulff ball of radius r0 is
 kappa_n C(n,k) * int_0^{r0} r^{n-k} v'(r)^{k+1} dr, and the constant-
 source Dirichlet problem S_k = f solves in closed double-integral form.
+A profile passed to the energies must carry its slopes (``derivative``).
 Rearrangement converts an integrable density on a domain into the
 radially decreasing profile with identical level-set volumes.
 """
@@ -70,10 +71,6 @@ class MonotoneProfile:
             raise DomainError("profile carries no derivative estimates")
         return np.interp(np.asarray(x, dtype=float), self.r, self.derivative)
 
-    @property
-    def support(self):
-        return float(self.r[0]), float(self.r[-1])
-
 
 def profile_from_callable(fn, grid, dfn=None, direction="increasing",
                           meta=None) -> MonotoneProfile:
@@ -110,27 +107,18 @@ def radial_sk_origin(vpp0: float, n: int, k: int) -> float:
     return math.comb(n, k) * vpp0 ** k
 
 
-def _derivative_on_grid(profile: MonotoneProfile) -> np.ndarray:
-    if profile.derivative is not None:
-        return profile.derivative
-    r, v = profile.r, profile.values
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (r[2:] - r[:-2])
-    d[0] = (v[1] - v[0]) / (r[1] - r[0])
-    d[-1] = (v[-1] - v[-2]) / (r[-1] - r[-2])
-    return d
-
-
 def radial_energy(profile: MonotoneProfile, n: int, k: int, p: float,
                   kappa_n: float) -> float:
     """n kappa_n C(n-1,k-1) * int r^{n-k} v'(r)^p dr over the profile.
 
-    v' is interpolated linearly between nodewise estimates; each panel is
-    integrated by a fixed Gauss rule.
+    v' is interpolated linearly between the profile's slope estimates;
+    each panel is integrated by a fixed Gauss rule.
     """
     if not 1 <= k <= n:
         raise DomainError(f"order k={k} outside [1, {n}]")
-    deriv = np.abs(_derivative_on_grid(profile))
+    if profile.derivative is None:
+        raise DomainError("profile carries no derivative estimates")
+    deriv = np.abs(profile.derivative)
     r = profile.r
 
     def integrand(s):
@@ -215,16 +203,16 @@ def rearrangement_grid(u: Field):
     return polar_grid(u, rays=rays, panels=panels)
 
 
-def rearrange(f, u: Field, kappa_n: float, grid=None) -> MonotoneProfile:
+def rearrange(f, u: Field, kappa_n: float) -> MonotoneProfile:
     """Radially decreasing rearrangement of a density over {u < 0}.
 
-    Samples f on ``grid``, by default rearrangement_grid(u), sorts by value
-    (stable, descending), and matches cumulative volumes: the profile
-    value at radius (V/kappa_n)^{1/n} is the density at cumulative volume
-    V. Where node weights fall below the rounding of the running volume
+    Samples f on rearrangement_grid(u), sorts by value (stable,
+    descending), and matches cumulative volumes: the profile value at
+    radius (V/kappa_n)^{1/n} is the density at cumulative volume V.
+    Where node weights fall below the rounding of the running volume
     (near the anchor in 3D), runs of equal radii keep their last node.
     """
-    pts, w = rearrangement_grid(u) if grid is None else grid
+    pts, w = rearrangement_grid(u)
     fv = np.asarray(f(pts), dtype=float)
     if np.any(fv < -1e-12):
         raise InputError("rearrangement needs a nonnegative density")

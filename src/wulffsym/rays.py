@@ -3,7 +3,8 @@
 Every field domain {u < 0} is star-shaped about the field's anchor, so
 points of the domain are written anchor + s w with w from a deterministic
 direction grid (uniform angles in 2D, Gauss latitudes times uniform
-longitudes in 3D). The field's ray restriction to a grid, u.ray(omega)
+longitudes in 3D; _DirectionGrid owns the default count, default_rays).
+The field's ray restriction to a grid, u.ray(omega)
 (fields.RayRestriction), is built once and is the only way the field is
 evaluated on that grid. One root solver serves every level and ray at
 once: safeguarded Newton on the restriction's s -> (u, du/ds) inside the
@@ -46,11 +47,13 @@ def default_rays(dim: int) -> int:
 
 
 class _DirectionGrid:
-    """Deterministic direction grid; ``solid`` integrates over the solid
-    angle (polar volume quadrature and level-set surface weights)."""
+    """Deterministic grid of ``rays`` directions (longitudes in 3D; None
+    means default_rays); ``solid`` integrates over the solid angle (polar
+    volume quadrature and level-set surface weights)."""
 
-    def __init__(self, dim: int, rays: int):
+    def __init__(self, dim: int, rays: int | None = None):
         self.dim = dim
+        rays = default_rays(dim) if rays is None else rays
         if dim == 2:
             theta = 2.0 * math.pi * np.arange(rays) / rays
             self.omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -155,7 +158,7 @@ def _polar_rule(u, rays: int | None, panels: int = 1):
     have shape (48 panels, directions), the weights with the polar
     Jacobian.
     """
-    grid = _DirectionGrid(u.dim, rays or default_rays(u.dim))
+    grid = _DirectionGrid(u.dim, rays)
     restriction = u.ray(grid.omega)
     s = boundary_radii(u, grid, restriction)
     x, wx = legendre_rule(_RADIAL_NODES)

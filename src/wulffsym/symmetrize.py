@@ -190,22 +190,20 @@ def lp_compare(table: LevelTable, k: int, p: float, lhs: float):
     """(||u||_p, ||u*||_p); symmetrization does not decrease L^p norms.
 
     ``lhs`` is ||u||_p, lp_norm(u, p); p = inf compares the minima, which
-    agree exactly (``lhs`` is then |min u|).
+    agree exactly (``lhs`` is then |min u|). ||u*||_p^p is integrated on
+    the panels of the symmetrand profile rho, as in radial_energy: rho is
+    linear on each, so the panel Gauss rule is exact at p = 2.
     """
-    u = table.field
-    sym = symmetrand(table, k)
+    n = table.field.dim
+    rho = symmetrand(table, k).rho
     if p == math.inf:
-        return lhs, abs(float(sym.rho(0.0)))
+        return lhs, abs(float(rho(0.0)))
     if p < 1.0:
         raise DomainError("p must be >= 1 (or inf)")
     kappa = wulff_volume(table.norm)
-    n = u.dim
-    rho = sym.rho
-    grid = np.linspace(0.0, sym.outer_radius, 4096)
     mass = panel_cumulative(
-        lambda s: np.abs(rho(s)) ** p * s ** (n - 1.0), grid)[-1]
-    rhs = (n * kappa * float(mass)) ** (1.0 / p)
-    return lhs, rhs
+        lambda s: np.abs(rho(s)) ** p * s ** (n - 1.0), rho.r)[-1]
+    return lhs, (n * kappa * float(mass)) ** (1.0 / p)
 
 
 def comparison_margin(table: LevelTable, source, k: int,

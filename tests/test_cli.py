@@ -341,6 +341,32 @@ class TestMain:
         assert not (tmp_path / "out" / "invariants.csv").exists()
         assert (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("change, args, named", [
+        ({"field": {"preset": "quadratic_ellipsoid",
+                    "params": {"bogus": 1}}}, [], "axes"),
+        ({"field": {"preset": "quadratic_ellipsoid", "params": [1]}}, [],
+         "params"),
+        ({"orders": 1}, [], "orders"),
+        ({"exponents": 2.0}, [], "exponents"),
+        ({"grids": {"levels": None}}, [], "levels"),
+        ({"seed": -1}, [], "seed"),
+        ({}, ["--seed", "-3"], "seed"),
+        ({"grids": {"levels": 40.7}}, [], "levels"),
+        ({"orders": "12"}, [], "orders"),
+        ({"output": {"formats": "json"}}, [], "formats"),
+    ], ids=["preset-param", "params-list", "orders-int", "exponents-float",
+            "levels-null", "seed-negative", "seed-flag-negative",
+            "levels-float", "orders-string", "formats-string"])
+    def test_config_value_errors_exit_2(self, tmp_path, capsys, change, args,
+                                        named):
+        raw = base_config(tmp_path, ["invariants"])
+        raw.update(change)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+
     def test_invalid_norm_spec_exit_2(self, tmp_path):
         raw = base_config(tmp_path, ["af"])
         raw["norm"] = {"family": "ellipsoid", "dim": 2}  # matrix missing

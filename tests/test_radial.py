@@ -16,6 +16,7 @@ from wulffsym.fields import quadratic_ellipsoid, radial_field, radial_power
 from wulffsym.radial import (
     MonotoneProfile,
     profile_from_callable,
+    radial_energy,
     radial_hessian_integral,
     radial_sk,
     radial_sk_origin,
@@ -128,6 +129,15 @@ class TestRadialHessianIntegral:
         r = np.linspace(0.0, 1.0, 101)
         p = MonotoneProfile(r, r, "increasing", derivative=np.ones_like(r))
         with pytest.raises(DomainError):
+            radial_hessian_integral(p, 2, 1, math.pi)
+
+    def test_energy_needs_slope_estimates(self):
+        # a profile without slopes is rejected, not differenced numerically
+        r = np.linspace(0.0, 1.0, 101)
+        p = MonotoneProfile(r, 0.5 * (r * r - 1.0), "increasing")
+        with pytest.raises(DomainError, match="no derivative estimates"):
+            radial_energy(p, 2, 1, 2.0, math.pi)
+        with pytest.raises(DomainError, match="no derivative estimates"):
             radial_hessian_integral(p, 2, 1, math.pi)
 
 

@@ -247,6 +247,22 @@ class TestLpCompare:
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert lhs == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_l2_of_the_profile_is_exact(self, k):
+        # rho interpolates linearly between its nodes, so rho(s)^2 s is a
+        # cubic on each panel and Simpson's rule integrates it exactly
+        norm = euclidean_norm(2)
+        table = LevelTable(norm, ellipse_field())
+        rho = symmetrand(table, k).rho
+        r, v = rho.r, rho.values
+        mid_r, mid_v = 0.5 * (r[1:] + r[:-1]), 0.5 * (v[1:] + v[:-1])
+        mass = math.fsum(np.diff(r) / 6.0 * (v[:-1] ** 2 * r[:-1]
+                                             + 4.0 * mid_v ** 2 * mid_r
+                                             + v[1:] ** 2 * r[1:]))
+        want = math.sqrt(2.0 * math.pi * mass)
+        _, rhs = lp_compare(table, k, 2.0, 0.0)
+        assert rhs == pytest.approx(want, rel=1e-13, abs=0.0)
+
 
 class TestComparison:
     def test_ellipse_closed_form_margin(self):
