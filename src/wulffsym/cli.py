@@ -20,13 +20,13 @@ A config is one JSON object (unknown keys and ill-typed values are rejected):
       "seed":   42
     }
 
-``grids.volume_panels`` is the direction count (longitudes in 3D) of the
-polar rule behind the volume integrals: the direct Hessian energies and
-the L^p norms; ``grids.rays`` that of the generalized energies and the
-comparison check. Unset, each is 2048 in 2D and 256 in 3D. Each polar
-rule is built once per experiment, and one pass over its nodes gives
-every value identities, symmetrize, polya_szego, compare and sobolev
-read from it (field_ops.PolarTable).
+Each grid key drives one layer: ``levels`` and ``rays`` (directions,
+longitudes in 3D) the level-set sampling, ``volume_panels`` the one polar
+rule of every domain integral and of the comparison check, and
+``radial_nodes`` the radial solver. Unset, ``rays`` and ``volume_panels``
+are 2048 in 2D and 256 in 3D. The polar rule is built once per
+experiment, and one pass over its nodes gives every value identities,
+symmetrize, polya_szego, compare and sobolev read (field_ops.PolarTable).
 
 Exit status: 0 when every verdict passes, 1 when any check fails or a
 task raises a wulffsym error (recorded as a "task error (<class>)" row),
@@ -82,7 +82,6 @@ from .invariants import (
     sk_stack,
 )
 from .parallel import ENV_VAR, thread_count
-from .rays import default_rays
 from .symmetrize import (
     comparison_margin,
     lp_compare,
@@ -135,6 +134,9 @@ class ExperimentConfig:
                  "field preset must be a name", fld.get("preset"))
         _require(isinstance(fld.get("params", {}), dict),
                  "field params must be an object", fld.get("params"))
+        source = fld.get("source_constant", 0.0)
+        _require(_is_number(source) and 0.0 <= source < math.inf,
+                 "field source_constant must be a finite number >= 0", source)
         grids = _object(raw.get("grids") or {}, {
             "levels", "rays", "radial_nodes", "volume_panels"}, "grids")
         for key, val in grids.items():
@@ -142,6 +144,8 @@ class ExperimentConfig:
                      f"grid entry {key} must be a positive integer", val)
         output = _object(raw.get("output") or {}, {"directory", "formats"},
                          "output")
+        _require(isinstance(output.get("directory", ""), str),
+                 "output directory must be a string", output.get("directory"))
         _list_of(output, "formats", ["json"], ("json", "csv").__contains__,
                  'of "json" and "csv"', str)
         tasks = _list_of(raw, "tasks", [], TASKS.__contains__,
@@ -171,7 +175,10 @@ class ExperimentConfig:
         if family == "ellipsoid":
             matrix = self.norm.get("matrix")
             _require(matrix is not None, "ellipsoid norm needs a matrix", None)
-            return ellipsoid_norm(np.asarray(matrix, dtype=float))
+            norm = ellipsoid_norm(np.asarray(matrix, dtype=float))
+            _require(dim == norm.dim or "dim" not in self.norm,
+                     f"norm dim must equal the matrix size {norm.dim}", dim)
+            return norm
         if family == "regularized_p":
             return regularized_p_norm(dim, float(self.norm.get("p", 3.0)),
                                       float(self.norm.get("eps", 1e-2)))
@@ -314,7 +321,7 @@ def _task_identities(cfg, norm, u, level_table, polar):
     # most, and the polar pass then reuses the memory it freed
     table = level_table()
     for k in cfg.orders:
-        direct = polar("volume_panels")[("hessian", k)]
+        direct = polar()[("hessian", k)]
         coarea = hessian_integral_coarea(table, k)
         spread = abs(direct - coarea) / (1.0 + abs(direct))
         rows.append(_row("identities", "coarea vs direct energy",
@@ -381,8 +388,7 @@ def _task_symmetrize(cfg, norm, u, level_table, polar, out_dir):
             sym.rho(sym.zeta.values) - sym.zeta.r)))
         rows.append(_row("symmetrize", "profile node consistency",
                          node_err, 0.0, 1e-6, node_err <= 1e-6, k=k))
-        lhs, rhs = lp_compare(table, k, 2.0,
-                              polar("volume_panels")[("lp", 2.0)])
+        lhs, rhs = lp_compare(table, k, 2.0, polar()[("lp", 2.0)])
         rows.append(_margin_row("symmetrize", "L2 monotonicity", rhs, lhs,
                                 1e-4, k=k, p=2.0))
         linf_l, linf_r = lp_compare(table, k, math.inf, abs(u.min_value))
@@ -400,13 +406,12 @@ def _task_polya_szego(cfg, norm, u, level_table, polar):
     rows = []
     table = level_table()
     for k in cfg.orders:
-        res = ps_margin(table, k, polar("volume_panels")[("hessian", k)])
+        res = ps_margin(table, k, polar()[("hessian", k)])
         tol = 1e-4 * (1.0 + abs(res.lhs))
         rows.append(_margin_row("polya_szego", "hessian energy drop",
                                 res.lhs, res.rhs, tol, k=k))
         for p in cfg.exponents:
-            resp = ps_margin_p(table, k, p,
-                               polar("rays")[("generalized", k, p)])
+            resp = ps_margin_p(table, k, p, polar()[("generalized", k, p)])
             tol = 1e-4 * (1.0 + abs(resp.lhs))
             rows.append(_margin_row("polya_szego", "generalized energy drop",
                                     resp.lhs, resp.rhs, tol, k=k, p=p))
@@ -419,14 +424,14 @@ def _task_compare(cfg, norm, u, level_table, polar):
     for k in cfg.orders:
         source = cfg.field.get("source_constant")
         if source is None:
-            sk_max = float(np.max(polar("rays")[("sk", k)]))
+            sk_max = float(np.max(polar()[("sk", k)]))
             if not math.isfinite(sk_max):
                 raise NumericError(
                     f"S_k (k={k}) on the polar nodes has maximum {sk_max}")
             source = 1.05 * sk_max
         res = comparison_margin(
             table, source, k, solver_nodes=cfg.grid("radial_nodes", 4096),
-            polar=polar("rays"))
+            polar=polar())
         rows.append(_row("compare", f"radial domination (f={source:.6g})",
                          res.min_margin, 0.0, 1e-4,
                          res.min_margin >= -1e-4, k=k))
@@ -438,8 +443,8 @@ def _task_sobolev(cfg, norm, u, polar):
     for k, p in _sobolev_cases(cfg, u.dim):
         c = sobolev_constant(norm, k, p)
         q = sobolev_exponent(u.dim, k, p)
-        res = sobolev_margin(norm, k, p, polar("rays")[("generalized", k, p)],
-                             polar("volume_panels")[("lp", q)])
+        res = sobolev_margin(norm, k, p, polar()[("generalized", k, p)],
+                             polar()[("lp", q)])
         tol = 1e-4 * (1.0 + res.constant * res.energy)
         rows.append(_margin_row(
             "sobolev", f"embedding slack (C={c:.8g})",
@@ -454,21 +459,18 @@ def _sobolev_cases(cfg, n):
 
 
 def _polar_requests(cfg, n):
-    """(grid key, field_ops.PolarTable request) of every value the tasks
-    read from the polar rules of volume_panels and rays."""
+    """The field_ops.PolarTable request of every value the tasks read."""
     tasks, ks = set(cfg.tasks), cfg.orders
-    out = [("volume_panels", ("lp", 2.0))] if "symmetrize" in tasks else []
+    out = [("lp", 2.0)] if "symmetrize" in tasks else []
     if tasks & {"identities", "polya_szego"}:
-        out += [("volume_panels", ("hessian", k)) for k in ks]
+        out += [("hessian", k) for k in ks]
     if "polya_szego" in tasks:
-        out += [("rays", ("generalized", k, p)) for k in ks
-                for p in cfg.exponents]
+        out += [("generalized", k, p) for k in ks for p in cfg.exponents]
     if "compare" in tasks:
-        out += [("rays", ("sk", k)) for k in ks]
+        out += [("sk", k) for k in ks]
     if "sobolev" in tasks:
         for k, p in _sobolev_cases(cfg, n):
-            out += [("rays", ("generalized", k, p)),
-                    ("volume_panels", ("lp", sobolev_exponent(n, k, p)))]
+            out += [("generalized", k, p), ("lp", sobolev_exponent(n, k, p))]
     return out
 
 
@@ -511,18 +513,12 @@ def run(cfg: ExperimentConfig) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
     report = {"version": __version__, "config": asdict(cfg),
               "tasks": {}, "passed": True}
-    # one sampled level family and one polar table per distinct polar
-    # rule per experiment, each built by the first task that reads it
+    # one sampled level family and one polar table per experiment, each
+    # built by the first task that reads it
     level_table = functools.cache(lambda: LevelTable(
         norm, u, cfg.grid("levels", 200), cfg.grids.get("rays")))
-    rules = {key: cfg.grid(key, default_rays(u.dim))
-             for key in ("volume_panels", "rays")}
-    tables = functools.cache(lambda count: PolarTable(norm, u, count, [
-        q for key, q in _polar_requests(cfg, u.dim) if rules[key] == count]))
-
-    def polar(key):
-        return tables(rules[key])
-
+    polar = functools.cache(lambda: PolarTable(
+        norm, u, cfg.grids.get("volume_panels"), _polar_requests(cfg, u.dim)))
     runners = {
         "invariants": lambda: _task_invariants(cfg, norm, u),
         "identities": lambda: _task_identities(cfg, norm, u, level_table,

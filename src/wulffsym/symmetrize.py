@@ -212,14 +212,14 @@ def comparison_margin(table: LevelTable, source, k: int,
     """Pointwise gap between the symmetrand and the radial solution.
 
     ``source`` is the constant right-hand side c >= 0 of S_k[v] = c.
-    Requires S_k[u] <= c on a verification grid, the nodes of the polar
-    rule at the table's ray count, with S_k[u] from the rule's field jets
-    (violations raise with the worst point); then u*_{k-1} dominates the
-    radial solution of S_k[v] = f* on the Wulff ball with matching mixed
-    volume, and the returned margin profile rho - v must be nonnegative.
-    A constant is its own decreasing rearrangement, so f* is the
-    two-node profile c on [0, R]. ``polar`` is a PolarTable of that rule
-    holding ("sk", k), built here when not given.
+    Requires S_k[u] <= c on the nodes of ``polar``, a PolarTable holding
+    ("sk", k), with S_k[u] from the rule's field jets (violations raise
+    with the worst point); then u*_{k-1} dominates the radial solution of
+    S_k[v] = f* on the Wulff ball with matching mixed volume, and the
+    returned margin profile rho - v must be nonnegative. A constant is
+    its own decreasing rearrangement, so f* is the two-node profile c on
+    [0, R]. The CLI passes the experiment's table, at grids.volume_panels
+    directions; a missing ``polar`` is built at the table's ray count.
     """
     if not (isinstance(source, numbers.Real) and math.isfinite(source)
             and source >= 0.0):

@@ -26,6 +26,16 @@ BALL3D = {
     "tasks": ["identities", "mixedvol", "af", "polya_szego", "sobolev"],
     "seed": 42,
 }
+# the regp2d benchmark workload: rays set and volume_panels unset
+REGP2D = {
+    "norm": {"family": "regularized_p", "dim": 2, "p": 3.0},
+    "field": {"preset": "perturbed_radial"},
+    "orders": [1],
+    "exponents": [],
+    "grids": {"levels": 80, "rays": 256},
+    "tasks": ["mixedvol", "polya_szego", "sobolev"],
+    "seed": 42,
+}
 
 
 def base_config(tmp_path, tasks, **overrides):
@@ -109,18 +119,22 @@ class TestRun:
         assert len(calls) == 1
         assert np.array_equal(calls[0], level_grid(u, 80))
 
-    @pytest.mark.parametrize("name, most", [("ellipse", 2), ("ball3d", 1)],
-                             ids=["ellipse", "ball3d"])
+    @pytest.mark.parametrize("name, directions", [
+        ("ellipse", 400), ("ball3d", 96 * 48), ("regp2d", 2048)],
+        ids=["ellipse", "ball3d", "regp2d"])
     def test_polar_rules_once_per_experiment(self, tmp_path, monkeypatch,
-                                             name, most):
-        # each polar rule is built once and its table serves every task;
-        # it is counted in every wulffsym module that holds _polar_rule
+                                             name, directions):
+        # one polar rule, at grids.volume_panels directions (in 3D, 96
+        # longitudes by 48 latitudes), is built once and its table serves
+        # every task; it is counted in every wulffsym module that holds
+        # _polar_rule
         rules, tables = [], []
         polar_rule = rays._polar_rule
 
         def counted(u, count=None, panels=1):
-            rules.append((count, panels))
-            return polar_rule(u, count, panels)
+            rule = polar_rule(u, count, panels)
+            rules.append((rule[0].count, panels))
+            return rule
 
         def recorded(norm, u, count, requests):
             tables.append((count, PolarTable(norm, u, count, requests)))
@@ -130,12 +144,12 @@ class TestRun:
             monkeypatch.setattr(mod, "_polar_rule", counted)
         monkeypatch.setattr(cli, "PolarTable", recorded)
         raw = (json.loads(ELLIPSE_CONFIG.read_text()) if name == "ellipse"
-               else dict(BALL3D))
+               else dict(BALL3D if name == "ball3d" else REGP2D))
         raw["output"] = {"directory": str(tmp_path / "out")}
         cfg = ExperimentConfig.from_dict(raw)
         report = run(cfg)
         assert report["passed"]
-        assert len(rules) <= most
+        assert rules == [(directions, 1)]
         norm = cfg.build_norm()
         u = cfg.build_field(norm)
         standalone = {
@@ -184,9 +198,11 @@ class TestRun:
         (row,) = report["tasks"]["compare"]["rows"]
         assert row["passed"], row["case"]
 
-    def test_rays_reach_comparison_grid(self, tmp_path, monkeypatch):
-        # the S_k check reads the polar rule at grids.rays; the constant
-        # source needs no rearrangement grid
+    def test_volume_panels_reach_comparison_grid(self, tmp_path,
+                                                 monkeypatch):
+        # the S_k check reads the polar rule at grids.volume_panels, not
+        # the sampling's grids.rays; the constant source needs no
+        # rearrangement grid
         calls = []
         polar_rule = rays._polar_rule
 
@@ -199,7 +215,7 @@ class TestRun:
         report = run(ExperimentConfig.from_dict(
             base_config(tmp_path, ["compare"])))
         assert report["passed"]
-        assert calls == [(512, 1)]
+        assert calls == [(200, 1)]
 
     def test_non_finite_sk_maximum_is_a_task_error(self, tmp_path,
                                                    monkeypatch):
@@ -299,6 +315,10 @@ class TestRun:
 
 
 class TestCheck:
+    def test_fast_corpus_passes(self, capsys):
+        assert main(["check", "--fast"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_fast_check_samples_96_rays_in_3d(self, monkeypatch):
         grids = []
 
@@ -354,9 +374,21 @@ class TestMain:
         ({"grids": {"levels": 40.7}}, [], "levels"),
         ({"orders": "12"}, [], "orders"),
         ({"output": {"formats": "json"}}, [], "formats"),
+        ({"norm": {"family": "ellipsoid", "dim": 3,
+                   "matrix": [[4.0, 0.0], [0.0, 1.0]]}}, [],
+         "dim must equal the matrix size 2; got 3"),
+        ({"output": {"directory": 5}}, [], "directory"),
+        ({"field": {"preset": "quadratic_ellipsoid",
+                    "source_constant": "abc"}}, [], "source_constant"),
+        ({"field": {"preset": "quadratic_ellipsoid",
+                    "source_constant": -1}}, [], "source_constant"),
+        ({"field": {"preset": "quadratic_ellipsoid",
+                    "source_constant": True}}, [], "source_constant"),
     ], ids=["preset-param", "params-list", "orders-int", "exponents-float",
             "levels-null", "seed-negative", "seed-flag-negative",
-            "levels-float", "orders-string", "formats-string"])
+            "levels-float", "orders-string", "formats-string",
+            "ellipsoid-dim", "directory-int", "source-string",
+            "source-negative", "source-bool"])
     def test_config_value_errors_exit_2(self, tmp_path, capsys, change, args,
                                         named):
         raw = base_config(tmp_path, ["invariants"])
