@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericError
-from .quad import unit_ball_volume
+from .quad import rowsum, unit_ball_volume
 from .rays import _DirectionGrid
 
 _DUAL_TOL = 1e-12
@@ -83,7 +83,7 @@ def _check_nonzero(x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] < 1:
         raise DomainError("empty vector")
-    if np.any(np.sum(x * x, axis=-1) == 0.0):
+    if np.any(rowsum(x * x) == 0.0):
         raise DomainError("norm jets are undefined at the origin")
     return x
 
@@ -96,14 +96,14 @@ def eval_jet(norm: Norm, xi):
         raise DomainError(f"expected vectors of length {n}")
     eye = np.eye(n)
     if norm.family == "euclidean":
-        v = np.sqrt(np.sum(xi * xi, axis=-1))
+        v = np.sqrt(rowsum(xi * xi))
         g = xi / v[..., None]
         h = (eye - g[..., :, None] * g[..., None, :]) / v[..., None, None]
         return v, g, h
     if norm.family == "ellipsoid":
         m = norm.matrix
         mx = xi @ m
-        v = np.sqrt(np.sum(xi * mx, axis=-1))
+        v = np.sqrt(rowsum(xi * mx))
         g = mx / v[..., None]
         h = (m / v[..., None, None]
              - mx[..., :, None] * mx[..., None, :] / v[..., None, None] ** 3)
@@ -115,12 +115,12 @@ def _reg_p_jet(norm: Norm, xi):
     p, eps = norm.exponent, norm.smoothing
     n = norm.dim
     sq = xi * xi
-    q = sq + eps * np.sum(sq, axis=-1, keepdims=True)
+    q = sq + eps * rowsum(sq)[..., None]
     qa = q ** (0.5 * p - 1.0)          # q^{p/2-1}
     qb = q ** (0.5 * p - 2.0)          # q^{p/2-2}
-    big_g = np.sum(q * qa, axis=-1)    # sum q^{p/2}
-    t1 = np.sum(qa, axis=-1, keepdims=True)
-    u = np.sum(qb, axis=-1, keepdims=True)
+    big_g = rowsum(q * qa)             # sum q^{p/2}
+    t1 = rowsum(qa)[..., None]
+    u = rowsum(qb)[..., None]
     value = big_g ** (1.0 / p)
     b = qa + eps * t1
     h_vec = xi * b
@@ -159,7 +159,7 @@ def dual_jet(norm: Norm, x):
     if polar is not None:
         return eval_jet(polar, x)[:2]
     flat = x.reshape(-1, norm.dim)
-    scale = np.sqrt(np.sum(flat * flat, axis=-1))
+    scale = np.sqrt(rowsum(flat * flat))
     val, grad = _dual_numeric(norm, flat / scale[:, None])
     return (scale * val).reshape(x.shape[:-1]), grad.reshape(x.shape)
 
@@ -177,7 +177,7 @@ def dual_jets(norm: Norm, x):
     if polar is not None:
         return eval_jet(polar, x)
     lam, xistar = dual_jet(norm, x)
-    scale = np.sqrt(np.sum(x * x, axis=-1))
+    scale = np.sqrt(rowsum(x * x))
     _, g, h = eval_jet(norm, xistar)
     aug = ((lam / scale)[..., None, None] * h
            + g[..., :, None] * g[..., None, :])
@@ -200,11 +200,11 @@ def _dual_numeric(norm: Norm, omega):
     p = norm.exponent
     # start at the plain p-norm maximizer, a good guess for small smoothing
     xi = np.sign(omega) * np.abs(omega) ** (1.0 / (p - 1.0))
-    bad = np.sum(xi * xi, axis=-1) == 0.0
+    bad = rowsum(xi * xi) == 0.0
     if np.any(bad):
         xi[bad] = omega[bad]
     xi = xi / eval_jet(norm, xi)[0][..., None]
-    lam = np.sum(xi * omega, axis=-1)
+    lam = rowsum(xi * omega)
     for it in range(_DUAL_ITERS + 1):
         v, g, h = eval_jet(norm, xi)
         r1 = lam[:, None] * g - omega
@@ -248,7 +248,7 @@ def _dual_numeric(norm: Norm, omega):
             f"{omega[worst].tolist()} (p={p}, eps={norm.smoothing}): "
             f"residual {res[worst]:.3e} after {it} iterations")
     xi = xi / eval_jet(norm, xi)[0][..., None]
-    return np.sum(xi * omega, axis=-1), xi
+    return rowsum(xi * omega), xi
 
 
 @lru_cache(maxsize=None)

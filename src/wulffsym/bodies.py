@@ -32,7 +32,7 @@ from .errors import DegenerateLevelError, DomainError, NumericError
 from .field_ops import curvature_batch, level_grid
 from .fields import Field
 from .parallel import map_blocks
-from .quad import chunked
+from .quad import chunked, rowsum
 # boundary_radii and default_rays are re-exported: the benchmark tracer
 # and the tests reach them here
 from .rays import (  # noqa: F401
@@ -72,7 +72,7 @@ def _surface_weights(grid: _DirectionGrid, s, grads, gn):
     """Surface weights of x = s(w) w: its area element is
     s^(n-1) |grad u| / (grad u . w) dsigma(w), dsigma the grid's solid
     angle weights, and grad u . w = du/ds is positive at every root."""
-    g_omega = np.sum(grads * grid.omega, axis=-1)
+    g_omega = rowsum(grads * grid.omega)
     return s ** (grid.dim - 1) * gn / g_omega * grid.solid
 
 
@@ -100,7 +100,7 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
         pts = u.anchor + s[..., None] * grid.omega
         vals, grads, hesses = restriction.jets(s)
         residual = np.abs(vals - block_levels[:, None])
-        gn = np.linalg.norm(grads, axis=-1)
+        gn = np.sqrt(rowsum(grads * grads))
         weights = _surface_weights(grid, s, grads, gn)
         out = []
         for i, t in enumerate(block_levels):
@@ -138,7 +138,7 @@ def mixed_volume(sample: LevelSetSample, k: int) -> float:
     if k == 0:
         rel = sample.points - sample.anchor
         return float(np.sum(
-            sample.weights * np.sum(rel * sample.normals, axis=-1)) / n)
+            sample.weights * rowsum(rel * sample.normals)) / n)
     if not 1 <= k <= n - 1:
         raise DomainError(f"mixed-volume order k={k} outside [0, {n - 1}]")
     coeff = 1.0 / (n * math.comb(n - 1, k - 1))

@@ -26,7 +26,7 @@ from .anisotropy import Norm, eval_jet, half_sq_hessian
 from .errors import DegenerateLevelError, DomainError, NumericError
 from .fields import Field, FieldJet
 from .invariants import _check_order, newton_stack, sk as sk_matrix, sk_stack
-from .quad import trapezoid
+from .quad import rowsum, trapezoid
 # polar_grid and polar_integral are re-exported: the benchmark tracer and
 # the tests reach them here
 from .rays import (  # noqa: F401
@@ -59,7 +59,7 @@ def _aniso_jet(norm: Norm, grads, hesses, need_jet: bool = False):
     """(A, live, jet): the anisotropic Hessians (``hesses`` itself for the
     euclidean norm), the mask of the gradients above the floor, and
     eval_jet there (None for euclidean A without need_jet)."""
-    live = np.sum(grads * grads, axis=-1) > _GRAD_FLOOR
+    live = rowsum(grads * grads) > _GRAD_FLOOR
     jet = None
     if need_jet or norm.family != "euclidean":
         jet = eval_jet(norm, grads[live])
@@ -184,7 +184,7 @@ class PolarTable:
             for k, values in nodes.items():
                 values[rows] = sk(k)
         if gen:
-            strong = np.sum(grads * grads, axis=-1) > _GENERALIZED_FLOOR
+            strong = rowsum(grads * grads) > _GENERALIZED_FLOOR
             g = grads[strong]
             fv, fg = jet[0][strong[live]], jet[1][strong[live]]
             z = [fg]
@@ -203,8 +203,7 @@ class PolarTable:
             else:
                 _, k, p = q
                 out.append(np.zeros(vals.shape))
-                out[-1][strong] = fv ** (p - k) * np.sum(z[k - 1] * g,
-                                                         axis=-1)
+                out[-1][strong] = fv ** (p - k) * rowsum(z[k - 1] * g)
         return out
 
 

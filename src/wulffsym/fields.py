@@ -32,6 +32,7 @@ import numpy as np
 
 from .anisotropy import Norm, dual_jet, dual_jets, eval_jet
 from .errors import DomainError, InputError
+from .quad import rowsum
 
 
 class FieldJet(NamedTuple):
@@ -81,7 +82,11 @@ class Field:
 
 def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
                         name: str = "quadratic_ellipsoid") -> Field:
-    """u = (x^T Q x - 1)/2; with semi-axes a_i the matrix is diag(1/a_i^2)."""
+    """u = (x^T Q x - 1)/2; with semi-axes a_i the matrix is diag(1/a_i^2).
+
+    The ray restriction's Hessian is a read-only broadcast of Q: its
+    consumers (curvature_batch, _aniso_jet, sk_stack) only read it.
+    """
     if matrix is not None:
         q = np.asarray(matrix, dtype=float)
     else:
@@ -108,7 +113,7 @@ def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
 
     def ray(omega):
         qo = omega @ q
-        qw = np.sum(qo * omega, axis=-1)
+        qw = rowsum(qo * omega)
 
         def along(s):
             return 0.5 * (s * s * qw - 1.0), s * qw
@@ -116,7 +121,7 @@ def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
         def jets(s):
             s = np.asarray(s, dtype=float)
             return (0.5 * (s * s * qw - 1.0), s[..., None] * qo,
-                    np.broadcast_to(q, s.shape + (dim, dim)).copy())
+                    np.broadcast_to(q, s.shape + (dim, dim)))
 
         return RayRestriction(along, jets)
 
@@ -252,7 +257,7 @@ def perturbed_radial(norm: Norm, a: float = 2.0, radius: float = 1.0,
     def ray(omega):
         radial = base.ray(omega)
         op = omega @ p
-        pw = strength * np.sum(op * omega, axis=-1)
+        pw = strength * rowsum(op * omega)
 
         def along(s):
             v, dv = radial.along(s)

@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CostGuardError, DomainError
+from .quad import rowsum
 
 DELTA_MAX_DIM = 8
 DELTA_MAX_ORDER = 5
@@ -134,14 +135,14 @@ def sk_stack(mats, k: int) -> np.ndarray:
     if k == 0:
         return np.ones(mats.shape[:-2])
     if k == 1:
-        return np.trace(mats, axis1=-2, axis2=-1)
+        return rowsum(np.diagonal(mats, axis1=-2, axis2=-1))
     idx = _minor_sets(mats.shape[-1], k)
     if k == 2:
         i, j = idx[:, 0], idx[:, 1]
-        return np.sum(mats[..., i, i] * mats[..., j, j]
-                      - mats[..., i, j] * mats[..., j, i], axis=-1)
+        return rowsum(mats[..., i, i] * mats[..., j, j]
+                      - mats[..., i, j] * mats[..., j, i])
     minors = mats[..., idx[:, :, None], idx[:, None, :]]
-    return np.sum(np.linalg.det(minors), axis=-1)
+    return rowsum(np.linalg.det(minors))
 
 
 def newton_stack(mats, k: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Quadrature building blocks: cached Gauss-Legendre rules and panel rules."""
+"""Quadrature building blocks: cached Gauss-Legendre rules, panel rules,
+and rowsum, the n-axis sum of the sampling and polar paths."""
 
 import math
 from functools import lru_cache
@@ -18,6 +19,22 @@ def legendre_rule(nodes: int):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def rowsum(a):
+    """np.sum(a, axis=-1), bit for bit, without a reduction on short axes.
+
+    np.sum adds a last axis shorter than 8 in order, starting from +0.0
+    (so a row of -0.0 sums to +0.0); rowsum adds the same components in
+    the same order, and hands longer axes to np.sum.
+    """
+    a = np.asarray(a)
+    if not 0 < a.shape[-1] < 8:
+        return np.sum(a, axis=-1)
+    out = 0.0 + a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
 
 
 def chunked(n_total: int, chunk: int):

@@ -7,11 +7,16 @@ longitudes in 3D; _DirectionGrid owns the default count, default_rays).
 The field's ray restriction to a grid, u.ray(omega)
 (fields.RayRestriction), is built once and is the only way the field is
 evaluated on that grid. One root solver serves every level and ray at
-once: safeguarded Newton on the restriction's s -> (u, du/ds) inside the
-bracket from the anchor to the bounding-box exit (a Newton step that
-leaves the bracket or fails to halve the previous step is replaced by a
-bisection step); the levels whose rays have all converged leave the
-iteration. The roots at level 0 are the boundary radii. The polar rule
+once: safeguarded Newton on sqrt(u - min u), read from the restriction's
+s -> (u, du/ds), inside the bracket from the anchor to the bounding-box
+exit (a Newton step that leaves the bracket or, after the first, fails
+to halve the previous step is replaced by a bisection step). Mean radii
+grow like sqrt(t - min u) at a nondegenerate minimum, and
+sqrt(u - min u) is linear in s wherever u is quadratic along the ray, so
+there one step lands on the root; a solve ends on the plain Newton step
+on u. The levels whose rays have all converged leave the iteration, and
+rays left unconverged raise NumericError. The roots at level 0 are the
+boundary radii. The polar rule
 cuts each ray from the anchor to its boundary radius into equal panels
 of the one cached 48-node Gauss rule; the domain integrals use it with
 one panel, the rearrangement grid with many. polar_integral maps blocks
@@ -27,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .parallel import map_blocks
 from .quad import chunked, legendre_rule
 
@@ -94,24 +99,33 @@ def _box_exit(anchor, box, omega):
 def _ray_roots(u, grid: _DirectionGrid, levels: np.ndarray, restriction):
     """Radii s with u(anchor + s omega) = t, shape (levels, directions).
 
-    Safeguarded Newton (rtsafe) on ``restriction.along`` (the restriction
-    is u.ray(grid.omega)) inside the brackets from the anchor to the
-    bounding-box exit; converged entries stay fixed, and a level whose
-    entries have all converged leaves the iteration, so each row is the
-    single-level solve. The solve starts at the box exit: on rays where u
-    is convex, as on every preset, Newton from above descends to the root
-    without leaving the bracket, also when the root sits at the bracket's
-    edge.
+    Safeguarded Newton (rtsafe) on sqrt(u - m), m = u.min_value, with u
+    and du/ds from ``restriction.along`` (the restriction is
+    u.ray(grid.omega)), inside the brackets from the anchor to the
+    bounding-box exit. Its step 2 sqrt(u - m) (u - t) /
+    ((sqrt(u - m) + sqrt(t - m)) du/ds) is exact wherever u is quadratic
+    along the ray. A solve ends when the plain Newton step
+    (u - t) / (du/ds) on u is below _NEWTON_RTOL s, so a square root
+    clipped at zero next to the anchor never ends one. Converged entries
+    stay fixed, and a level whose entries have all converged leaves the
+    iteration, so each row is the single-level solve. The solve starts at
+    the box exit: on rays where sqrt(u - m) is convex, as on every preset,
+    Newton from above descends to the root without leaving the bracket,
+    also when the root sits at the bracket's edge, so its first step is
+    not held to the halving test. Rays still unconverged after
+    _NEWTON_ITERS steps raise NumericError.
     """
     s_hi = _box_exit(u.anchor, u.bounding_box, grid.omega)
     shape = (levels.shape[0], grid.count)
     out = np.empty(shape)
     rows = np.arange(shape[0])
     t = levels[:, None]
+    m = u.min_value
     lo = np.zeros(shape)
     hi = np.broadcast_to(s_hi * (1.0 + 1e-12), shape).copy()
     s = hi.copy()
-    step = hi - lo
+    # the first Newton step has no previous step to halve
+    step = np.full(shape, np.inf)
     live = np.ones(shape, dtype=bool)
     for _ in range(_NEWTON_ITERS):
         val, slope = restriction.along(s)
@@ -119,10 +133,11 @@ def _ray_roots(u, grid: _DirectionGrid, levels: np.ndarray, restriction):
         below = g < 0.0
         np.copyto(lo, s, where=below)
         np.copyto(hi, s, where=~below)
+        root = np.sqrt(np.maximum(val - m, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = g / slope
+            done = np.abs(g / slope) <= _NEWTON_RTOL * s
+            dx = 2.0 * root * g / ((root + np.sqrt(t - m)) * slope)
         cand = s - dx
-        done = np.abs(dx) <= _NEWTON_RTOL * s
         newton = done | ((cand > lo) & (cand < hi)
                          & (2.0 * np.abs(dx) <= step))
         nxt = np.where(newton, cand, 0.5 * (lo + hi))
@@ -137,9 +152,12 @@ def _ray_roots(u, grid: _DirectionGrid, levels: np.ndarray, restriction):
             rows, t, lo, hi, s, step, live = (
                 x[keep] for x in (rows, t, lo, hi, s, step, live))
             if rows.size == 0:
-                break
-    out[rows] = s
-    return out
+                return out
+    raise NumericError(
+        f"ray Newton left {np.count_nonzero(live)} rays unconverged after "
+        f"{_NEWTON_ITERS} iterations (widest bracket left "
+        f"{np.max((hi - lo)[live]):.3e}); u must increase along every ray "
+        "from the anchor")
 
 
 def boundary_radii(u, grid: _DirectionGrid, restriction) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import ellipse_perimeter
-from wulffsym import anisotropy, bodies
+from wulffsym import anisotropy, bodies, rays
 from wulffsym.anisotropy import (
     ellipsoid_norm,
     euclidean_norm,
@@ -21,9 +21,14 @@ from wulffsym.bodies import (
     sample_level_set,
     sample_many,
 )
-from wulffsym.errors import DomainError
+from wulffsym.errors import DomainError, NumericError
 from wulffsym.field_ops import level_grid, newton_curvatures
-from wulffsym.fields import perturbed_radial, quadratic_ellipsoid, radial_power
+from wulffsym.fields import (
+    RayRestriction,
+    perturbed_radial,
+    quadratic_ellipsoid,
+    radial_power,
+)
 from wulffsym.quad import legendre_rule
 from wulffsym.rays import _DirectionGrid, _ray_roots
 
@@ -210,6 +215,55 @@ class TestRayRoots:
                 for t, row in zip(levels, many):
                     one = _ray_roots(u, grid, np.array([t]), restriction)
                     assert np.array_equal(row, one[0]), (u.name, t)
+
+    @pytest.mark.parametrize("case", ["ellipse", "ball3", "perturbed2",
+                                      "perturbed3"])
+    def test_quadratic_rays_take_at_most_three_steps(self, case):
+        # sqrt(u - min u) is linear in s where u is quadratic along the
+        # ray, so one Newton step lands on the root and one more confirms it
+        u = {"ellipse": lambda: quadratic_ellipsoid(2, axes=[2.0, 1.0]),
+             "ball3": lambda: quadratic_ellipsoid(3),
+             "perturbed2": lambda: perturbed_radial(euclidean_norm(2), a=2.0),
+             "perturbed3": lambda: perturbed_radial(
+                 regularized_p_norm(3, 3.0), a=2.0)}[case]()
+        grid = _DirectionGrid(u.dim, 256 if u.dim == 2 else 24)
+        restriction = u.ray(grid.omega)
+        calls = []
+
+        def along(s):
+            calls.append(s.shape)
+            return restriction.along(s)
+
+        _ray_roots(u, grid, level_grid(u, 40)[20:],
+                   RayRestriction(along, restriction.jets))
+        assert len(calls) <= 3
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_levels_next_to_the_minimum(self, dim):
+        # the roots of t = m + 10^-k |m|, k = 3..12, keep the residual at
+        # rounding, however close the level comes to the minimum
+        mats = {2: np.diag([4.0, 1.0]), 3: np.diag([4.0, 1.0, 2.25])}
+        grid = _DirectionGrid(dim, 64 if dim == 2 else 16)
+        for norm in (euclidean_norm(dim), ellipsoid_norm(mats[dim]),
+                     regularized_p_norm(dim, 3.0)):
+            for u in (quadratic_ellipsoid(dim),
+                      quadratic_ellipsoid(dim, axes=[2.0, 1.0, 1.5][:dim]),
+                      radial_power(norm, a=2.0), radial_power(norm, a=3.0),
+                      perturbed_radial(norm)):
+                m = u.min_value
+                levels = m + 10.0 ** -np.array([3.0, 6.0, 9.0, 12.0]) * abs(m)
+                s = _ray_roots(u, grid, levels, u.ray(grid.omega))
+                vals = u.values(u.anchor + s[..., None] * grid.omega)
+                assert np.all(np.abs(vals - levels[:, None])
+                              <= 1e-15 * (1.0 + np.abs(levels[:, None]))), (
+                    u.name, norm)
+
+    def test_unconverged_rays_raise(self, monkeypatch):
+        # running out of iterations is an error, not a silent root
+        monkeypatch.setattr(rays, "_NEWTON_ITERS", 1)
+        u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
+        with pytest.raises(NumericError, match=r"\d+ rays unconverged"):
+            sample_many(euclidean_norm(2), u, level_grid(u, 10), rays=64)
 
 
 def parametrized_weights(grid, rays, s, grads):
