@@ -80,23 +80,25 @@ def regularized_p_norm(dim: int, p: float, eps: float = 1e-2) -> Norm:
 
 
 def _check_nonzero(x):
+    """x as a float array and its square sum rowsum(x * x), nonzero."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] < 1:
         raise DomainError("empty vector")
-    if np.any(rowsum(x * x) == 0.0):
+    sq = rowsum(x * x)
+    if np.any(sq == 0.0):
         raise DomainError("norm jets are undefined at the origin")
-    return x
+    return x, sq
 
 
 def eval_jet(norm: Norm, xi):
     """Return (F(xi), grad F(xi), hess F(xi)); batched over leading axes."""
-    xi = _check_nonzero(xi)
+    xi, sq = _check_nonzero(xi)
     n = norm.dim
     if xi.shape[-1] != n:
         raise DomainError(f"expected vectors of length {n}")
     eye = np.eye(n)
     if norm.family == "euclidean":
-        v = np.sqrt(rowsum(xi * xi))
+        v = np.sqrt(sq)
         g = xi / v[..., None]
         h = (eye - g[..., :, None] * g[..., None, :]) / v[..., None, None]
         return v, g, h
@@ -108,14 +110,14 @@ def eval_jet(norm: Norm, xi):
         h = (m / v[..., None, None]
              - mx[..., :, None] * mx[..., None, :] / v[..., None, None] ** 3)
         return v, g, h
-    return _reg_p_jet(norm, xi)
+    return _reg_p_jet(norm, xi, sq)
 
 
-def _reg_p_jet(norm: Norm, xi):
+def _reg_p_jet(norm: Norm, xi, sq_sum):
     p, eps = norm.exponent, norm.smoothing
     n = norm.dim
     sq = xi * xi
-    q = sq + eps * rowsum(sq)[..., None]
+    q = sq + eps * sq_sum[..., None]
     qa = q ** (0.5 * p - 1.0)          # q^{p/2-1}
     qb = q ** (0.5 * p - 2.0)          # q^{p/2-2}
     big_g = rowsum(q * qa)             # sum q^{p/2}
@@ -154,12 +156,12 @@ def _polar(norm: Norm) -> Norm | None:
 
 def dual_jet(norm: Norm, x):
     """Return (F*(x), grad F*(x)) of the polar norm; batched."""
-    x = _check_nonzero(x)
+    x, sq = _check_nonzero(x)
     polar = _polar(norm)
     if polar is not None:
         return eval_jet(polar, x)[:2]
     flat = x.reshape(-1, norm.dim)
-    scale = np.sqrt(rowsum(flat * flat))
+    scale = np.sqrt(sq.reshape(-1))
     val, grad = _dual_numeric(norm, flat / scale[:, None])
     return (scale * val).reshape(x.shape[:-1]), grad.reshape(x.shape)
 
@@ -172,12 +174,12 @@ def dual_jets(norm: Norm, x):
     (lam hessF + gradF x gradF) D = I - gradF x xi* gives the Hessian
     D/|x|; the unit scale keeps the system well conditioned for every |x|.
     """
-    x = _check_nonzero(x)
+    x, sq = _check_nonzero(x)
     polar = _polar(norm)
     if polar is not None:
         return eval_jet(polar, x)
     lam, xistar = dual_jet(norm, x)
-    scale = np.sqrt(rowsum(x * x))
+    scale = np.sqrt(sq)
     _, g, h = eval_jet(norm, xistar)
     aug = ((lam / scale)[..., None, None] * h
            + g[..., :, None] * g[..., None, :])
@@ -189,6 +191,15 @@ def dual_jets(norm: Norm, x):
 def dual_hessian(norm: Norm, x):
     """Hessian of the polar norm; closed form or implicit differentiation."""
     return dual_jets(norm, x)[2]
+
+
+def _residual(r1, v):
+    """max(|r1_j|, |v - 1|) over the n columns of r1, np.max(np.abs(r1),
+    axis=-1) bit for bit but as n np.maximum calls (max is exact)."""
+    res = np.abs(v - 1.0)
+    for col in np.abs(r1).T:
+        np.maximum(res, col, out=res)
+    return res
 
 
 def _dual_numeric(norm: Norm, omega):
@@ -208,7 +219,7 @@ def _dual_numeric(norm: Norm, omega):
     for it in range(_DUAL_ITERS + 1):
         v, g, h = eval_jet(norm, xi)
         r1 = lam[:, None] * g - omega
-        res = np.maximum(np.max(np.abs(r1), axis=-1), np.abs(v - 1.0))
+        res = _residual(r1, v)
         # the starting guess can meet the tolerance with its tiny
         # components only as accurate as the guess: one Newton step always
         # takes the residual to rounding
@@ -234,7 +245,7 @@ def _dual_numeric(norm: Norm, omega):
             cand_lam = lam_live + alpha * step[:, n]
             vv, gg, _ = eval_jet(norm, cand_xi)
             rr1 = cand_lam[:, None] * gg - omega[live]
-            rr = np.maximum(np.max(np.abs(rr1), axis=-1), np.abs(vv - 1.0))
+            rr = _residual(rr1, vv)
             worse = rr > res_live
             if not np.any(worse):
                 break

@@ -15,9 +15,12 @@ with W_0 the enclosed volume via the divergence identity. The k-th mean
 radius is (W_k / kappa_n)^{1/(n-k)}, the radius of the Wulff ball sharing
 that mixed volume; differences of mean radii across orders are the
 Aleksandrov-Fenchel margins, nonnegative for convex bodies and zero
-exactly on Wulff balls. A LevelTable has the sampler threads reduce each
-level set of one family to the mean radii and coarea integrands that
-every symmetrization harness reads.
+exactly on Wulff balls. Sampling runs by block of levels: one ray solve,
+one jet pass and one curvature pass serve all the levels of a block,
+which reaches its ``reduce`` hook as one SampleBlock. A LevelTable has the
+sampler threads reduce each block of one family to the mean radii and
+coarea integrands that every symmetrization harness reads, with one
+array sum per quantity for all the levels of the block.
 """
 
 import math
@@ -43,7 +46,9 @@ from .rays import (  # noqa: F401
 )
 
 _GRAD_TOL = 1e-10
-_JET_CHUNK = 1 << 16
+# ray roots per sampling block; the curvature pass holds (block, n, n)
+# temporaries, so a larger block adds peak memory in 3D and no speed
+_JET_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +59,8 @@ class LevelSetSample:
     gradient_norms = F(grad u), weights (m,); curvatures (n, m), row j the
     j-th anisotropic mean curvature S_j(F_il u_lj) (row 0 is one).
     diagnostics["residual_max"] is the largest |u - level| at the points.
+    A SampleBlock stacks the samples of L levels on a leading axis: level
+    and residual_max (L,), points (L, m, n), curvatures (n, L, m).
     """
 
     level: float
@@ -68,6 +75,31 @@ class LevelSetSample:
     diagnostics: dict
 
 
+# one sampling block as the reduce hook of sample_many gets it: live (L,)
+# marks the levels of the block whose gradient does not vanish, and
+# sample stacks the LevelSetSamples of the live levels, in level order
+SampleBlock = namedtuple("SampleBlock", "live sample")
+
+
+def _in_level_order(live, items):
+    """One entry per level of a block: the next of ``items`` (one per
+    live level) where live, None where degenerate."""
+    items = iter(items)
+    return [next(items) if alive else None for alive in live]
+
+
+def _level_views(block: SampleBlock) -> list:
+    """The default reduce: a LevelSetSample view of each live level."""
+    b = block.sample
+    return _in_level_order(block.live, (LevelSetSample(
+        level=float(t), points=b.points[i], normals=b.normals[i],
+        f_of_nu=b.f_of_nu[i], curvatures=b.curvatures[:, i],
+        weights=b.weights[i], gradient_norms=b.gradient_norms[i],
+        norm=b.norm, anchor=b.anchor,
+        diagnostics={"residual_max": float(b.diagnostics["residual_max"][i])})
+        for i, t in enumerate(b.level)))
+
+
 def _surface_weights(grid: _DirectionGrid, s, grads, gn):
     """Surface weights of x = s(w) w: its area element is
     s^(n-1) |grad u| / (grad u . w) dsigma(w), dsigma the grid's solid
@@ -77,13 +109,18 @@ def _surface_weights(grid: _DirectionGrid, s, grads, gn):
 
 
 def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
-                reduce=lambda sample: sample):
+                reduce=_level_views):
     """Sample many level sets at once; degenerate entries come back None.
 
     The levels are cut into blocks of about _JET_CHUNK ray roots, mapped
-    over the worker threads (parallel.map_blocks). Each sample is passed
-    to ``reduce`` on the thread that made it, and the list holds what
-    ``reduce`` returns, in level order.
+    over the worker threads (parallel.map_blocks). A block takes one ray
+    solve, one jet pass and one curvature_batch call for all its levels;
+    its levels with min |grad u| < _GRAD_TOL are degenerate and left out
+    of the curvature pass. Each block goes to ``reduce`` as a SampleBlock
+    on the thread that made it; ``reduce(block)`` returns one item per
+    level of the block, in level order, None for a degenerate level. The
+    list holds these items in level order; by default they are
+    LevelSetSample views.
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     m = u.min_value
@@ -95,26 +132,23 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
     restriction = u.ray(grid.omega)
 
     def block(bounds):
-        block_levels = levels[slice(*bounds)]
-        s = _ray_roots(u, grid, block_levels, restriction)
-        pts = u.anchor + s[..., None] * grid.omega
+        t = levels[slice(*bounds)]
+        s = _ray_roots(u, grid, t, restriction)
         vals, grads, hesses = restriction.jets(s)
-        residual = np.abs(vals - block_levels[:, None])
         gn = np.sqrt(rowsum(grads * grads))
-        weights = _surface_weights(grid, s, grads, gn)
-        out = []
-        for i, t in enumerate(block_levels):
-            if np.min(gn[i]) < _GRAD_TOL:
-                out.append(None)
-                continue
-            fgrad, curv = curvature_batch(norm, grads[i], hesses[i])
-            out.append(reduce(LevelSetSample(
-                level=float(t), points=pts[i],
-                normals=grads[i] / gn[i][:, None], f_of_nu=fgrad / gn[i],
-                curvatures=curv, weights=weights[i], gradient_norms=fgrad,
-                norm=norm, anchor=u.anchor,
-                diagnostics={"residual_max": float(np.max(residual[i]))})))
-        return out
+        # eval_jet raises on a zero gradient
+        live = ~(np.min(gn, axis=-1) < _GRAD_TOL)
+        if not np.all(live):
+            t, s, vals, grads, hesses, gn = (
+                x[live] for x in (t, s, vals, grads, hesses, gn))
+        fgrad, curv = curvature_batch(norm, grads, hesses)
+        return reduce(SampleBlock(live, LevelSetSample(
+            level=t, points=u.anchor + s[..., None] * grid.omega,
+            normals=grads / gn[..., None], f_of_nu=fgrad / gn,
+            curvatures=curv, weights=_surface_weights(grid, s, grads, gn),
+            gradient_norms=fgrad, norm=norm, anchor=u.anchor,
+            diagnostics={"residual_max": np.max(
+                np.abs(vals - t[:, None]), axis=-1)})))
 
     blocks = chunked(levels.shape[0], max(1, _JET_CHUNK // grid.count))
     return [x for part in map_blocks(block, blocks) for x in part]
@@ -132,18 +166,32 @@ def sample_level_set(norm: Norm, u: Field, t: float,
     return sample
 
 
-def mixed_volume(sample: LevelSetSample, k: int) -> float:
-    """Mixed volume W_k of the sampled body with the unit Wulff ball."""
+def _mixed_volumes(sample: LevelSetSample, k: int):
+    """W_k of each level a sample stacks, as a sum over its points axis."""
     n = sample.points.shape[-1]
     if k == 0:
         rel = sample.points - sample.anchor
-        return float(np.sum(
-            sample.weights * rowsum(rel * sample.normals)) / n)
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"mixed-volume order k={k} outside [0, {n - 1}]")
+        return np.sum(sample.weights * rowsum(rel * sample.normals),
+                      axis=-1) / n
     coeff = 1.0 / (n * math.comb(n - 1, k - 1))
-    return coeff * float(np.sum(
-        sample.weights * sample.curvatures[k - 1] * sample.f_of_nu))
+    return coeff * np.sum(
+        sample.weights * sample.curvatures[k - 1] * sample.f_of_nu, axis=-1)
+
+
+def _radius(norm: Norm, w: float, n: int, k: int) -> float:
+    """Radius of the Wulff ball with mixed volume W_k = w, on Python floats
+    (libm pow; an array ** can differ in the last ulp)."""
+    if w <= 0.0:
+        raise NumericError(f"nonpositive mixed volume W_{k} = {w:.3e}")
+    return (w / wulff_volume(norm)) ** (1.0 / (n - k))
+
+
+def mixed_volume(sample: LevelSetSample, k: int) -> float:
+    """Mixed volume W_k of the sampled body with the unit Wulff ball."""
+    n = sample.points.shape[-1]
+    if not 0 <= k <= n - 1:
+        raise DomainError(f"mixed-volume order k={k} outside [0, {n - 1}]")
+    return float(_mixed_volumes(sample, k))
 
 
 def mean_radius(sample: LevelSetSample, k: int) -> float:
@@ -151,10 +199,7 @@ def mean_radius(sample: LevelSetSample, k: int) -> float:
     n = sample.points.shape[-1]
     if not 0 <= k <= n - 1:
         raise DomainError(f"mean-radius order k={k} outside [0, {n - 1}]")
-    w = mixed_volume(sample, k)
-    if w <= 0.0:
-        raise NumericError(f"nonpositive mixed volume W_{k} = {w:.3e}")
-    return (w / wulff_volume(sample.norm)) ** (1.0 / (n - k))
+    return _radius(sample.norm, mixed_volume(sample, k), n, k)
 
 
 def af_pairs(dim: int):
@@ -176,14 +221,19 @@ def af_margins(sample: LevelSetSample) -> np.ndarray:
 LevelSums = namedtuple("LevelSums", "points zeta coarea residual_max")
 
 
-def _level_sums(sample: LevelSetSample) -> LevelSums:
-    n = sample.points.shape[-1]
-    return LevelSums(
-        sample.points, [mean_radius(sample, j) for j in range(n)],
-        [float(np.sum(sample.weights * sample.curvatures[k - 1]
-                      * sample.gradient_norms ** k * sample.f_of_nu))
-         for k in range(1, n + 1)],
-        sample.diagnostics["residual_max"])
+def _level_sums(block: SampleBlock) -> list:
+    """LevelSums of each level of a block, from one np.sum over the
+    (L, m) points axis per mixed volume and coarea order."""
+    b = block.sample
+    n = b.points.shape[-1]
+    w = [_mixed_volumes(b, j).tolist() for j in range(n)]
+    coarea = [np.sum(b.weights * b.curvatures[k - 1] * b.gradient_norms ** k
+                     * b.f_of_nu, axis=-1).tolist()
+              for k in range(1, n + 1)]
+    return _in_level_order(block.live, (LevelSums(
+        b.points[i], [_radius(b.norm, w[j][i], n, j) for j in range(n)],
+        [c[i] for c in coarea], float(b.diagnostics["residual_max"][i]))
+        for i in range(len(b.level))))
 
 
 class LevelTable:
@@ -197,8 +247,9 @@ class LevelTable:
     S_{k-1}(curv) F(grad u)^k F(nu), the coarea integrand of the
     k-Hessian energy, k = 1..n; ``residual_max`` is the largest
     |u - level| at the ray roots of the kept levels. The sampler threads
-    reduce each level set to these sums (LevelSums) as soon as it is
-    sampled; the samples themselves are not kept.
+    reduce each sampling block to these sums (one LevelSums per level) as
+    soon as it is sampled, with one array sum per quantity over all the
+    levels of the block; the samples themselves are not kept.
     """
 
     def __init__(self, norm: Norm, u: Field, levels=200,

@@ -187,6 +187,18 @@ class TestDualJet:
         assert np.max(np.abs(dual_hessian(norm, x) * math.exp(s) - h0)
                       / (1.0 + np.abs(h0))) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_residual_is_the_row_max_bit_for_bit(self, n):
+        # the dual solve's column-wise residual against the reduction it
+        # replaces, on signed zeros, infinities and nan rows
+        rng = np.random.default_rng(12)
+        r1 = rng.standard_normal((64, n))
+        v = 1.0 + rng.standard_normal(64)
+        r1[0], r1[1, 0], r1[2, -1], v[3] = -0.0, np.inf, np.nan, np.nan
+        want = np.maximum(np.max(np.abs(r1), axis=-1), np.abs(v - 1.0))
+        got = anisotropy._residual(r1, v)
+        assert got.tobytes() == want.tobytes()
+
     def test_nonconvergence_names_the_norm(self, monkeypatch):
         monkeypatch.setattr(anisotropy, "_DUAL_ITERS", 1)
         norm = regularized_p_norm(2, 3.0, 0.05)

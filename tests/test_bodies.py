@@ -14,6 +14,7 @@ from wulffsym.anisotropy import (
     wulff_volume,
 )
 from wulffsym.bodies import (
+    LevelTable,
     af_margins,
     af_pairs,
     mean_radius,
@@ -105,21 +106,28 @@ class TestSampling:
             assert np.allclose(s.points, single.points)
             assert np.allclose(s.weights, single.weights)
 
-    def test_one_curvature_call_per_level(self, monkeypatch):
-        # every curvature order of a level comes from one call
-        calls = []
+    def test_one_curvature_call_per_block(self, monkeypatch):
+        # every level of a sampling block shares one curvature pass, and
+        # every sampled point is passed to it exactly once, in level order
+        passed = []
         curvature_batch = bodies.curvature_batch
 
-        def counted(*args):
-            calls.append(1)
-            return curvature_batch(*args)
+        def counted(norm, grads, hesses):
+            passed.append(grads.copy())
+            return curvature_batch(norm, grads, hesses)
 
         monkeypatch.setattr(bodies, "curvature_batch", counted)
+        count = _DirectionGrid(3, 16).count
+        monkeypatch.setattr(bodies, "_JET_CHUNK", 7 * count)
         levels = np.linspace(-0.45, -0.05, 20)
         samples = sample_many(euclidean_norm(3), quadratic_ellipsoid(3),
                               levels, rays=16)
         assert all(s is not None for s in samples)
-        assert len(calls) == levels.size
+        assert [g.shape for g in passed] == [(7, count, 3), (7, count, 3),
+                                             (6, count, 3)]
+        grads = np.concatenate(passed)
+        normals = grads / np.sqrt(np.sum(grads * grads, axis=-1))[..., None]
+        assert np.array_equal(normals, np.stack([s.normals for s in samples]))
 
     def test_one_norm_jet_per_sampled_point(self, monkeypatch):
         # F(grad u) and every curvature order of a point share one norm jet;
@@ -156,6 +164,37 @@ class TestSampling:
         for a, b in zip(got, want):
             assert np.array_equal(a.points, b.points)
             assert np.array_equal(a.curvatures, b.curvatures)
+
+
+class TestLevelTable:
+    @pytest.mark.parametrize("case", ["ellipsoid2d", "ball3d"])
+    def test_block_sums_match_single_levels(self, monkeypatch, case):
+        # the per-block sums of the table, on blocks of 7 levels, against a
+        # reference built one level at a time: mean_radius of the level's
+        # own sample, and the coarea sum of S_{k-1}(curv) F(grad u)^k F(nu),
+        # bit for bit
+        if case == "ellipsoid2d":
+            norm = ellipsoid_norm(np.diag([4.0, 1.0]))
+            u, rays = perturbed_radial(norm), 512
+        else:
+            norm = euclidean_norm(3)
+            u, rays = quadratic_ellipsoid(3), 32
+        n = u.dim
+        levels = level_grid(u, 40)
+        monkeypatch.setattr(bodies, "_JET_CHUNK",
+                            7 * _DirectionGrid(n, rays).count)
+        table = LevelTable(norm, u, levels, rays)
+        samples = [sample_level_set(norm, u, t, rays=rays) for t in levels]
+        zeta = [[mean_radius(s, j) for s in samples] for j in range(n)]
+        coarea = [[float(np.sum(s.weights * s.curvatures[k - 1]
+                                * s.gradient_norms ** k * s.f_of_nu))
+                   for s in samples] for k in range(1, n + 1)]
+        assert table.zeta.tolist() == zeta
+        assert table.coarea.tolist() == coarea
+        assert table.residual_max == max(
+            s.diagnostics["residual_max"] for s in samples)
+        assert table.skipped.size == 0
+        assert np.array_equal(table.levels, levels)
 
 
 def bisected_radii(u, omega, levels, iters=54):

@@ -113,6 +113,43 @@ class TestDegenerateLevels:
         assert got[1] is not None
 
 
+    def test_sampling_independent_of_block_size(self, monkeypatch):
+        # one level per block against one block for all the levels, with
+        # the degenerate level in the middle of it: equal samples, tables,
+        # None entries and skipped levels
+        norm, u = self.plateau_field()
+        t_star = float(u.values(np.array([[0.5, 0.0]]))[0])
+        m = u.min_value
+        levels = np.concatenate([np.linspace(0.99 * m, t_star, 6),
+                                 np.linspace(t_star, -1e-3, 7)[1:]])
+        count = rays._DirectionGrid(2, 64).count
+        assert bodies._JET_CHUNK // count >= levels.size
+        runs = []
+        for chunk in (count, bodies._JET_CHUNK):
+            monkeypatch.setattr(bodies, "_JET_CHUNK", chunk)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                runs.append((sample_many(norm, u, levels, rays=64),
+                             LevelTable(norm, u, levels, rays=64)))
+        (one, table_one), (many, table_many) = runs
+        assert [s is None for s in one] == [s is None for s in many]
+        assert [i for i, s in enumerate(many) if s is None] == [5]
+        for a, b in zip(one, many):
+            if a is None:
+                continue
+            assert a.level == b.level
+            assert a.diagnostics == b.diagnostics
+            for name in ("points", "normals", "f_of_nu", "curvatures",
+                         "weights", "gradient_norms"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(table_one.skipped, [t_star])
+        assert np.array_equal(table_many.skipped, [t_star])
+        assert np.array_equal(table_one.levels, table_many.levels)
+        assert np.array_equal(table_one.zeta, table_many.zeta)
+        assert np.array_equal(table_one.coarea, table_many.coarea)
+        assert table_one.residual_max == table_many.residual_max
+
+
 class TestThreading:
     def test_thread_count_env_parsing(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
