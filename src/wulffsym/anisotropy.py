@@ -74,8 +74,8 @@ def regularized_p_norm(dim: int, p: float, eps: float = 1e-2) -> Norm:
         raise DomainError("dimension must be >= 1")
     if not 1.0 < p < math.inf:
         raise DomainError("exponent must lie in (1, inf)")
-    if eps <= 0.0:
-        raise DomainError("smoothing must be positive")
+    if not 0.0 < eps < math.inf:
+        raise DomainError("smoothing must be positive and finite")
     return Norm("regularized_p", dim, exponent=float(p), smoothing=float(eps))
 
 

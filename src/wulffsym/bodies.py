@@ -17,10 +17,11 @@ that mixed volume; differences of mean radii across orders are the
 Aleksandrov-Fenchel margins, nonnegative for convex bodies and zero
 exactly on Wulff balls. Sampling runs by block of levels: one ray solve,
 one jet pass and one curvature pass serve all the levels of a block,
-which reaches its ``reduce`` hook as one SampleBlock. A LevelTable has the
-sampler threads reduce each block of one family to the mean radii and
-coarea integrands that every symmetrization harness reads, with one
-array sum per quantity for all the levels of the block.
+whose live (non-degenerate) levels reach its ``reduce`` hook as one
+stacked LevelSetSample. A LevelTable has the sampler threads reduce each
+block of one family to the mean radii and coarea integrands that every
+symmetrization harness reads, with one array sum per quantity for all
+the levels of the block.
 """
 
 import math
@@ -32,8 +33,9 @@ import numpy as np
 
 from .anisotropy import Norm, wulff_volume
 from .errors import DegenerateLevelError, DomainError, NumericError
-from .field_ops import curvature_batch, level_grid
+from .field_ops import _GRAD_TOL, curvature_batch, level_grid
 from .fields import Field
+from .invariants import _check_order
 from .parallel import map_blocks
 from .quad import chunked, rowsum
 # boundary_radii and default_rays are re-exported: the benchmark tracer
@@ -45,7 +47,6 @@ from .rays import (  # noqa: F401
     default_rays,
 )
 
-_GRAD_TOL = 1e-10
 # ray roots per sampling block; the curvature pass holds (block, n, n)
 # temporaries, so a larger block adds peak memory in 3D and no speed
 _JET_CHUNK = 1 << 14
@@ -59,8 +60,9 @@ class LevelSetSample:
     gradient_norms = F(grad u), weights (m,); curvatures (n, m), row j the
     j-th anisotropic mean curvature S_j(F_il u_lj) (row 0 is one).
     diagnostics["residual_max"] is the largest |u - level| at the points.
-    A SampleBlock stacks the samples of L levels on a leading axis: level
-    and residual_max (L,), points (L, m, n), curvatures (n, L, m).
+    The ``reduce`` hook of sample_many gets the samples of the L live
+    levels of a block stacked on a leading axis: level and residual_max
+    (L,), points (L, m, n), curvatures (n, L, m).
     """
 
     level: float
@@ -75,29 +77,15 @@ class LevelSetSample:
     diagnostics: dict
 
 
-# one sampling block as the reduce hook of sample_many gets it: live (L,)
-# marks the levels of the block whose gradient does not vanish, and
-# sample stacks the LevelSetSamples of the live levels, in level order
-SampleBlock = namedtuple("SampleBlock", "live sample")
-
-
-def _in_level_order(live, items):
-    """One entry per level of a block: the next of ``items`` (one per
-    live level) where live, None where degenerate."""
-    items = iter(items)
-    return [next(items) if alive else None for alive in live]
-
-
-def _level_views(block: SampleBlock) -> list:
-    """The default reduce: a LevelSetSample view of each live level."""
-    b = block.sample
-    return _in_level_order(block.live, (LevelSetSample(
+def _level_views(b: LevelSetSample) -> list:
+    """The default reduce: a LevelSetSample view of each stacked level."""
+    return [LevelSetSample(
         level=float(t), points=b.points[i], normals=b.normals[i],
         f_of_nu=b.f_of_nu[i], curvatures=b.curvatures[:, i],
         weights=b.weights[i], gradient_norms=b.gradient_norms[i],
         norm=b.norm, anchor=b.anchor,
         diagnostics={"residual_max": float(b.diagnostics["residual_max"][i])})
-        for i, t in enumerate(b.level)))
+        for i, t in enumerate(b.level)]
 
 
 def _surface_weights(grid: _DirectionGrid, s, grads, gn):
@@ -116,10 +104,10 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
     over the worker threads (parallel.map_blocks). A block takes one ray
     solve, one jet pass and one curvature_batch call for all its levels;
     its levels with min |grad u| < _GRAD_TOL are degenerate and left out
-    of the curvature pass. Each block goes to ``reduce`` as a SampleBlock
-    on the thread that made it; ``reduce(block)`` returns one item per
-    level of the block, in level order, None for a degenerate level. The
-    list holds these items in level order; by default they are
+    of the curvature pass. On the thread that made the block, ``reduce``
+    gets one LevelSetSample stacking its live levels, in level order, and
+    returns one item per live level. The list holds these items in level
+    order, with None at each degenerate level; by default they are
     LevelSetSample views.
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
@@ -142,13 +130,14 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
             t, s, vals, grads, hesses, gn = (
                 x[live] for x in (t, s, vals, grads, hesses, gn))
         fgrad, curv = curvature_batch(norm, grads, hesses)
-        return reduce(SampleBlock(live, LevelSetSample(
+        items = iter(reduce(LevelSetSample(
             level=t, points=u.anchor + s[..., None] * grid.omega,
             normals=grads / gn[..., None], f_of_nu=fgrad / gn,
             curvatures=curv, weights=_surface_weights(grid, s, grads, gn),
             gradient_norms=fgrad, norm=norm, anchor=u.anchor,
             diagnostics={"residual_max": np.max(
                 np.abs(vals - t[:, None]), axis=-1)})))
+        return [next(items) if alive else None for alive in live]
 
     blocks = chunked(levels.shape[0], max(1, _JET_CHUNK // grid.count))
     return [x for part in map_blocks(block, blocks) for x in part]
@@ -188,18 +177,14 @@ def _radius(norm: Norm, w: float, n: int, k: int) -> float:
 
 def mixed_volume(sample: LevelSetSample, k: int) -> float:
     """Mixed volume W_k of the sampled body with the unit Wulff ball."""
-    n = sample.points.shape[-1]
-    if not 0 <= k <= n - 1:
-        raise DomainError(f"mixed-volume order k={k} outside [0, {n - 1}]")
+    _check_order(k, sample.points.shape[-1] - 1)
     return float(_mixed_volumes(sample, k))
 
 
 def mean_radius(sample: LevelSetSample, k: int) -> float:
     """Radius of the Wulff ball with the same k-th mixed volume."""
-    n = sample.points.shape[-1]
-    if not 0 <= k <= n - 1:
-        raise DomainError(f"mean-radius order k={k} outside [0, {n - 1}]")
-    return _radius(sample.norm, mixed_volume(sample, k), n, k)
+    return _radius(sample.norm, mixed_volume(sample, k),
+                   sample.points.shape[-1], k)
 
 
 def af_pairs(dim: int):
@@ -221,19 +206,18 @@ def af_margins(sample: LevelSetSample) -> np.ndarray:
 LevelSums = namedtuple("LevelSums", "points zeta coarea residual_max")
 
 
-def _level_sums(block: SampleBlock) -> list:
-    """LevelSums of each level of a block, from one np.sum over the
-    (L, m) points axis per mixed volume and coarea order."""
-    b = block.sample
+def _level_sums(b: LevelSetSample) -> list:
+    """LevelSums of each stacked level, from one np.sum over the (L, m)
+    points axis per mixed volume and coarea order."""
     n = b.points.shape[-1]
     w = [_mixed_volumes(b, j).tolist() for j in range(n)]
     coarea = [np.sum(b.weights * b.curvatures[k - 1] * b.gradient_norms ** k
                      * b.f_of_nu, axis=-1).tolist()
               for k in range(1, n + 1)]
-    return _in_level_order(block.live, (LevelSums(
+    return [LevelSums(
         b.points[i], [_radius(b.norm, w[j][i], n, j) for j in range(n)],
         [c[i] for c in coarea], float(b.diagnostics["residual_max"][i]))
-        for i in range(len(b.level))))
+        for i in range(len(b.level))]
 
 
 class LevelTable:
@@ -247,9 +231,10 @@ class LevelTable:
     S_{k-1}(curv) F(grad u)^k F(nu), the coarea integrand of the
     k-Hessian energy, k = 1..n; ``residual_max`` is the largest
     |u - level| at the ray roots of the kept levels. The sampler threads
-    reduce each sampling block to these sums (one LevelSums per level) as
-    soon as it is sampled, with one array sum per quantity over all the
-    levels of the block; the samples themselves are not kept.
+    reduce the live levels of each sampling block to these sums (one
+    LevelSums per live level) as soon as it is sampled, with one array sum
+    per quantity over all of them; sample_many puts None at the degenerate
+    levels, and the samples themselves are not kept.
     """
 
     def __init__(self, norm: Norm, u: Field, levels=200,

@@ -5,7 +5,8 @@ Usage:
     wulffsym presets
     wulffsym check [--fast]
 
-A config is one JSON object (unknown keys and ill-typed values are rejected):
+A config is one JSON object (unknown keys, ill-typed values and non-finite
+numbers are rejected):
 
     {
       "norm":   {"family": "ellipsoid", "dim": 2, "matrix": [[4,0],[0,1]]},
@@ -121,6 +122,8 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         raw = _object(raw, {"norm", "field", "orders", "exponents", "grids",
                             "tasks", "output", "seed"}, "config")
+        for key, value in raw.items():
+            _finite(value, key)
         norm = _object(raw.get("norm") or {"family": "euclidean", "dim": 2},
                        {"family", "dim", "matrix", "p", "eps"}, "norm")
         _require(_is_int(norm.get("dim", 2)), "norm dim must be an integer",
@@ -135,7 +138,7 @@ class ExperimentConfig:
         _require(isinstance(fld.get("params", {}), dict),
                  "field params must be an object", fld.get("params"))
         source = fld.get("source_constant", 0.0)
-        _require(_is_number(source) and 0.0 <= source < math.inf,
+        _require(_is_number(source) and source >= 0.0,
                  "field source_constant must be a finite number >= 0", source)
         grids = _object(raw.get("grids") or {}, {
             "levels", "rays", "radial_nodes", "volume_panels"}, "grids")
@@ -208,6 +211,20 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+def _finite(value, where: str):
+    """Raise the InputError of the first non-finite number in a config
+    value, naming its key path ``where``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _finite(item, f"{where} {key}")
+    elif isinstance(value, list):
+        for item in value:
+            _finite(item, where)
+    else:
+        _require(not isinstance(value, (float, np.floating))
+                 or math.isfinite(value), f"{where} must be finite", value)
 
 
 def _object(value, known: set, where: str) -> dict:

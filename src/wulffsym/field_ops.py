@@ -38,6 +38,8 @@ from .rays import (  # noqa: F401
 )
 
 _GRAD_FLOOR = 1e-150
+# a level set whose |grad u| falls below this somewhere is degenerate
+_GRAD_TOL = 1e-10
 # the generalized integrands vanish with grad u below this squared size
 _GENERALIZED_FLOOR = 1e-28
 
@@ -83,11 +85,10 @@ def sk_field_batch(norm: Norm, u: Field, pts, k: int):
 
 def level_curvature(norm: Norm, u: Field, x, k: int) -> float:
     """k-th anisotropic mean curvature of the level set of u through x."""
-    if not 0 <= k <= u.dim - 1:
-        raise DomainError(f"curvature order k={k} outside [0, {u.dim - 1}]")
+    _check_order(k, u.dim - 1)
     x = np.asarray(x, dtype=float)
     _, grads, hesses = u.jets(x[None, :])
-    if np.linalg.norm(grads[0]) < 1e-10:
+    if np.linalg.norm(grads[0]) < _GRAD_TOL:
         raise DegenerateLevelError("level set is degenerate: grad u ~ 0")
     _, curv = curvature_batch(norm, grads, hesses)
     return float(curv[k, 0])
@@ -211,16 +212,22 @@ def _check_request(req, n: int):
     """Raise the DomainError of an invalid PolarTable request."""
     kind, *args = req
     if kind == "lp":
-        if args[0] < 1.0:
-            raise DomainError("p must be >= 1")
+        _check_exponent(args[0])
     elif kind == "generalized":
-        if args[1] < 1.0:
-            raise DomainError("exponent p must be >= 1")
+        _check_exponent(args[1])
         _check_order(args[0], n, lo=1)
     elif kind in ("hessian", "sk"):
         _check_order(args[0], n)
     else:
         raise ValueError(f"unknown polar request {req!r}")
+
+
+def _check_exponent(p):
+    """Raise the DomainError of an exponent p outside [1, inf), or NaN."""
+    if not p >= 1.0:
+        raise DomainError("exponent p must be >= 1")
+    if p == math.inf:
+        raise DomainError("exponent p must be finite")
 
 
 def hessian_integral(norm: Norm, u: Field, k: int,
@@ -274,9 +281,7 @@ def hessian_integral_coarea(table, k: int) -> float:
     S_{k-1}(curvatures) F(grad u)^k F(normal) over each level set of a
     bodies.LevelTable.
     """
-    n = table.field.dim
-    if not 1 <= k <= n:
-        raise DomainError(f"coarea route needs 1 <= k <= {n}; got k={k}")
+    _check_order(k, table.field.dim, lo=1)
     if table.levels.size < 2:
         raise NumericError("too few valid levels for the coarea integral")
     return trapezoid(table.coarea[k - 1], table.levels) / k

@@ -205,10 +205,10 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
 def radial_power(norm: Norm, a: float = 2.0, radius: float = 1.0,
                  name: str = "radial_power") -> Field:
     """u = (F*(x)^a - R^a)/a on the Wulff ball of radius R."""
-    if a < 2.0:
-        raise InputError("radial power exponent must be >= 2")
-    if radius <= 0.0:
-        raise InputError("radius must be positive")
+    if not 2.0 <= a < np.inf:
+        raise InputError("radial power exponent must be finite and >= 2")
+    if not 0.0 < radius < np.inf:
+        raise InputError("radius must be positive and finite")
     ra = radius**a
     return radial_field(
         norm,
@@ -234,10 +234,13 @@ def perturbed_radial(norm: Norm, a: float = 2.0, radius: float = 1.0,
     if weights is None:
         weights = np.linspace(0.4, 1.6, dim)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (dim,) or np.any(weights < 0.0):
-        raise InputError("perturbation weights must be nonnegative")
-    if strength < 0.0:
-        raise InputError("perturbation strength must be nonnegative")
+    if weights.shape != (dim,) or not np.all(
+            (weights >= 0.0) & (weights < np.inf)):
+        raise InputError("perturbation weights must be finite and "
+                         "nonnegative")
+    if not 0.0 <= strength < np.inf:
+        raise InputError("perturbation strength must be finite and "
+                         "nonnegative")
     base = radial_power(norm, a=a, radius=radius)
     p = np.diag(weights)
 

@@ -36,9 +36,10 @@ def as_square_matrix(a) -> np.ndarray:
     return m
 
 
-def _check_order(k: int, n: int, lo: int = 0):
-    if not lo <= k <= n:
-        raise DomainError(f"order k={k} outside [{lo}, {n}] for dimension {n}")
+def _check_order(k: int, hi: int, lo: int = 0):
+    """Raise the DomainError of an order k outside [lo, hi]."""
+    if not lo <= k <= hi:
+        raise DomainError(f"order k={k} outside [{lo}, {hi}]")
 
 
 def sigma_k(lam, k: int) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .fields import Field
+from .invariants import _check_order
 from .quad import panel_cumulative
 from .rays import polar_grid
 
@@ -93,8 +94,7 @@ def radial_sk(vp: float, vpp: float, r: float, n: int, k: int) -> float:
     """
     if r <= 0.0:
         raise DomainError("radial formula needs r > 0; see radial_sk_origin")
-    if not 1 <= k <= n:
-        raise DomainError(f"order k={k} outside [1, {n}]")
+    _check_order(k, n, lo=1)
     a = vp / r
     return (math.comb(n - 1, k - 1) * vpp * a ** (k - 1)
             + math.comb(n - 1, k) * a ** k)
@@ -102,8 +102,7 @@ def radial_sk(vp: float, vpp: float, r: float, n: int, k: int) -> float:
 
 def radial_sk_origin(vpp0: float, n: int, k: int) -> float:
     """Limit of the radial S_k at the center, C(n,k) v''(0)^k."""
-    if not 1 <= k <= n:
-        raise DomainError(f"order k={k} outside [1, {n}]")
+    _check_order(k, n, lo=1)
     return math.comb(n, k) * vpp0 ** k
 
 
@@ -114,8 +113,7 @@ def radial_energy(profile: MonotoneProfile, n: int, k: int, p: float,
     v' is interpolated linearly between the profile's slope estimates;
     each panel is integrated by a fixed Gauss rule.
     """
-    if not 1 <= k <= n:
-        raise DomainError(f"order k={k} outside [1, {n}]")
+    _check_order(k, n, lo=1)
     if profile.derivative is None:
         raise DomainError("profile carries no derivative estimates")
     deriv = np.abs(profile.derivative)
@@ -149,8 +147,7 @@ def solve_radial(f_star: MonotoneProfile, outer_radius: float, n: int, k: int,
     G(s) = int_0^s f_star(t) t^{n-1} dt; the returned increasing profile
     carries the analytic v' and the meta key "vpp" with v''.
     """
-    if not 1 <= k <= n:
-        raise DomainError(f"order k={k} outside [1, {n}]")
+    _check_order(k, n, lo=1)
     if outer_radius <= 0.0:
         raise DomainError("outer radius must be positive")
     if np.any(f_star.values < 0.0):

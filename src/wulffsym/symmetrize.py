@@ -30,7 +30,8 @@ import numpy as np
 from .anisotropy import Norm, wulff_volume
 from .bodies import LevelTable
 from .errors import DomainError, InputError, ModelError, NumericError
-from .field_ops import PolarTable, hessian_integral_coarea
+from .field_ops import PolarTable, _check_exponent, hessian_integral_coarea
+from .invariants import _check_order
 from .quad import panel_cumulative
 from .radial import (
     MonotoneProfile,
@@ -38,8 +39,6 @@ from .radial import (
     radial_hessian_integral,
     solve_radial,
 )
-
-_ZETA_SLACK = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,26 +77,26 @@ class SobolevMarginResult:
 def zeta_profile(table: LevelTable, k: int) -> MonotoneProfile:
     """Tabulate t -> zeta_{k-1}(sublevel t) on the table's kept levels.
 
-    Decreasing runs beyond tolerance are rejected (not repaired): they
-    signal non-quasi-convex data or insufficient resolution.
+    A drop of zeta beyond MonotoneProfile's slack, 1e-10 (1 + max |zeta|),
+    raises ModelError (the profile is not repaired): it signals
+    non-quasi-convex data or insufficient resolution.
     """
-    n = table.field.dim
-    if not 1 <= k <= n:
-        raise DomainError(f"order k={k} outside [1, {n}]")
+    _check_order(k, table.field.dim, lo=1)
     requested = table.levels.size + table.skipped.size
     if table.levels.size < max(8, requested // 4):
         raise NumericError("too many degenerate levels in the grid")
     t, z = table.levels, table.zeta[k - 1]
-    drop = np.diff(z)
-    slack = _ZETA_SLACK * (1.0 + float(np.max(z)))
-    if np.min(drop, initial=0.0) < -slack:
-        worst = float(np.min(drop))
+    deriv = np.maximum(_three_point_slopes(t, z), 0.0)
+    try:
+        return MonotoneProfile(t, z, "increasing", deriv,
+                               {"skipped_levels": table.skipped.size})
+    except InputError as exc:
+        worst = float(np.min(np.diff(z)))
+        if not worst < 0.0:
+            raise
         raise ModelError(
             f"mean-radius profile decreases by {-worst:.3e}; the field is "
-            "not quasi-convex or the sampling resolution is too low")
-    deriv = np.maximum(_three_point_slopes(t, z), 0.0)
-    return MonotoneProfile(t, z, "increasing", deriv,
-                           {"skipped_levels": table.skipped.size})
+            "not quasi-convex or the sampling resolution is too low") from exc
 
 
 def symmetrand(table: LevelTable, k: int) -> SymmetrizationResult:
@@ -178,8 +177,7 @@ def ps_margin_p(table: LevelTable, k: int, p: float,
 
     ``energy`` is the field's generalized_integral(norm, u, k, p).
     """
-    if p < 1.0:
-        raise DomainError("exponent p must be >= 1")
+    _check_exponent(p)
     sym = symmetrand(table, k)
     kappa = wulff_volume(table.norm)
     rhs = radial_energy(sym.rho, table.field.dim, k, p, kappa)
@@ -198,8 +196,7 @@ def lp_compare(table: LevelTable, k: int, p: float, lhs: float):
     rho = symmetrand(table, k).rho
     if p == math.inf:
         return lhs, abs(float(rho(0.0)))
-    if p < 1.0:
-        raise DomainError("p must be >= 1 (or inf)")
+    _check_exponent(p)
     kappa = wulff_volume(table.norm)
     mass = panel_cumulative(
         lambda s: np.abs(rho(s)) ** p * s ** (n - 1.0), rho.r)[-1]
@@ -251,10 +248,8 @@ def sobolev_constant(norm: Norm, k: int, p: float) -> float:
     range); at p = 1 the leading factor is 0^0 = 1 by continuity.
     """
     n = norm.dim
-    if not 1 <= k <= n:
-        raise DomainError(f"order k={k} outside [1, {n}]")
-    if p < 1.0:
-        raise DomainError("exponent p must be >= 1")
+    _check_order(k, n, lo=1)
+    _check_exponent(p)
     if p >= n - k + 1:
         raise DomainError(
             f"p={p} >= n-k+1={n - k + 1}: borderline/Morrey range is not "

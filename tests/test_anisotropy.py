@@ -305,6 +305,11 @@ class TestWulffVolume:
 
 
 class TestFactories:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_smoothing(self, eps):
+        with pytest.raises(DomainError, match="positive and finite"):
+            regularized_p_norm(2, 3.0, eps=eps)
+
     def test_rejects_indefinite_matrix(self):
         with pytest.raises(DomainError):
             ellipsoid_norm(np.diag([1.0, -1.0]))

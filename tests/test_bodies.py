@@ -117,6 +117,7 @@ class TestSampling:
             return curvature_batch(norm, grads, hesses)
 
         monkeypatch.setattr(bodies, "curvature_batch", counted)
+        monkeypatch.setenv("WULFFSYM_THREADS", "1")
         count = _DirectionGrid(3, 16).count
         monkeypatch.setattr(bodies, "_JET_CHUNK", 7 * count)
         levels = np.linspace(-0.45, -0.05, 20)

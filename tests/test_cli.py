@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -384,11 +385,28 @@ class TestMain:
                     "source_constant": -1}}, [], "source_constant"),
         ({"field": {"preset": "quadratic_ellipsoid",
                     "source_constant": True}}, [], "source_constant"),
+        ({"exponents": [math.inf]}, [], "exponents must be finite; got inf"),
+        ({"exponents": [math.nan]}, [], "exponents must be finite; got nan"),
+        ({"norm": {"family": "regularized_p", "dim": 2, "eps": math.inf}},
+         [], "norm eps must be finite"),
+        ({"field": {"preset": "radial_power", "params": {"a": math.nan}}},
+         [], "field params a must be finite"),
+        ({"field": {"preset": "radial_power",
+                    "params": {"radius": math.inf}}},
+         [], "field params radius must be finite"),
+        ({"field": {"preset": "perturbed_radial",
+                    "params": {"strength": math.nan}}},
+         [], "field params strength must be finite"),
+        ({"field": {"preset": "perturbed_radial",
+                    "params": {"weights": [1.0, math.nan]}}},
+         [], "field params weights must be finite"),
     ], ids=["preset-param", "params-list", "orders-int", "exponents-float",
             "levels-null", "seed-negative", "seed-flag-negative",
             "levels-float", "orders-string", "formats-string",
             "ellipsoid-dim", "directory-int", "source-string",
-            "source-negative", "source-bool"])
+            "source-negative", "source-bool", "exponent-inf", "exponent-nan",
+            "eps-inf", "power-nan", "radius-inf", "strength-nan",
+            "weights-nan"])
     def test_config_value_errors_exit_2(self, tmp_path, capsys, change, args,
                                         named):
         raw = base_config(tmp_path, ["invariants"])

@@ -429,6 +429,17 @@ class TestPolarTable:
         got = table[("sk", 2)].reshape(-1)
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
 
+    @pytest.mark.parametrize("request_", [
+        ("lp", math.nan), ("lp", math.inf), ("generalized", 1, math.nan),
+        ("generalized", 1, math.inf)], ids=["lp-nan", "lp-inf",
+                                             "generalized-nan",
+                                             "generalized-inf"])
+    def test_non_finite_exponent_is_a_domain_error(self, request_):
+        norm = euclidean_norm(2)
+        table = PolarTable(norm, quadratic_ellipsoid(2), 64, [request_])
+        with pytest.raises(DomainError, match="exponent p must be"):
+            table[request_]
+
     def test_errors_stay_with_their_request(self):
         # min u = -4.5, so |u|^1000 overflows; the other requests share the
         # pass and keep their values

@@ -102,6 +102,20 @@ def test_radial_power_parameter_validation():
         radial_power(norm, radius=0.0)
 
 
+@pytest.mark.parametrize("preset, params", [
+    (radial_power, {"a": np.nan}), (radial_power, {"a": np.inf}),
+    (radial_power, {"radius": np.nan}), (radial_power, {"radius": np.inf}),
+    (perturbed_radial, {"strength": np.nan}),
+    (perturbed_radial, {"strength": np.inf}),
+    (perturbed_radial, {"weights": [1.0, np.nan]}),
+    (perturbed_radial, {"weights": [np.inf, 1.0]}),
+], ids=["a-nan", "a-inf", "radius-nan", "radius-inf", "strength-nan",
+        "strength-inf", "weights-nan", "weights-inf"])
+def test_non_finite_parameters_rejected(preset, params):
+    with pytest.raises(InputError, match="finite"):
+        preset(euclidean_norm(2), **params)
+
+
 def test_preset_registry_round_trip():
     norm = euclidean_norm(2)
     u = build_preset("quadratic_ellipsoid", norm, {"axes": [2.0, 1.0]})

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wulffsym.anisotropy import euclidean_norm
+from wulffsym.bodies import (
+    LevelTable,
+    mean_radius,
+    mixed_volume,
+    sample_level_set,
+)
 from wulffsym.errors import CostGuardError, DomainError
+from wulffsym.field_ops import hessian_integral_coarea, level_curvature
+from wulffsym.fields import quadratic_ellipsoid
 from wulffsym.invariants import (
     generalized_kronecker,
     mixed_discriminant,
@@ -15,6 +24,14 @@ from wulffsym.invariants import (
     sk,
     sk_delta_oracle,
 )
+from wulffsym.radial import (
+    MonotoneProfile,
+    radial_energy,
+    radial_sk,
+    radial_sk_origin,
+    solve_radial,
+)
+from wulffsym.symmetrize import sobolev_constant, zeta_profile
 
 
 def random_matrix(rng, n):
@@ -251,3 +268,38 @@ def test_binomial_expansion():
                 math.comb(k, r) * mixed_discriminant([a] * (k - r) + [b] * r)
                 for r in range(k + 1))
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def order_args():
+    """The arguments besides k of every entry point that takes an order,
+    on the 2D unit disc."""
+    norm, u = euclidean_norm(2), quadratic_ellipsoid(2)
+    rising = MonotoneProfile([0.0, 1.0], [-0.5, 0.0], "increasing",
+                             [0.0, 1.0])
+    source = MonotoneProfile([0.0, 1.0], [1.0, 1.0], "decreasing")
+    return {"norm": norm, "u": u, "rising": rising, "source": source,
+            "sample": sample_level_set(norm, u, -0.25, rays=64),
+            "table": LevelTable(norm, u, 20, rays=64)}
+
+
+@pytest.mark.parametrize("call, lo, hi", [
+    (lambda a, k: mixed_volume(a["sample"], k), 0, 1),
+    (lambda a, k: mean_radius(a["sample"], k), 0, 1),
+    (lambda a, k: level_curvature(a["norm"], a["u"], [0.5, 0.0], k), 0, 1),
+    (lambda a, k: hessian_integral_coarea(a["table"], k), 1, 2),
+    (lambda a, k: radial_sk(1.0, 1.0, 0.5, 2, k), 1, 2),
+    (lambda a, k: radial_sk_origin(1.0, 2, k), 1, 2),
+    (lambda a, k: radial_energy(a["rising"], 2, k, 2.0, math.pi), 1, 2),
+    (lambda a, k: solve_radial(a["source"], 1.0, 2, k), 1, 2),
+    (lambda a, k: zeta_profile(a["table"], k), 1, 2),
+    (lambda a, k: sobolev_constant(a["norm"], k, 1.5), 1, 2),
+], ids=["mixed_volume", "mean_radius", "level_curvature",
+        "hessian_integral_coarea", "radial_sk", "radial_sk_origin",
+        "radial_energy", "solve_radial", "zeta_profile", "sobolev_constant"])
+def test_order_range_is_one_rule(order_args, call, lo, hi):
+    # every order check is invariants._check_order, with one message
+    for k in (lo - 1, hi + 1):
+        with pytest.raises(DomainError,
+                           match=rf"^order k={k} outside \[{lo}, {hi}\]$"):
+            call(order_args, k)

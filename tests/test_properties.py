@@ -113,6 +113,22 @@ class TestDegenerateLevels:
         assert got[1] is not None
 
 
+    def test_reduce_gets_only_live_levels(self):
+        # sample_many drops the degenerate level before reduce and puts
+        # None at its index itself
+        norm, u = self.plateau_field()
+        t_star = float(u.values(np.array([[0.5, 0.0]]))[0])
+        levels = [0.5 * (u.min_value + t_star), t_star, -1e-3]
+        seen = []
+
+        def reduce(sample):
+            seen.append(sample.level.tolist())
+            return [float(t) for t in sample.level]
+
+        got = sample_many(norm, u, levels, rays=64, reduce=reduce)
+        assert seen == [[levels[0], levels[2]]]
+        assert got == [levels[0], None, levels[2]]
+
     def test_sampling_independent_of_block_size(self, monkeypatch):
         # one level per block against one block for all the levels, with
         # the degenerate level in the middle of it: equal samples, tables,

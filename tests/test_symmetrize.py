@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -12,7 +13,7 @@ from wulffsym.anisotropy import (
     wulff_volume,
 )
 from wulffsym.bodies import LevelTable
-from wulffsym.errors import DomainError, InputError
+from wulffsym.errors import DomainError, InputError, ModelError
 from wulffsym.field_ops import generalized_integral, hessian_integral, lp_norm
 from wulffsym.fields import (
     perturbed_radial,
@@ -61,6 +62,23 @@ class TestZetaProfile:
                 prof = zeta_profile(table, k)
                 want = np.sqrt(1.0 + 2.0 * prof.r)
                 assert np.max(np.abs(prof.values - want)) < 1e-7
+
+    def test_drop_beyond_the_profile_slack_is_a_model_error(self):
+        # MonotoneProfile's slack 1e-10 (1 + max zeta) is the one rule: a
+        # drop ten times larger is a ModelError, one ten times smaller
+        # is kept
+        table = LevelTable(euclidean_norm(2), ellipse_field(), 40, rays=256)
+        scale = 1.0 + float(np.max(table.zeta[0]))
+        for drop, fails in ((1e-9, True), (1e-11, False)):
+            bent = copy.copy(table)
+            bent.zeta = table.zeta.copy()
+            bent.zeta[0, 21] = bent.zeta[0, 20] - drop * scale
+            if fails:
+                with pytest.raises(ModelError,
+                                   match="mean-radius profile decreases"):
+                    zeta_profile(bent, 1)
+            else:
+                assert zeta_profile(bent, 1).values[21] == bent.zeta[0, 21]
 
     def test_derivative_inverse_consistency(self):
         # d zeta/dt at a level times rho'(zeta) equals one; check away from
@@ -262,6 +280,19 @@ class TestLpCompare:
         want = math.sqrt(2.0 * math.pi * mass)
         _, rhs = lp_compare(table, k, 2.0, 0.0)
         assert rhs == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_exponents_rejected(p):
+    norm = euclidean_norm(2)
+    table = LevelTable(norm, ellipse_field(), 40, rays=256)
+    with pytest.raises(DomainError, match="exponent p must be"):
+        ps_margin_p(table, 1, p, 1.0)
+    with pytest.raises(DomainError, match="exponent p must be"):
+        sobolev_constant(norm, 1, p)
+    if p != math.inf:  # lp_compare compares the minima at p = inf
+        with pytest.raises(DomainError, match="exponent p must be"):
+            lp_compare(table, 1, p, 1.0)
 
 
 class TestComparison:
