@@ -112,7 +112,7 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     m = u.min_value
-    if np.any(levels <= m) or np.any(levels > 0.0):
+    if not np.all((m < levels) & (levels <= 0.0)):  # NaN fails as well
         raise DomainError(
             f"levels must lie in ({m:.6g}, 0]; got range "
             f"[{levels.min():.6g}, {levels.max():.6g}]")

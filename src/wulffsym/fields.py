@@ -22,7 +22,7 @@ families: F*(w), grad F*(w) and hess F*(w)) and returns a
 ``jets(s)`` gives (u, grad u, hess u) at anchor + s w, s of shape
 (..., m) broadcast against the m directions. The ray roots, the level-set
 samples and the polar quadrature evaluate the field through it alone;
-``jets`` and ``values`` serve points off a direction grid.
+``jets`` and ``values`` (its first output) serve points off a grid.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .anisotropy import Norm, dual_jet, dual_jets, eval_jet
+from .anisotropy import Norm, dual_jets, eval_jet
 from .errors import DomainError, InputError
 from .quad import rowsum
 
@@ -61,6 +61,7 @@ class Field:
     min_value: float
     bounding_box: np.ndarray
     jets_fn: Callable = dc_field(repr=False)
+    # the first output of jets_fn, kept apart so a wrapper can replace it
     values_fn: Callable = dc_field(repr=False)
     # directions (m, n) -> RayRestriction; see the module docstring
     ray: Callable = dc_field(repr=False)
@@ -78,6 +79,11 @@ class Field:
     def jet(self, x) -> FieldJet:
         v, g, h = self.jets(np.asarray(x, dtype=float))
         return FieldJet(float(v), g, h)
+
+
+def _first(jets):
+    """The value oracle of a jets oracle: its first output."""
+    return lambda pts: jets(pts)[0]
 
 
 def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
@@ -108,9 +114,6 @@ def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
         h = np.broadcast_to(q, pts.shape + (dim,)).copy()
         return v, qx, h
 
-    def values(pts):
-        return 0.5 * (np.sum((pts @ q) * pts, axis=-1) - 1.0)
-
     def ray(omega):
         qo = omega @ q
         qw = rowsum(qo * omega)
@@ -125,7 +128,7 @@ def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
 
         return RayRestriction(along, jets)
 
-    return Field(dim, name, np.zeros(dim), -0.5, box, jets, values, ray)
+    return Field(dim, name, np.zeros(dim), -0.5, box, jets, _first(jets), ray)
 
 
 def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
@@ -141,23 +144,10 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
     box = np.stack([-radius * fe, radius * fe], axis=-1)
     origin_vpp = float(vpp_fn(np.zeros(1))[0])
 
-    def split(pts):
-        flat = pts.reshape(-1, dim)
-        r2 = np.sum(flat * flat, axis=-1)
-        live = r2 > 1e-28
-        return flat, live
-
-    def values(pts):
-        pts = np.asarray(pts, dtype=float)
-        flat, live = split(pts)
-        r = np.zeros(flat.shape[0])
-        if np.any(live):
-            r[live] = dual_jet(norm, flat[live])[0]
-        return np.asarray(v_fn(r)).reshape(pts.shape[:-1])
-
     def jets(pts):
         pts = np.asarray(pts, dtype=float)
-        flat, live = split(pts)
+        flat = pts.reshape(-1, dim)
+        live = np.sum(flat * flat, axis=-1) > 1e-28
         m = flat.shape[0]
         r = np.zeros(m)
         grad = np.zeros((m, dim))
@@ -199,7 +189,8 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
         return RayRestriction(along, jets)
 
     return Field(dim, name, np.zeros(dim), float(v_fn(np.zeros(1))[0]),
-                 box, jets, values, ray, radial_profile=(v_fn, vp_fn, radius))
+                 box, jets, _first(jets), ray,
+                 radial_profile=(v_fn, vp_fn, radius))
 
 
 def radial_power(norm: Norm, a: float = 2.0, radius: float = 1.0,
@@ -244,11 +235,6 @@ def perturbed_radial(norm: Norm, a: float = 2.0, radius: float = 1.0,
     base = radial_power(norm, a=a, radius=radius)
     p = np.diag(weights)
 
-    def values(pts):
-        pts = np.asarray(pts, dtype=float)
-        return base.values_fn(pts) + 0.5 * strength * np.sum(
-            (pts @ p) * pts, axis=-1)
-
     def jets(pts):
         pts = np.asarray(pts, dtype=float)
         v, g, h = base.jets_fn(pts)
@@ -275,7 +261,7 @@ def perturbed_radial(norm: Norm, a: float = 2.0, radius: float = 1.0,
         return RayRestriction(along, jets)
 
     out = Field(dim, name, np.zeros(dim), base.min_value,
-                base.bounding_box, jets, values, ray)
+                base.bounding_box, jets, _first(jets), ray)
     defect = quasiconvexity_defect(out)
     if defect < -1e-8:
         raise InputError(

@@ -49,6 +49,8 @@ class MonotoneProfile:
         v = np.asarray(self.values, dtype=float)
         if r.ndim != 1 or r.shape != v.shape or r.shape[0] < 2:
             raise InputError("profile needs matching 1-d abscissae/values")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+            raise InputError("profile abscissae and values must be finite")
         if np.any(np.diff(r) <= 0.0):
             raise InputError("abscissae must be strictly increasing")
         d = np.diff(v)

@@ -59,6 +59,8 @@ class _DirectionGrid:
     def __init__(self, dim: int, rays: int | None = None):
         self.dim = dim
         rays = default_rays(dim) if rays is None else rays
+        if rays < 1:
+            raise DomainError(f"direction grids need rays >= 1; got {rays}")
         if dim == 2:
             theta = 2.0 * math.pi * np.arange(rays) / rays
             self.omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)

@@ -86,7 +86,7 @@ def zeta_profile(table: LevelTable, k: int) -> MonotoneProfile:
     if table.levels.size < max(8, requested // 4):
         raise NumericError("too many degenerate levels in the grid")
     t, z = table.levels, table.zeta[k - 1]
-    deriv = np.maximum(_three_point_slopes(t, z), 0.0)
+    deriv = np.maximum(np.gradient(z, t, edge_order=2), 0.0)
     try:
         return MonotoneProfile(t, z, "increasing", deriv,
                                {"skipped_levels": table.skipped.size})
@@ -102,25 +102,6 @@ def zeta_profile(table: LevelTable, k: int) -> MonotoneProfile:
 def symmetrand(table: LevelTable, k: int) -> SymmetrizationResult:
     """Build the order-(k-1) symmetrand of the table's field."""
     return _invert_zeta(zeta_profile(table, k), table.field.min_value, k)
-
-
-def _three_point_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second-order derivative estimates on a non-uniform grid."""
-    d = np.empty_like(y)
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    d[1:-1] = (-h2 / (h1 * (h1 + h2)) * y[:-2]
-               + (h2 - h1) / (h1 * h2) * y[1:-1]
-               + h1 / (h2 * (h1 + h2)) * y[2:])
-    a1, a2 = x[1] - x[0], x[2] - x[0]
-    d[0] = (-(a1 + a2) / (a1 * a2) * y[0]
-            + a2 / (a1 * (a2 - a1)) * y[1]
-            - a1 / (a2 * (a2 - a1)) * y[2])
-    b1, b2 = x[-1] - x[-2], x[-1] - x[-3]
-    d[-1] = ((b1 + b2) / (b1 * b2) * y[-1]
-             - b2 / (b1 * (b2 - b1)) * y[-2]
-             + b1 / (b2 * (b2 - b1)) * y[-3])
-    return d
 
 
 def _invert_zeta(zeta: MonotoneProfile, min_value: float,
@@ -142,8 +123,8 @@ def _invert_zeta(zeta: MonotoneProfile, min_value: float,
     values = np.concatenate([stub_v, tk])
     # slope of the inverse map, differentiated in the radius variable
     # (exact for quadratic profiles, unlike 1 / (centered dzeta/dt))
-    deriv = np.concatenate([stub_d,
-                            np.maximum(_three_point_slopes(zk, tk), 0.0)])
+    deriv = np.concatenate([
+        stub_d, np.maximum(np.gradient(tk, zk, edge_order=2), 0.0)])
     rho = MonotoneProfile(radii, values, "increasing", deriv,
                           dict(zeta.meta))
     return SymmetrizationResult(order=k, zeta=zeta, rho=rho,

@@ -23,7 +23,13 @@ from wulffsym.bodies import (
     sample_many,
 )
 from wulffsym.errors import DomainError, NumericError
-from wulffsym.field_ops import level_grid, newton_curvatures
+from wulffsym.field_ops import (
+    PolarTable,
+    domain_volume,
+    hessian_integral,
+    level_grid,
+    newton_curvatures,
+)
 from wulffsym.fields import (
     RayRestriction,
     perturbed_radial,
@@ -95,6 +101,30 @@ class TestSampling:
             sample_level_set(norm, u, -0.6)
         with pytest.raises(DomainError):
             sample_level_set(norm, u, 0.1)
+
+    def test_nan_level_rejected(self):
+        # a NaN level fails the range check instead of reaching the ray
+        # solve, whose Newton steps never converge on it
+        norm = euclidean_norm(2)
+        u = quadratic_ellipsoid(2)
+        with pytest.raises(DomainError, match="levels must lie in"):
+            sample_many(norm, u, [-0.3, math.nan], rays=64)
+        with pytest.raises(DomainError, match="levels must lie in"):
+            LevelTable(norm, u, np.array([-0.4, math.nan, -0.1]), 64)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_ray_count_below_one_rejected(self, count):
+        norm = euclidean_norm(2)
+        u = quadratic_ellipsoid(2)
+        for dim in (2, 3):
+            with pytest.raises(DomainError, match=f"rays >= 1; got {count}"):
+                _DirectionGrid(dim, count)
+        for build in (lambda: LevelTable(norm, u, 40, count),
+                      lambda: PolarTable(norm, u, count, [("sk", 1)]),
+                      lambda: hessian_integral(norm, u, 1, rays=count),
+                      lambda: domain_volume(u, rays=count)):
+            with pytest.raises(DomainError, match=f"rays >= 1; got {count}"):
+                build()
 
     def test_sample_many_matches_single(self):
         norm = euclidean_norm(2)

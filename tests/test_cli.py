@@ -320,6 +320,28 @@ class TestCheck:
         assert main(["check", "--fast"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_fast_check_tasks_all_have_rows(self, monkeypatch, capsys):
+        # a task with no rows would pass on all([]); check requests
+        # sobolev only where a (k, p) lies below the borderline n - k + 1
+        reports = []
+        real_run = cli.run
+
+        def recorded(cfg):
+            reports.append(real_run(cfg))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run", recorded)
+        assert cli._check(fast=True) == 0
+        assert len(reports) == len(cli.regression_corpus()) + 1
+        for report in reports:
+            for task, data in report["tasks"].items():
+                assert data["rows"], task
+                assert all(r["case"] != "nothing to check"
+                           for r in data["rows"]), task
+        with_sobolev = [r["config"]["orders"] for r in reports
+                        if "sobolev" in r["tasks"]]
+        assert len(with_sobolev) == 7
+
     def test_fast_check_samples_96_rays_in_3d(self, monkeypatch):
         grids = []
 
@@ -425,16 +447,36 @@ class TestMain:
         assert main(["run", "--config", str(path)]) == 2
 
     def test_task_failure_exit_1(self, tmp_path):
-        # a comparison source below S_k[u] violates the precondition; the
-        # task records the failure and the run exits 1
+        # five levels are too few for a level grid; the task records the
+        # failure and the run exits 1
         raw = base_config(tmp_path, ["compare"])
-        raw["field"]["source_constant"] = 0.5
+        raw["grids"]["levels"] = 5
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(path)]) == 1
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         (row,) = report["tasks"]["compare"]["rows"]
-        assert row["case"].startswith("task error (InputError): ")
+        assert row["case"].startswith("task error (DomainError): ")
+
+    @pytest.mark.parametrize("tasks, orders", [
+        (["symmetrize", "polya_szego", "compare"], []),
+        (["sobolev"], [2]),
+    ], ids=["no-orders", "sobolev-borderline"])
+    def test_task_with_nothing_to_check_fails(self, tmp_path, tasks, orders):
+        # no orders leave the order-wise tasks without rows, and in 2D
+        # the k = 2 Sobolev case has no exponent p = 2 below n - k + 1 = 1
+        raw = base_config(tmp_path, tasks, orders=orders)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        for task in tasks:
+            (row,) = report["tasks"][task]["rows"]
+            assert row["case"] == "nothing to check"
+            assert not row["passed"] and not report["tasks"][task]["passed"]
+        text = (tmp_path / "out" / f"{tasks[0]}.csv").read_text()
+        assert (text.splitlines()[1]
+                == f"{tasks[0]},nothing to check,,,,,,,false")
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

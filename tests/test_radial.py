@@ -40,6 +40,21 @@ class TestMonotoneProfile:
             MonotoneProfile(np.array([1.0, 0.5]), np.array([0.0, 1.0]),
                             "increasing")
 
+    def test_non_finite_rejected(self):
+        # a NaN abscissa or value passes the order checks (every comparison
+        # with NaN is false), so it is rejected on its own
+        with pytest.raises(InputError, match="finite"):
+            MonotoneProfile([0.0, math.nan, 1.0], [0.0, 0.5, 1.0],
+                            "increasing")
+        with pytest.raises(InputError, match="finite"):
+            MonotoneProfile([0.0, 0.5, 1.0], [0.0, math.inf, 1.0],
+                            "increasing")
+        # so a NaN source never reaches solve_radial
+        with pytest.raises(InputError, match="finite"):
+            solve_radial(profile_from_callable(
+                lambda r: np.full_like(r, math.nan), np.linspace(0, 1, 9),
+                direction="decreasing"), 1.0, 2, 1)
+
     def test_plateau_extension(self):
         p = parabolic_profile()
         assert p(2.0) == pytest.approx(0.0)
