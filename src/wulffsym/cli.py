@@ -1,9 +1,9 @@
 """Config-driven experiment runner with machine-readable reports.
 
 Usage:
-    wulffsym run --config cfg.json [--out DIR] [--format csv,json] [--seed N]
+    wulffsym run --config cfg.json [--out DIR]
     wulffsym presets
-    wulffsym check [--fast]
+    wulffsym check
 
 A config is one JSON object (unknown keys, ill-typed values and non-finite
 numbers are rejected):
@@ -32,7 +32,8 @@ symmetrize, polya_szego, compare and sobolev read (field_ops.PolarTable).
 
 Exit status: 0 when every verdict passes, 1 when a check fails, a task
 raises a wulffsym error (a "task error (<class>)" row) or a task has
-nothing to check, 2 on config errors; other exceptions propagate.
+nothing to check, 2 on config errors, an unusable output directory and a
+WULFFSYM_THREADS that is not a positive integer; other exceptions propagate.
 WULFFSYM_THREADS caps worker threads (default: all cores).
 """
 
@@ -193,9 +194,6 @@ class ExperimentConfig:
                 f"bad params for preset {preset!r} ({exc}); its parameters: "
                 f"{sorted(preset_catalog()[preset])}") from None
 
-    def grid(self, key: str, default):
-        return int(self.grids.get(key, default))
-
 
 def _require(ok, what: str, value):
     if not ok:
@@ -267,7 +265,7 @@ class _Context:
 
     @functools.cached_property
     def levels(self) -> LevelTable:
-        return LevelTable(self.norm, self.u, self.cfg.grid("levels", 200),
+        return LevelTable(self.norm, self.u, self.cfg.grids.get("levels", 200),
                           self.cfg.grids.get("rays"))
 
     @functools.cached_property
@@ -466,7 +464,8 @@ def _task_compare(ctx: _Context):
                 f"S_k (k={k}) on the polar nodes has maximum {sk_max}")
         source = 1.05 * sk_max
         res = comparison_margin(
-            table, source, k, solver_nodes=ctx.cfg.grid("radial_nodes", 4096),
+            table, source, k,
+            solver_nodes=ctx.cfg.grids.get("radial_nodes", 4096),
             polar=ctx.polar)
         rows.append(_row("compare", f"radial domination (f={source:.6g})",
                          res.min_margin, 0.0, 1e-4,
@@ -476,7 +475,7 @@ def _task_compare(ctx: _Context):
 
 def _task_sobolev(ctx: _Context):
     rows = []
-    for k, p in _sobolev_cases(ctx.cfg, ctx.u.dim):
+    for k, p in _sobolev_cases(ctx.cfg.orders, ctx.cfg.exponents, ctx.u.dim):
         q = sobolev_exponent(ctx.u.dim, k, p)
         res = sobolev_margin(ctx.norm, k, p, ctx.polar[("generalized", k, p)],
                              ctx.polar[("lp", q)])
@@ -487,9 +486,9 @@ def _task_sobolev(ctx: _Context):
     return rows
 
 
-def _sobolev_cases(cfg, n):
+def _sobolev_cases(orders, exponents, n):
     """The (k, p) of the sobolev rows: below the borderline p = n-k+1."""
-    return [(k, p) for k in cfg.orders for p in (cfg.exponents or [1.0])
+    return [(k, p) for k in orders for p in (exponents or [1.0])
             if p < n - k + 1]
 
 
@@ -504,7 +503,7 @@ def _polar_requests(cfg, n):
     if "compare" in tasks:
         out += [("sk", k) for k in ks]
     if "sobolev" in tasks:
-        for k, p in _sobolev_cases(cfg, n):
+        for k, p in _sobolev_cases(ks, cfg.exponents, n):
             out += [("generalized", k, p), ("lp", sobolev_exponent(n, k, p))]
     return out
 
@@ -567,12 +566,13 @@ def run(cfg: ExperimentConfig) -> dict:
 
 
 def regression_corpus():
-    """The built-in preset corpus exercised by `wulffsym check`.
+    """The preset corpus of `wulffsym check`: (name, config) pairs, each
+    config complete and run as it stands.
 
-    2D entries cover all three norm families; 3D entries use the
-    closed-form dual families at reduced sampling resolution (the
-    regularized_p family in 3D is exercised by pointwise identities and
-    Wulff-ball values, whose cost stays moderate).
+    2D entries: all three norm families, 160 levels (which keep the radial
+    equality margins inside their 1e-4 tolerances) and 512 rays. 3D
+    entries: the closed-form dual families, 150 levels, 96 longitudes and
+    96 volume panels. sobolev runs where a (k, p) lies below n - k + 1.
     """
     ell2 = {"family": "ellipsoid", "dim": 2, "matrix": [[4.0, 0.0],
                                                         [0.0, 1.0]]}
@@ -581,48 +581,45 @@ def regression_corpus():
     euc3 = {"family": "euclidean", "dim": 3}
     ell3 = {"family": "ellipsoid", "dim": 3,
             "matrix": [[4.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.25]]}
-    fast3 = {"levels": 150, "rays": 128, "volume_panels": 96}
+    grids = {2: {"levels": 160, "rays": 512},
+             3: {"levels": 150, "rays": 96, "volume_panels": 96}}
     entries = [
-        ("disc", euc2, {"preset": "quadratic_ellipsoid"}, [1, 2], {}),
+        ("disc", euc2, {"preset": "quadratic_ellipsoid"}, [1, 2]),
         ("ellipse", euc2,
          {"preset": "quadratic_ellipsoid", "params": {"axes": [2.0, 1.0]}},
-         [1, 2], {}),
+         [1, 2]),
         ("euclid-radial", euc2, {"preset": "radial_power",
-                                 "params": {"a": 2.0}}, [1], {}),
-        ("euclid-perturbed", euc2, {"preset": "perturbed_radial"}, [1], {}),
+                                 "params": {"a": 2.0}}, [1]),
+        ("euclid-perturbed", euc2, {"preset": "perturbed_radial"}, [1]),
         ("aniso-wulff", ell2, {"preset": "radial_power",
-                               "params": {"a": 2.0}}, [1, 2], {}),
+                               "params": {"a": 2.0}}, [1, 2]),
         ("aniso-cubic", ell2, {"preset": "radial_power",
-                               "params": {"a": 3.0}}, [2], {}),
-        ("aniso-perturbed", ell2, {"preset": "perturbed_radial"}, [2], {}),
+                               "params": {"a": 3.0}}, [2]),
+        ("aniso-perturbed", ell2, {"preset": "perturbed_radial"}, [2]),
         ("aniso-ellipse", ell2,
          {"preset": "quadratic_ellipsoid", "params": {"axes": [2.0, 1.0]}},
-         [2], {}),
+         [2]),
         ("regp-wulff", reg2, {"preset": "radial_power",
-                              "params": {"a": 2.0}}, [2], {}),
-        ("ball3", euc3, {"preset": "quadratic_ellipsoid"}, [1], fast3),
+                              "params": {"a": 2.0}}, [2]),
+        ("ball3", euc3, {"preset": "quadratic_ellipsoid"}, [1]),
         ("ellipsoid3", ell3, {"preset": "radial_power",
-                              "params": {"a": 2.0}}, [2], fast3),
+                              "params": {"a": 2.0}}, [2]),
     ]
-    return entries
+    corpus = []
+    for name, norm, field, orders in entries:
+        tasks = [t for t in TASKS if t != "invariants" and (
+            t != "sobolev" or _sobolev_cases(orders, [1.5], norm["dim"]))]
+        corpus.append((name, {
+            "norm": norm, "field": field, "orders": orders,
+            "exponents": [1.5], "grids": grids[norm["dim"]], "tasks": tasks,
+            "output": {}, "seed": 7}))
+    return corpus
 
 
-def _check(fast: bool) -> int:
+def _check() -> int:
     failures = 0
-    tasks = [t for t in TASKS if t != "invariants"]
-    for name, norm_spec, field_spec, orders, grids in regression_corpus():
-        cfg = ExperimentConfig.from_dict({
-            "norm": norm_spec, "field": field_spec, "orders": orders,
-            "exponents": [1.5], "grids": dict(grids),
-            "tasks": list(tasks), "output": {}, "seed": 7})
-        if fast:
-            # margins of the radial equality cases shrink with the level
-            # count; 160 keeps them inside the 1e-4 tolerances
-            cfg.grids.setdefault("levels", 160)
-            cfg.grids["rays"] = 512 if norm_spec["dim"] == 2 else 96
-        if not _sobolev_cases(cfg, norm_spec["dim"]):
-            cfg.tasks.remove("sobolev")  # it would have nothing to check
-        report = run(cfg)
+    for name, raw in regression_corpus():
+        report = run(ExperimentConfig.from_dict(raw))
         status = "pass" if report["passed"] else "FAIL"
         print(f"[{status}] {name} ({report['runtime_seconds']:.1f}s): "
               + ", ".join(f"{t}={'ok' if d['passed'] else 'FAIL'}"
@@ -643,22 +640,22 @@ def _check(fast: bool) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        threads = thread_count()
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     parser = argparse.ArgumentParser(
         prog="wulffsym",
         description="Anisotropic mixed-volume symmetrization harnesses.",
         epilog=f"Set {ENV_VAR} to cap worker threads "
-               f"(current budget: {thread_count()}).")
+               f"(current budget: {threads}).")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--format", default=None,
-                       help="comma-separated subset of csv,json")
-    p_run.add_argument("--seed", type=int, default=None)
     sub.add_parser("presets", help="list field presets and norm families")
-    p_check = sub.add_parser("check", help="run the regression corpus")
-    p_check.add_argument("--fast", action="store_true",
-                         help="reduced grids")
+    sub.add_parser("check", help="run the regression corpus")
     args = parser.parse_args(argv)
 
     if args.command == "presets":
@@ -670,19 +667,17 @@ def main(argv=None) -> int:
                 print(f"    {key}: {desc}")
         return 0
     if args.command == "check":
-        return _check(args.fast)
+        return _check()
 
     try:
         raw = json.loads(Path(args.config).read_text())
         _require(isinstance(raw, dict), "a config must be an object", raw)
         output = raw.get("output") or {}
         if args.out is not None and isinstance(output, dict):
-            raw["output"] = output = {**output, "directory": args.out}
-        if args.format is not None and isinstance(output, dict):
-            raw["output"] = {**output, "formats": args.format.split(",")}
-        if args.seed is not None:
-            raw["seed"] = args.seed
+            raw["output"] = {**output, "directory": args.out}
         cfg = ExperimentConfig.from_dict(raw)
+        if cfg.output.get("directory"):  # an unusable one is a config error
+            Path(cfg.output["directory"]).mkdir(parents=True, exist_ok=True)
     except (OSError, json.JSONDecodeError, InputError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

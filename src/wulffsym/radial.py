@@ -152,6 +152,8 @@ def solve_radial(f_star: MonotoneProfile, outer_radius: float, n: int, k: int,
     _check_order(k, n, lo=1)
     if outer_radius <= 0.0:
         raise DomainError("outer radius must be positive")
+    if nodes < 2:
+        raise DomainError(f"the radial solver needs nodes >= 2; got {nodes}")
     if np.any(f_star.values < 0.0):
         raise InputError("source profile must be nonnegative")
     r = np.linspace(0.0, outer_radius, nodes)

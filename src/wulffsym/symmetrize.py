@@ -47,7 +47,6 @@ class SymmetrizationResult:
     zeta: MonotoneProfile           # t -> zeta_{k-1}(sublevel t)
     rho: MonotoneProfile            # r -> symmetrand profile value
     outer_radius: float
-    diagnostics: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +55,6 @@ class PsMarginResult:
     rhs: float
     margin: float
     lhs_coarea: float | None
-    symmetrization: SymmetrizationResult
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +86,7 @@ def zeta_profile(table: LevelTable, k: int) -> MonotoneProfile:
     t, z = table.levels, table.zeta[k - 1]
     deriv = np.maximum(np.gradient(z, t, edge_order=2), 0.0)
     try:
-        return MonotoneProfile(t, z, "increasing", deriv,
-                               {"skipped_levels": table.skipped.size})
+        return MonotoneProfile(t, z, "increasing", deriv)
     except InputError as exc:
         worst = float(np.min(np.diff(z)))
         if not worst < 0.0:
@@ -125,11 +122,9 @@ def _invert_zeta(zeta: MonotoneProfile, min_value: float,
     # (exact for quadratic profiles, unlike 1 / (centered dzeta/dt))
     deriv = np.concatenate([
         stub_d, np.maximum(np.gradient(tk, zk, edge_order=2), 0.0)])
-    rho = MonotoneProfile(radii, values, "increasing", deriv,
-                          dict(zeta.meta))
+    rho = MonotoneProfile(radii, values, "increasing", deriv)
     return SymmetrizationResult(order=k, zeta=zeta, rho=rho,
-                                outer_radius=float(zk[-1]),
-                                diagnostics=dict(zeta.meta))
+                                outer_radius=float(zk[-1]))
 
 
 def ps_margin(table: LevelTable, k: int, lhs: float) -> PsMarginResult:
@@ -149,7 +144,7 @@ def ps_margin(table: LevelTable, k: int, lhs: float) -> PsMarginResult:
             f"direct and coarea energies disagree: {spread:.2e}")
     kappa = wulff_volume(norm)
     rhs = radial_hessian_integral(sym.rho, u.dim, k, kappa)
-    return PsMarginResult(lhs, rhs, lhs - rhs, lhs_coarea, sym)
+    return PsMarginResult(lhs, rhs, lhs - rhs, lhs_coarea)
 
 
 def ps_margin_p(table: LevelTable, k: int, p: float,
@@ -162,7 +157,7 @@ def ps_margin_p(table: LevelTable, k: int, p: float,
     sym = symmetrand(table, k)
     kappa = wulff_volume(table.norm)
     rhs = radial_energy(sym.rho, table.field.dim, k, p, kappa)
-    return PsMarginResult(energy, rhs, energy - rhs, None, sym)
+    return PsMarginResult(energy, rhs, energy - rhs, None)
 
 
 def lp_compare(table: LevelTable, k: int, p: float, lhs: float):

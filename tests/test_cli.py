@@ -268,6 +268,14 @@ class TestRun:
         assert 0.0 <= want <= 1e-9
         assert row["tolerance"] == 1e-9 and row["passed"]
 
+    def test_too_few_radial_nodes_is_an_error_row(self, tmp_path):
+        raw = base_config(tmp_path, ["compare"])
+        raw["grids"]["radial_nodes"] = 1
+        report = run(ExperimentConfig.from_dict(raw))
+        (row,) = report["tasks"]["compare"]["rows"]
+        assert row["case"] == ("task error (DomainError): the radial solver "
+                               "needs nodes >= 2; got 1")
+
     def test_too_few_levels_is_an_error_row(self, tmp_path):
         # below 10 levels the level grid cannot reach t = 0
         raw = base_config(tmp_path, ["af"])
@@ -317,7 +325,7 @@ class TestRun:
 
 class TestCheck:
     def test_fast_corpus_passes(self, capsys):
-        assert main(["check", "--fast"]) == 0
+        assert main(["check"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
     def test_fast_check_tasks_all_have_rows(self, monkeypatch, capsys):
@@ -331,7 +339,7 @@ class TestCheck:
             return reports[-1]
 
         monkeypatch.setattr(cli, "run", recorded)
-        assert cli._check(fast=True) == 0
+        assert cli._check() == 0
         assert len(reports) == len(cli.regression_corpus()) + 1
         for report in reports:
             for task, data in report["tasks"].items():
@@ -350,10 +358,25 @@ class TestCheck:
             return {"passed": True, "runtime_seconds": 0.0, "tasks": {}}
 
         monkeypatch.setattr(cli, "run", stub)
-        assert cli._check(fast=True) == 0
+        assert cli._check() == 0
         in_3d = [g for dim, g in grids if dim == 3]
         assert len(in_3d) == 2
         assert all(g["rays"] == 96 for g in in_3d)
+
+    def test_check_runs_the_corpus_configs_unedited(self, monkeypatch):
+        # every grid, task and other setting of a check run is the one
+        # its corpus entry validates to
+        seen = []
+
+        def stub(cfg):
+            seen.append(cfg)
+            return {"passed": True, "runtime_seconds": 0.0, "tasks": {}}
+
+        monkeypatch.setattr(cli, "run", stub)
+        assert cli._check() == 0
+        want = [ExperimentConfig.from_dict(raw)
+                for _, raw in cli.regression_corpus()]
+        assert seen[:-1] == want
 
 
 class TestMain:
@@ -376,68 +399,79 @@ class TestMain:
         assert "radial_power" in out
         assert "perturbed_radial" in out
 
-    def test_seed_and_format_overrides(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(base_config(tmp_path, ["invariants"])))
-        assert main(["run", "--config", str(path), "--seed", "3",
-                     "--format", "json"]) == 0
-        assert not (tmp_path / "out" / "invariants.csv").exists()
-        assert (tmp_path / "out" / "report.json").exists()
-
-    @pytest.mark.parametrize("change, args, named", [
+    @pytest.mark.parametrize("change, named", [
         ({"field": {"preset": "quadratic_ellipsoid",
-                    "params": {"bogus": 1}}}, [], "axes"),
-        ({"field": {"preset": "quadratic_ellipsoid", "params": [1]}}, [],
+                    "params": {"bogus": 1}}}, "axes"),
+        ({"field": {"preset": "quadratic_ellipsoid", "params": [1]}},
          "params"),
-        ({"orders": 1}, [], "orders"),
-        ({"exponents": 2.0}, [], "exponents"),
-        ({"grids": {"levels": None}}, [], "levels"),
-        ({"seed": -1}, [], "seed"),
-        ({}, ["--seed", "-3"], "seed"),
-        ({"grids": {"levels": 40.7}}, [], "levels"),
-        ({"orders": "12"}, [], "orders"),
-        ({"output": {"formats": "json"}}, [], "formats"),
+        ({"orders": 1}, "orders"),
+        ({"exponents": 2.0}, "exponents"),
+        ({"grids": {"levels": None}}, "levels"),
+        ({"seed": -1}, "seed"),
+        ({"grids": {"levels": 40.7}}, "levels"),
+        ({"orders": "12"}, "orders"),
+        ({"output": {"formats": "json"}}, "formats"),
         ({"norm": {"family": "ellipsoid", "dim": 3,
-                   "matrix": [[4.0, 0.0], [0.0, 1.0]]}}, [],
+                   "matrix": [[4.0, 0.0], [0.0, 1.0]]}},
          "dim must equal the matrix size 2; got 3"),
-        ({"output": {"directory": 5}}, [], "directory"),
+        ({"output": {"directory": 5}}, "directory"),
         ({"field": {"preset": "quadratic_ellipsoid",
-                    "source_constant": "abc"}}, [], "source_constant"),
+                    "source_constant": "abc"}}, "source_constant"),
         ({"field": {"preset": "quadratic_ellipsoid",
-                    "source_constant": -1}}, [], "source_constant"),
+                    "source_constant": -1}}, "source_constant"),
         ({"field": {"preset": "quadratic_ellipsoid",
-                    "source_constant": True}}, [], "source_constant"),
-        ({"exponents": [math.inf]}, [], "exponents must be finite; got inf"),
-        ({"exponents": [math.nan]}, [], "exponents must be finite; got nan"),
+                    "source_constant": True}}, "source_constant"),
+        ({"exponents": [math.inf]}, "exponents must be finite; got inf"),
+        ({"exponents": [math.nan]}, "exponents must be finite; got nan"),
         ({"norm": {"family": "regularized_p", "dim": 2, "eps": math.inf}},
-         [], "norm eps must be finite"),
+         "norm eps must be finite"),
         ({"field": {"preset": "radial_power", "params": {"a": math.nan}}},
-         [], "field params a must be finite"),
+         "field params a must be finite"),
         ({"field": {"preset": "radial_power",
                     "params": {"radius": math.inf}}},
-         [], "field params radius must be finite"),
+         "field params radius must be finite"),
         ({"field": {"preset": "perturbed_radial",
                     "params": {"strength": math.nan}}},
-         [], "field params strength must be finite"),
+         "field params strength must be finite"),
         ({"field": {"preset": "perturbed_radial",
                     "params": {"weights": [1.0, math.nan]}}},
-         [], "field params weights must be finite"),
+         "field params weights must be finite"),
     ], ids=["preset-param", "params-list", "orders-int", "exponents-float",
-            "levels-null", "seed-negative", "seed-flag-negative",
-            "levels-float", "orders-string", "formats-string",
-            "ellipsoid-dim", "directory-int", "source-string",
-            "source-negative", "source-bool", "exponent-inf", "exponent-nan",
-            "eps-inf", "power-nan", "radius-inf", "strength-nan",
-            "weights-nan"])
-    def test_config_value_errors_exit_2(self, tmp_path, capsys, change, args,
+            "levels-null", "seed-negative", "levels-float", "orders-string",
+            "formats-string", "ellipsoid-dim", "directory-int",
+            "source-string", "source-negative", "source-bool", "exponent-inf",
+            "exponent-nan", "eps-inf", "power-nan", "radius-inf",
+            "strength-nan", "weights-nan"])
+    def test_config_value_errors_exit_2(self, tmp_path, capsys, change,
                                         named):
         raw = base_config(tmp_path, ["invariants"])
         raw.update(change)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        assert main(["run", "--config", str(path)] + args) == 2
+        assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_thread_budget_exit_2(self, monkeypatch, capsys, threads):
+        monkeypatch.setenv("WULFFSYM_THREADS", threads)
+        assert main(["presets"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: WULFFSYM_THREADS must be ")
+
+    def test_unusable_output_directory_exit_2(self, tmp_path, capsys):
+        raw = base_config(tmp_path, ["af"])
+        taken = tmp_path / "out"
+        taken.write_text("a file, not a directory")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(taken) in err
+        # --out is an output directory too
+        assert main(["run", "--config", str(path), "--out",
+                     str(taken / "sub")]) == 2
+        assert str(taken / "sub") in capsys.readouterr().err
 
     def test_invalid_norm_spec_exit_2(self, tmp_path):
         raw = base_config(tmp_path, ["af"])

@@ -202,6 +202,12 @@ class TestSolveRadial:
         with pytest.raises(InputError):
             solve_radial(f, 1.0, 2, 1)
 
+    @pytest.mark.parametrize("nodes", [1, 0, -4])
+    def test_rejects_fewer_than_two_nodes(self, nodes):
+        f = self.constant_profile(1.0, 1.0)
+        with pytest.raises(DomainError, match=f"nodes >= 2; got {nodes}"):
+            solve_radial(f, 1.0, 2, 1, nodes=nodes)
+
 
 class TestRearrange:
     def test_constant_density(self):
