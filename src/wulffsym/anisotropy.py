@@ -79,43 +79,67 @@ def regularized_p_norm(dim: int, p: float, eps: float = 1e-2) -> Norm:
     return Norm("regularized_p", dim, exponent=float(p), smoothing=float(eps))
 
 
-def _check_nonzero(x):
-    """x as a float array and its square sum rowsum(x * x), nonzero."""
+def _check_nonzero(x, n: int):
+    """x as a float array of n-vectors and its square sum rowsum(x * x),
+    nonzero."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] < 1:
-        raise DomainError("empty vector")
+    if x.ndim == 0 or x.shape[-1] != n:
+        raise DomainError(f"expected vectors of length {n}")
     sq = rowsum(x * x)
     if np.any(sq == 0.0):
         raise DomainError("norm jets are undefined at the origin")
     return x, sq
 
 
+def _outer(a, b, out=None):
+    """The rows out[i, j] = a[..., i] * b[..., j] of vectors a and b of
+    shape (..., n), in an (n, n, ...) array: one multiply per entry."""
+    n = a.shape[-1]
+    if out is None:
+        out = np.empty((n, n) + a.shape[:-1])
+    for i in range(n):
+        for j in range(n):
+            np.multiply(a[..., i], b[..., j], out=out[i, j, ...])
+    return out
+
+
 def eval_jet(norm: Norm, xi):
-    """Return (F(xi), grad F(xi), hess F(xi)); batched over leading axes."""
-    xi, sq = _check_nonzero(xi)
+    """Return (F(xi), grad F(xi), hess F(xi)); batched over leading axes.
+
+    The Hessian is built in an (n, n, ...) array, one contiguous row of
+    points per entry, and returned as its (..., n, n) view
+    (np.moveaxis): callers must not assume its strides.
+    """
     n = norm.dim
-    if xi.shape[-1] != n:
-        raise DomainError(f"expected vectors of length {n}")
-    eye = np.eye(n)
+    xi, sq = _check_nonzero(xi, n)
+    # the identity broadcast against the rows
+    eye = np.eye(n).reshape((n, n) + (1,) * (xi.ndim - 1))
     if norm.family == "euclidean":
         v = np.sqrt(sq)
         g = xi / v[..., None]
-        h = (eye - g[..., :, None] * g[..., None, :]) / v[..., None, None]
-        return v, g, h
-    if norm.family == "ellipsoid":
+        # (eye - g_i g_j) / v
+        h = _outer(g, g)
+        np.subtract(eye, h, out=h)
+        h /= v
+    elif norm.family == "ellipsoid":
         m = norm.matrix
         mx = xi @ m
         v = np.sqrt(rowsum(xi * mx))
         g = mx / v[..., None]
-        h = (m / v[..., None, None]
-             - mx[..., :, None] * mx[..., None, :] / v[..., None, None] ** 3)
-        return v, g, h
-    return _reg_p_jet(norm, xi, sq)
+        # m / v - mx_i mx_j / v^3; the ufunc, as for arrays: a scalar v
+        # ** 3 can differ in the last bit
+        h = _outer(mx, mx)
+        h /= np.power(v, 3)
+        np.subtract(m.reshape(eye.shape) / v, h, out=h)
+    else:
+        v, g, h = _reg_p_jet(norm, xi, sq, eye)
+    return v, g, np.moveaxis(h, (0, 1), (-2, -1))
 
 
-def _reg_p_jet(norm: Norm, xi, sq_sum):
+def _reg_p_jet(norm: Norm, xi, sq_sum, eye):
+    """(F, grad F, hess F) of regularized_p, the Hessian as (n, n, ...)
+    rows, written in place into two row arrays."""
     p, eps = norm.exponent, norm.smoothing
-    n = norm.dim
     sq = xi * xi
     q = sq + eps * sq_sum[..., None]
     qa = q ** (0.5 * p - 1.0)          # q^{p/2-1}
@@ -128,14 +152,17 @@ def _reg_p_jet(norm: Norm, xi, sq_sum):
     h_vec = xi * b
     scale1 = big_g ** (1.0 / p - 1.0)
     grad = scale1[..., None] * h_vec
-    eye = np.eye(n)
+    c = (p - 2.0) * eps
     diag = b + (p - 2.0) * sq * qb
-    dh = (diag[..., :, None] * eye
-          + (p - 2.0) * eps * (xi * qb)[..., :, None] * xi[..., None, :]
-          + (p - 2.0) * eps * xi[..., :, None] * (xi * (qb + eps * u))[..., None, :])
-    hess = ((1.0 - p) * (big_g ** (1.0 / p - 2.0))[..., None, None]
-            * h_vec[..., :, None] * h_vec[..., None, :]
-            + scale1[..., None, None] * dh)
+    # hess = (1 - p) G^{1/p-2} h_i h_j + G^{1/p-1} dh, with
+    # dh = diag_i eye_ij + c (xi qb)_i xi_j + c xi_i (xi (qb + eps u))_j
+    hess = np.multiply(np.moveaxis(diag, -1, 0)[:, None], eye)
+    rows = _outer(c * (xi * qb), xi)
+    hess += rows
+    hess += _outer(c * xi, xi * (qb + eps * u), out=rows)
+    hess *= scale1
+    hess += _outer(((1.0 - p) * big_g ** (1.0 / p - 2.0))[..., None] * h_vec,
+                   h_vec, out=rows)
     return value, grad, hess
 
 
@@ -156,7 +183,7 @@ def _polar(norm: Norm) -> Norm | None:
 
 def dual_jet(norm: Norm, x):
     """Return (F*(x), grad F*(x)) of the polar norm; batched."""
-    x, sq = _check_nonzero(x)
+    x, sq = _check_nonzero(x, norm.dim)
     polar = _polar(norm)
     if polar is not None:
         return eval_jet(polar, x)[:2]
@@ -174,7 +201,7 @@ def dual_jets(norm: Norm, x):
     (lam hessF + gradF x gradF) D = I - gradF x xi* gives the Hessian
     D/|x|; the unit scale keeps the system well conditioned for every |x|.
     """
-    x, sq = _check_nonzero(x)
+    x, sq = _check_nonzero(x, norm.dim)
     polar = _polar(norm)
     if polar is not None:
         return eval_jet(polar, x)

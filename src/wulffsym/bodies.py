@@ -15,13 +15,15 @@ with W_0 the enclosed volume via the divergence identity. The k-th mean
 radius is (W_k / kappa_n)^{1/(n-k)}, the radius of the Wulff ball sharing
 that mixed volume; differences of mean radii across orders are the
 Aleksandrov-Fenchel margins, nonnegative for convex bodies and zero
-exactly on Wulff balls. Sampling runs by block of levels: one ray solve,
-one jet pass and one curvature pass serve all the levels of a block,
-whose live (non-degenerate) levels reach its ``reduce`` hook as one
-stacked LevelSetSample. A LevelTable has the sampler threads reduce each
-block of one family to the mean radii and coarea integrands that every
-symmetrization harness reads, with one array sum per quantity for all
-the levels of the block.
+exactly on Wulff balls. Sampling runs by block of levels: one ray solve
+(from box exits computed once per call), one jet pass and one curvature
+pass serve all the levels of a block, whose live (non-degenerate) levels
+reach its ``reduce`` hook as one stacked LevelSetSample. The norm
+Hessian of a block is stored as (n, n, L, m), one row of points per
+entry, and read as an (L, m, n, n) view of unspecified strides. A
+LevelTable has the sampler threads reduce each block of one family to
+the mean radii and coarea integrands that every symmetrization harness
+reads, with one array sum per quantity for all the levels of the block.
 """
 
 import math
@@ -42,6 +44,7 @@ from .quad import chunked, rowsum
 # and the tests reach them here
 from .rays import (  # noqa: F401
     _DirectionGrid,
+    _box_exit,
     _ray_roots,
     boundary_radii,
     default_rays,
@@ -118,10 +121,11 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
             f"[{levels.min():.6g}, {levels.max():.6g}]")
     grid = _DirectionGrid(u.dim, rays)
     restriction = u.ray(grid.omega)
+    s_hi = _box_exit(u, grid)
 
     def block(bounds):
         t = levels[slice(*bounds)]
-        s = _ray_roots(u, grid, t, restriction)
+        s = _ray_roots(u, s_hi, t, restriction)
         vals, grads, hesses = restriction.jets(s)
         gn = np.sqrt(rowsum(grads * grads))
         # eval_jet raises on a zero gradient

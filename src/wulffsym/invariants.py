@@ -139,9 +139,15 @@ def sk_stack(mats, k: int) -> np.ndarray:
         return rowsum(np.diagonal(mats, axis1=-2, axis2=-1))
     idx = _minor_sets(mats.shape[-1], k)
     if k == 2:
-        i, j = idx[:, 0], idx[:, 1]
-        return rowsum(mats[..., i, i] * mats[..., j, j]
-                      - mats[..., i, j] * mats[..., j, i])
+        # one row per pair, summed by rowsum over a (pairs, ...) array
+        # viewed as (..., pairs): the layout, so the summation order, of
+        # a fancy-index gather
+        terms = np.empty((idx.shape[0],) + mats.shape[:-2])
+        for c, (i, j) in enumerate(idx):
+            row = np.multiply(mats[..., i, i], mats[..., j, j],
+                              out=terms[c, ...])
+            row -= mats[..., i, j] * mats[..., j, i]
+        return rowsum(np.moveaxis(terms, 0, -1))
     minors = mats[..., idx[:, :, None], idx[:, None, :]]
     return rowsum(np.linalg.det(minors))
 

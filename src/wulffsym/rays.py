@@ -88,37 +88,36 @@ class _DirectionGrid:
         return self.omega.shape[0]
 
 
-def _box_exit(anchor, box, omega):
-    """Distance from the anchor to the bounding-box boundary along omega."""
-    lo = (box[:, 0] - anchor)[None, :]
-    hi = (box[:, 1] - anchor)[None, :]
+def _box_exit(u, grid: _DirectionGrid):
+    """Distance from u's anchor to its bounding-box boundary along each
+    direction of the grid."""
+    box, omega = u.bounding_box - u.anchor[:, None], grid.omega
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_hi = np.where(omega > 0, hi / omega, np.inf)
-        t_lo = np.where(omega < 0, lo / omega, np.inf)
+        t_hi = np.where(omega > 0, box[:, 1] / omega, np.inf)
+        t_lo = np.where(omega < 0, box[:, 0] / omega, np.inf)
     return np.min(np.minimum(t_hi, t_lo), axis=-1)
 
 
-def _ray_roots(u, grid: _DirectionGrid, levels: np.ndarray, restriction):
+def _ray_roots(u, s_hi, levels: np.ndarray, restriction):
     """Radii s with u(anchor + s omega) = t, shape (levels, directions).
 
     Safeguarded Newton (rtsafe) on sqrt(u - m), m = u.min_value, with u
     and du/ds from ``restriction.along`` (the restriction is
     u.ray(grid.omega)), inside the brackets from the anchor to the
-    bounding-box exit. Its step 2 sqrt(u - m) (u - t) /
-    ((sqrt(u - m) + sqrt(t - m)) du/ds) is exact wherever u is quadratic
-    along the ray. A solve ends when the plain Newton step
-    (u - t) / (du/ds) on u is below _NEWTON_RTOL s, so a square root
-    clipped at zero next to the anchor never ends one. Converged entries
-    stay fixed, and a level whose entries have all converged leaves the
-    iteration, so each row is the single-level solve. The solve starts at
-    the box exit: on rays where sqrt(u - m) is convex, as on every preset,
-    Newton from above descends to the root without leaving the bracket,
-    also when the root sits at the bracket's edge, so its first step is
-    not held to the halving test. Rays still unconverged after
-    _NEWTON_ITERS steps raise NumericError.
+    bounding-box exits s_hi = _box_exit(u, grid), computed once per grid.
+    Its step 2 sqrt(u - m) (u - t) / ((sqrt(u - m) + sqrt(t - m)) du/ds)
+    is exact wherever u is quadratic along the ray. A solve ends when the
+    plain Newton step (u - t) / (du/ds) on u is below _NEWTON_RTOL s, so a
+    square root clipped at zero next to the anchor never ends one.
+    Converged entries stay fixed, and a level whose entries have all
+    converged leaves the iteration, so each row is the single-level solve.
+    The solve starts at the box exit: on rays where sqrt(u - m) is convex,
+    as on every preset, Newton from above descends to the root without
+    leaving the bracket, also when the root sits at the bracket's edge, so
+    its first step is not held to the halving test. Rays still unconverged
+    after _NEWTON_ITERS steps raise NumericError.
     """
-    s_hi = _box_exit(u.anchor, u.bounding_box, grid.omega)
-    shape = (levels.shape[0], grid.count)
+    shape = (levels.shape[0], s_hi.shape[0])
     out = np.empty(shape)
     rows = np.arange(shape[0])
     t = levels[:, None]
@@ -167,7 +166,8 @@ def boundary_radii(u, grid: _DirectionGrid, restriction) -> np.ndarray:
 
     ``restriction`` is u.ray(grid.omega).
     """
-    return _ray_roots(u, grid, np.array([0.0]), restriction)[0]
+    return _ray_roots(u, _box_exit(u, grid), np.array([0.0]),
+                      restriction)[0]
 
 
 def _polar_rule(u, rays: int | None, panels: int = 1):

@@ -101,6 +101,84 @@ class TestEvalJet:
             assert sk(w[0], n) > 0.0
 
 
+def broadcast_jet(norm, xi):
+    """eval_jet by the broadcast (..., n, n) formulas: every Hessian entry
+    the same operations in the same order as the row build."""
+    sq_sum = np.sum(xi * xi, axis=-1)
+    eye = np.eye(norm.dim)
+    if norm.family == "euclidean":
+        v = np.sqrt(sq_sum)
+        g = xi / v[..., None]
+        return v, g, ((eye - g[..., :, None] * g[..., None, :])
+                      / v[..., None, None])
+    if norm.family == "ellipsoid":
+        m = norm.matrix
+        mx = xi @ m
+        v = np.sqrt(np.sum(xi * mx, axis=-1))
+        return v, mx / v[..., None], (
+            m / v[..., None, None]
+            - mx[..., :, None] * mx[..., None, :] / v[..., None, None] ** 3)
+    p, eps = norm.exponent, norm.smoothing
+    sq = xi * xi
+    q = sq + eps * sq_sum[..., None]
+    qa = q ** (0.5 * p - 1.0)
+    qb = q ** (0.5 * p - 2.0)
+    big_g = np.sum(q * qa, axis=-1)
+    u = np.sum(qb, axis=-1)[..., None]
+    b = qa + eps * np.sum(qa, axis=-1)[..., None]
+    h_vec = xi * b
+    scale1 = big_g ** (1.0 / p - 1.0)
+    diag = b + (p - 2.0) * sq * qb
+    dh = (diag[..., :, None] * eye
+          + (p - 2.0) * eps * (xi * qb)[..., :, None] * xi[..., None, :]
+          + (p - 2.0) * eps * xi[..., :, None]
+          * (xi * (qb + eps * u))[..., None, :])
+    return big_g ** (1.0 / p), scale1[..., None] * h_vec, (
+        (1.0 - p) * (big_g ** (1.0 / p - 2.0))[..., None, None]
+        * h_vec[..., :, None] * h_vec[..., None, :]
+        + scale1[..., None, None] * dh)
+
+
+class TestRowJets:
+    """eval_jet builds the Hessian as (n, n, ...) rows; every output is
+    the broadcast formulas' bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bit_equal_to_broadcast_formulas(self, n):
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((n, n))
+        spd = a @ a.T + n * np.eye(n)
+        # the polar of an ellipsoid norm carries an inverse, not exactly
+        # symmetric
+        norms = all_norms(n) + [ellipsoid_norm(spd),
+                                anisotropy._polar(ellipsoid_norm(spd)),
+                                regularized_p_norm(n, 7.0, 0.3)]
+        for norm in norms:
+            # a single vector, (m, n) and (L, m, n)
+            for shape in [(), (7,), (3, 5)]:
+                for scale in [1e-9, 1e-3, 1.0, 1e3, 1e9]:
+                    x = scale * rng.standard_normal(shape + (n,))
+                    # transposed: (n, ...) memory; broadcast: read-only
+                    # with a zero stride
+                    flipped = np.moveaxis(
+                        np.moveaxis(x, -1, 0).copy(), 0, -1)
+                    lead = x[..., :1, :] if x.ndim > 1 else x
+                    for xi in (x, flipped, np.broadcast_to(lead, x.shape)):
+                        got = eval_jet(norm, xi)
+                        for out, want in zip(got, broadcast_jet(norm, xi)):
+                            assert np.shape(out) == want.shape
+                            assert (np.asarray(out).tobytes()
+                                    == want.tobytes()), (norm, shape, scale)
+
+    @pytest.mark.parametrize("x", [1.0, np.float64(2.0), np.ones(3)])
+    def test_rejects_scalars_and_wrong_lengths(self, x):
+        for norm in all_norms(2):
+            for jet in (eval_jet, dual_jet, anisotropy.dual_jets):
+                with pytest.raises(DomainError,
+                                   match="expected vectors of length 2"):
+                    jet(norm, x)
+
+
 class TestDualJet:
     def test_euclidean_self_dual(self):
         v, g = dual_jet(euclidean_norm(2), np.array([3.0, 4.0]))

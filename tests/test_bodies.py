@@ -37,7 +37,7 @@ from wulffsym.fields import (
     radial_power,
 )
 from wulffsym.quad import legendre_rule
-from wulffsym.rays import _DirectionGrid, _ray_roots
+from wulffsym.rays import _DirectionGrid, _box_exit, _ray_roots
 
 
 def test_frozen_perimeter_constant_matches_agm():
@@ -160,6 +160,26 @@ class TestSampling:
         normals = grads / np.sqrt(np.sum(grads * grads, axis=-1))[..., None]
         assert np.array_equal(normals, np.stack([s.normals for s in samples]))
 
+    def test_one_box_exit_per_call(self, monkeypatch):
+        # the ray brackets belong to the direction grid: one box exit
+        # serves every sampling block of a call
+        calls = []
+        box_exit = bodies._box_exit
+
+        def counted(u, grid):
+            calls.append(grid.count)
+            return box_exit(u, grid)
+
+        u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
+        levels = np.linspace(-0.45, -0.05, 12)
+        want = sample_many(euclidean_norm(2), u, levels, rays=64)
+        monkeypatch.setattr(bodies, "_box_exit", counted)
+        monkeypatch.setattr(bodies, "_JET_CHUNK", 64)
+        got = sample_many(euclidean_norm(2), u, levels, rays=64)
+        assert calls == [64]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.points, b.points)
+
     def test_one_norm_jet_per_sampled_point(self, monkeypatch):
         # F(grad u) and every curvature order of a point share one norm jet;
         # eval_jet is counted in every wulffsym module that imports it
@@ -280,10 +300,11 @@ class TestRayRoots:
             for u in (quadratic_ellipsoid(dim, axes=[2.0, 1.0, 1.5][:dim]),
                       radial_power(norm, a=3.0), perturbed_radial(norm)):
                 restriction = u.ray(grid.omega)
+                s_hi = _box_exit(u, grid)
                 levels = level_grid(u, 20)
-                many = _ray_roots(u, grid, levels, restriction)
+                many = _ray_roots(u, s_hi, levels, restriction)
                 for t, row in zip(levels, many):
-                    one = _ray_roots(u, grid, np.array([t]), restriction)
+                    one = _ray_roots(u, s_hi, np.array([t]), restriction)
                     assert np.array_equal(row, one[0]), (u.name, t)
 
     @pytest.mark.parametrize("case", ["ellipse", "ball3", "perturbed2",
@@ -304,7 +325,7 @@ class TestRayRoots:
             calls.append(s.shape)
             return restriction.along(s)
 
-        _ray_roots(u, grid, level_grid(u, 40)[20:],
+        _ray_roots(u, _box_exit(u, grid), level_grid(u, 40)[20:],
                    RayRestriction(along, restriction.jets))
         assert len(calls) <= 3
 
@@ -322,7 +343,8 @@ class TestRayRoots:
                       perturbed_radial(norm)):
                 m = u.min_value
                 levels = m + 10.0 ** -np.array([3.0, 6.0, 9.0, 12.0]) * abs(m)
-                s = _ray_roots(u, grid, levels, u.ray(grid.omega))
+                s = _ray_roots(u, _box_exit(u, grid), levels,
+                               u.ray(grid.omega))
                 vals = u.values(u.anchor + s[..., None] * grid.omega)
                 assert np.all(np.abs(vals - levels[:, None])
                               <= 1e-15 * (1.0 + np.abs(levels[:, None]))), (
@@ -382,7 +404,8 @@ class TestSurfaceWeights:
         rays = 256 if u.dim == 2 else 24
         grid = _DirectionGrid(u.dim, rays)
         restriction = u.ray(grid.omega)
-        s = _ray_roots(u, grid, level_grid(u, 10), restriction)
+        s = _ray_roots(u, _box_exit(u, grid), level_grid(u, 10),
+                       restriction)
         grads = restriction.jets(s)[1]
         got = bodies._surface_weights(grid, s, grads,
                                       np.linalg.norm(grads, axis=-1))

@@ -43,7 +43,7 @@ from wulffsym.invariants import (
     sk_delta_oracle,
     sk_stack,
 )
-from wulffsym.rays import polar_grid
+from wulffsym.rays import _DirectionGrid, polar_grid
 
 
 def rand_sym(rng, n):
@@ -212,6 +212,24 @@ class TestLevelCurvature:
         for k in range(0, 2):
             vals, alts = primary[k], alt[k]
             assert np.max(np.abs(vals - alts) / (1.0 + np.abs(vals))) < 1e-8
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reads_the_broadcast_hessian(self, dim):
+        # the ray restriction of a quadratic hands a read-only broadcast
+        # Hessian; the curvatures are S_k of the product F_il u_lj from
+        # np.matmul, bit for bit, on a (levels, directions) stack
+        u = quadratic_ellipsoid(dim, axes=[2.0, 1.0, 1.5][:dim])
+        omega = _DirectionGrid(dim, 16).omega
+        s = np.linspace(0.3, 0.6, 3)[:, None] * np.ones(omega.shape[0])
+        _, grads, hesses = u.ray(omega).jets(s)
+        assert not hesses.flags.writeable
+        for norm in (euclidean_norm(dim), regularized_p_norm(dim, 3.0),
+                     ellipsoid_norm(np.diag([4.0, 1.0, 2.25][:dim]))):
+            _, curv = curvature_batch(norm, grads, hesses)
+            product = eval_jet(norm, grads)[2] @ hesses
+            assert curv.shape == (dim,) + grads.shape[:-1]
+            for k in range(dim):
+                assert curv[k].tobytes() == sk_stack(product, k).tobytes()
 
     def test_degenerate_gradient_rejected(self):
         norm = euclidean_norm(2)

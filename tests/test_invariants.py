@@ -23,6 +23,7 @@ from wulffsym.invariants import (
     sigma_k,
     sk,
     sk_delta_oracle,
+    sk_stack,
 )
 from wulffsym.radial import (
     MonotoneProfile,
@@ -97,6 +98,27 @@ class TestSk:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             sk(np.array([[1.0, np.inf], [0.0, 1.0]]), 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_s2_pair_rows_bit_equal_to_gathers(self, n):
+        # the gather-based S_2: four fancy-index gathers and one rowsum,
+        # whose summation order the pair rows keep for every stack shape
+        i, j = np.triu_indices(n, 1)
+        rng = np.random.default_rng(n)
+        for shape in [(), (1,), (9,), (4, 7)]:
+            for scale in [1e-9, 1.0, 1e9]:
+                a = scale * rng.standard_normal(shape + (n, n))
+                rows = np.moveaxis(
+                    np.moveaxis(a, (-2, -1), (0, 1)).copy(), (0, 1), (-2, -1))
+                lead = a[..., :1, :, :] if a.ndim > 2 else a
+                for mats in (a, np.swapaxes(a, -1, -2), rows,
+                             np.broadcast_to(lead, a.shape)):
+                    want = np.sum(mats[..., i, i] * mats[..., j, j]
+                                  - mats[..., i, j] * mats[..., j, i], axis=-1)
+                    got = sk_stack(mats, 2)
+                    assert np.shape(got) == want.shape
+                    assert np.asarray(got).tobytes() == want.tobytes(), (
+                        shape, scale)
 
 
 class TestDeltaOracle:
