@@ -19,6 +19,7 @@ from .anisotropy import (  # noqa: F401
     dual_jets,
     ellipsoid_norm,
     euclidean_norm,
+    eval_grad,
     eval_jet,
     regularized_p_norm,
     wulff_volume,

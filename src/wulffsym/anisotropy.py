@@ -7,16 +7,17 @@ Three closed families are supported:
 * ``regularized_p``  F(xi) = (sum_i (xi_i^2 + eps |xi|^2)^{p/2})^{1/p}
 
 Every family provides analytic value / gradient / Hessian jets away from
-the origin (eval_jet). The dual norm F*(x) = sup_{xi != 0} <xi, x> / F(xi)
-of a euclidean or ellipsoid norm is a norm of the same family (the polar
-of sqrt(x^T M x) is sqrt(x^T M^-1 x)), so its jets are eval_jet of that
-polar Norm. For ``regularized_p`` F* is computed by maximizing over the
-unit F-sphere with damped Newton on the stationarity system. F* is
-1-homogeneous and grad F* 0-homogeneous, so the solve runs at x/|x| and is
-rescaled; a solve that does not converge raises NumericError. dual_jets
-gives (F*, grad F*, hess F*) from one solve, dual_jet the first two. All
-entry points accept single vectors of shape (n,) or batches of shape
-(..., n).
+the origin (eval_jet), and the value and gradient alone (eval_grad). The
+dual norm F*(x) = sup_{xi != 0} <xi, x> / F(xi) of a euclidean or
+ellipsoid norm is a norm of the same family (the polar of sqrt(x^T M x)
+is sqrt(x^T M^-1 x)), so its jets are eval_jet of that polar Norm. For
+``regularized_p`` F* is computed by maximizing over the unit F-sphere
+with damped Newton on the stationarity system. F* is 1-homogeneous and
+grad F* 0-homogeneous, so the solve runs at x/|x| and is rescaled; a
+solve that does not converge raises NumericError. dual_jets gives
+(F*, grad F*, hess F*) from one solve, dual_jet the first two (eval_grad
+of the polar for the closed families). All entry points accept single
+vectors of shape (n,) or batches of shape (..., n).
 """
 
 import math
@@ -108,50 +109,72 @@ def eval_jet(norm: Norm, xi):
 
     The Hessian is built in an (n, n, ...) array, one contiguous row of
     points per entry, and returned as its (..., n, n) view
-    (np.moveaxis): callers must not assume its strides.
+    (np.moveaxis): callers must not assume its strides. F and grad F are
+    eval_grad's, bit for bit.
     """
     n = norm.dim
     xi, sq = _check_nonzero(xi, n)
+    v, g, parts = _value_grad(norm, xi, sq)
     # the identity broadcast against the rows
     eye = np.eye(n).reshape((n, n) + (1,) * (xi.ndim - 1))
     if norm.family == "euclidean":
-        v = np.sqrt(sq)
-        g = xi / v[..., None]
         # (eye - g_i g_j) / v
         h = _outer(g, g)
         np.subtract(eye, h, out=h)
         h /= v
     elif norm.family == "ellipsoid":
-        m = norm.matrix
-        mx = xi @ m
-        v = np.sqrt(rowsum(xi * mx))
-        g = mx / v[..., None]
-        # m / v - mx_i mx_j / v^3; the ufunc, as for arrays: a scalar v
-        # ** 3 can differ in the last bit
-        h = _outer(mx, mx)
+        # m / v - mx_i mx_j / v^3
+        h = _outer(parts, parts)
         h /= np.power(v, 3)
-        np.subtract(m.reshape(eye.shape) / v, h, out=h)
+        np.subtract(norm.matrix.reshape(eye.shape) / v, h, out=h)
     else:
-        v, g, h = _reg_p_jet(norm, xi, sq, eye)
+        h = _reg_p_hessian(norm, xi, parts, eye)
     return v, g, np.moveaxis(h, (0, 1), (-2, -1))
 
 
-def _reg_p_jet(norm: Norm, xi, sq_sum, eye):
-    """(F, grad F, hess F) of regularized_p, the Hessian as (n, n, ...)
-    rows, written in place into two row arrays."""
+def eval_grad(norm: Norm, xi):
+    """Return (F(xi), grad F(xi)), eval_jet's first two outputs bit for
+    bit, without building the Hessian; batched over leading axes."""
+    xi, sq = _check_nonzero(xi, norm.dim)
+    return _value_grad(norm, xi, sq)[:2]
+
+
+def _value_grad(norm: Norm, xi, sq_sum):
+    """(F, grad F, parts) at nonzero xi with square sum sq_sum; parts is
+    what the Hessian of the family reuses (None for euclidean).
+
+    Every power is the np.power ufunc: on one vector of shape (n,) the
+    sums are numpy scalars, whose ** (libm pow) can differ in the last
+    bit from the array power of a batch.
+    """
+    if norm.family == "euclidean":
+        v = np.sqrt(sq_sum)
+        return v, xi / v[..., None], None
+    if norm.family == "ellipsoid":
+        mx = xi @ norm.matrix
+        v = np.sqrt(rowsum(xi * mx))
+        return v, mx / v[..., None], mx
     p, eps = norm.exponent, norm.smoothing
     sq = xi * xi
     q = sq + eps * sq_sum[..., None]
-    qa = q ** (0.5 * p - 1.0)          # q^{p/2-1}
-    qb = q ** (0.5 * p - 2.0)          # q^{p/2-2}
+    qa = np.power(q, 0.5 * p - 1.0)    # q^{p/2-1}
     big_g = rowsum(q * qa)             # sum q^{p/2}
     t1 = rowsum(qa)[..., None]
-    u = rowsum(qb)[..., None]
-    value = big_g ** (1.0 / p)
+    value = np.power(big_g, 1.0 / p)
     b = qa + eps * t1
     h_vec = xi * b
-    scale1 = big_g ** (1.0 / p - 1.0)
+    scale1 = np.power(big_g, 1.0 / p - 1.0)
     grad = scale1[..., None] * h_vec
+    return value, grad, (sq, q, big_g, b, h_vec, scale1)
+
+
+def _reg_p_hessian(norm: Norm, xi, parts, eye):
+    """hess F of regularized_p as (n, n, ...) rows, from _value_grad's
+    parts, written in place into two row arrays."""
+    p, eps = norm.exponent, norm.smoothing
+    sq, q, big_g, b, h_vec, scale1 = parts
+    qb = np.power(q, 0.5 * p - 2.0)    # q^{p/2-2}
+    u = rowsum(qb)[..., None]
     c = (p - 2.0) * eps
     diag = b + (p - 2.0) * sq * qb
     # hess = (1 - p) G^{1/p-2} h_i h_j + G^{1/p-1} dh, with
@@ -161,9 +184,9 @@ def _reg_p_jet(norm: Norm, xi, sq_sum, eye):
     hess += rows
     hess += _outer(c * xi, xi * (qb + eps * u), out=rows)
     hess *= scale1
-    hess += _outer(((1.0 - p) * big_g ** (1.0 / p - 2.0))[..., None] * h_vec,
-                   h_vec, out=rows)
-    return value, grad, hess
+    hess += _outer(((1.0 - p) * np.power(big_g, 1.0 / p - 2.0))[..., None]
+                   * h_vec, h_vec, out=rows)
+    return hess
 
 
 def half_sq_hessian(v, g, h):
@@ -186,7 +209,7 @@ def dual_jet(norm: Norm, x):
     x, sq = _check_nonzero(x, norm.dim)
     polar = _polar(norm)
     if polar is not None:
-        return eval_jet(polar, x)[:2]
+        return eval_grad(polar, x)
     flat = x.reshape(-1, norm.dim)
     scale = np.sqrt(sq.reshape(-1))
     val, grad = _dual_numeric(norm, flat / scale[:, None])

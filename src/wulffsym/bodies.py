@@ -11,7 +11,13 @@ curvatures of every order, and the data for the mixed-volume functionals
 
     W_k = [n binom(n-1, k-1)]^{-1} * integral of S_{k-1}(curv) F(normal),
 
-with W_0 the enclosed volume via the divergence identity. The k-th mean
+with W_0 the enclosed volume via the divergence identity,
+W_0 = (1/n) * integral of the support value h = (x - anchor) . nu, which
+at the root x = anchor + s w is s (grad u . w) / |grad u|: every W_k is a
+sum of per-point scalars, so no normal vectors are built for it. The
+curvature rows of orders 1 and n - 1 come without the product matrix
+F_il u_lj (field_ops.curvature_batch: the trace sum, and
+S_{n-1}(D^2F) nu^T adj(D^2u) nu). The k-th mean
 radius is (W_k / kappa_n)^{1/(n-k)}, the radius of the Wulff ball sharing
 that mixed volume; differences of mean radii across orders are the
 Aleksandrov-Fenchel margins, nonnegative for convex bodies and zero
@@ -26,6 +32,7 @@ the mean radii and coarea integrands that every symmetrization harness
 reads, with one array sum per quantity for all the levels of the block.
 """
 
+import functools
 import math
 import warnings
 from collections import namedtuple
@@ -59,18 +66,22 @@ _JET_CHUNK = 1 << 14
 class LevelSetSample:
     """A sampled level set with per-point geometric data.
 
-    For m points in dimension n: points, normals (m, n); f_of_nu = F(nu),
-    gradient_norms = F(grad u), weights (m,); curvatures (n, m), row j the
-    j-th anisotropic mean curvature S_j(F_il u_lj) (row 0 is one).
+    For m points in dimension n: points, gradients = grad u (m, n);
+    support = (x - anchor) . nu, the support value of the body in the
+    normal direction nu, f_of_nu = F(nu), gradient_norms = F(grad u),
+    weights (m,); curvatures (n, m), row j the j-th anisotropic mean
+    curvature S_j(F_il u_lj) (row 0 is one). The unit normals
+    grad u / |grad u| (m, n) are built on first read of ``normals``.
     diagnostics["residual_max"] is the largest |u - level| at the points.
     The ``reduce`` hook of sample_many gets the samples of the L live
     levels of a block stacked on a leading axis: level and residual_max
-    (L,), points (L, m, n), curvatures (n, L, m).
+    (L,), points and gradients (L, m, n), curvatures (n, L, m).
     """
 
     level: float
     points: np.ndarray
-    normals: np.ndarray
+    gradients: np.ndarray
+    support: np.ndarray
     f_of_nu: np.ndarray
     curvatures: np.ndarray
     weights: np.ndarray
@@ -79,24 +90,33 @@ class LevelSetSample:
     anchor: np.ndarray
     diagnostics: dict
 
+    @functools.cached_property
+    def normals(self) -> np.ndarray:
+        g = self.gradients
+        return g / np.sqrt(rowsum(g * g))[..., None]
+
 
 def _level_views(b: LevelSetSample) -> list:
     """The default reduce: a LevelSetSample view of each stacked level."""
     return [LevelSetSample(
-        level=float(t), points=b.points[i], normals=b.normals[i],
-        f_of_nu=b.f_of_nu[i], curvatures=b.curvatures[:, i],
-        weights=b.weights[i], gradient_norms=b.gradient_norms[i],
+        level=float(t), points=b.points[i], gradients=b.gradients[i],
+        support=b.support[i], f_of_nu=b.f_of_nu[i],
+        curvatures=b.curvatures[:, i], weights=b.weights[i],
+        gradient_norms=b.gradient_norms[i],
         norm=b.norm, anchor=b.anchor,
         diagnostics={"residual_max": float(b.diagnostics["residual_max"][i])})
         for i, t in enumerate(b.level)]
 
 
-def _surface_weights(grid: _DirectionGrid, s, grads, gn):
-    """Surface weights of x = s(w) w: its area element is
-    s^(n-1) |grad u| / (grad u . w) dsigma(w), dsigma the grid's solid
-    angle weights, and grad u . w = du/ds is positive at every root."""
+def _surface_terms(grid: _DirectionGrid, s, grads, gn):
+    """(weights, support) of the points x = s(w) w of a level set: the
+    area element s^(n-1) |grad u| / (grad u . w) dsigma(w), dsigma the
+    grid's solid angle weights, and the support value
+    x . nu = s (grad u . w) / |grad u|; grad u . w = du/ds is positive at
+    every root."""
     g_omega = rowsum(grads * grid.omega)
-    return s ** (grid.dim - 1) * gn / g_omega * grid.solid
+    return (s ** (grid.dim - 1) * gn / g_omega * grid.solid,
+            s * g_omega / gn)
 
 
 def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
@@ -134,10 +154,11 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
             t, s, vals, grads, hesses, gn = (
                 x[live] for x in (t, s, vals, grads, hesses, gn))
         fgrad, curv = curvature_batch(norm, grads, hesses)
+        weights, support = _surface_terms(grid, s, grads, gn)
         items = iter(reduce(LevelSetSample(
             level=t, points=u.anchor + s[..., None] * grid.omega,
-            normals=grads / gn[..., None], f_of_nu=fgrad / gn,
-            curvatures=curv, weights=_surface_weights(grid, s, grads, gn),
+            gradients=grads, support=support, f_of_nu=fgrad / gn,
+            curvatures=curv, weights=weights,
             gradient_norms=fgrad, norm=norm, anchor=u.anchor,
             diagnostics={"residual_max": np.max(
                 np.abs(vals - t[:, None]), axis=-1)})))
@@ -160,12 +181,12 @@ def sample_level_set(norm: Norm, u: Field, t: float,
 
 
 def _mixed_volumes(sample: LevelSetSample, k: int):
-    """W_k of each level a sample stacks, as a sum over its points axis."""
+    """W_k of each level a sample stacks, as a sum over its points axis of
+    per-point scalars: W_0 from the support values (the divergence
+    identity), W_k from S_{k-1}(curv) F(nu)."""
     n = sample.points.shape[-1]
     if k == 0:
-        rel = sample.points - sample.anchor
-        return np.sum(sample.weights * rowsum(rel * sample.normals),
-                      axis=-1) / n
+        return np.sum(sample.weights * sample.support, axis=-1) / n
     coeff = 1.0 / (n * math.comb(n - 1, k - 1))
     return coeff * np.sum(
         sample.weights * sample.curvatures[k - 1] * sample.f_of_nu, axis=-1)

@@ -7,7 +7,8 @@ The anisotropic Hessian matrix of u under a norm F is
 the 0-matrix by convention where grad u = 0 (non-euclidean F), and the
 plain Hessian for the euclidean norm. S_k of A is the anisotropic
 k-Hessian operator; S_k of (F_{il} u_{lj}) evaluated on a level set is the
-k-th anisotropic mean curvature of that level set (curvature_batch; its
+k-th anisotropic mean curvature of that level set (curvature_batch,
+which reads the product F_il u_lj only for the orders 2..n-2; its
 Newton-transform form, newton_curvatures, is only a cross-check). Energy
 integrals over {u < 0} are taken on the polar rule of the rays module
 (Gauss nodes on rays from the anchor to the exactly solved boundary), or
@@ -22,7 +23,7 @@ import math
 
 import numpy as np
 
-from .anisotropy import Norm, eval_jet, half_sq_hessian
+from .anisotropy import Norm, eval_grad, eval_jet, half_sq_hessian
 from .errors import DegenerateLevelError, DomainError, NumericError
 from .fields import Field, FieldJet
 from .invariants import _check_order, newton_stack, sk as sk_matrix, sk_stack
@@ -53,23 +54,42 @@ def aniso_hessian(norm: Norm, jet: FieldJet) -> np.ndarray:
 
 def aniso_hessian_batch(norm: Norm, grads, hesses):
     """Anisotropic Hessian matrices of stacked gradients and Hessians."""
-    return _aniso_jet(norm, np.asarray(grads, dtype=float),
-                      np.array(hesses, dtype=float))[0]
-
-
-def _aniso_jet(norm: Norm, grads, hesses, need_jet: bool = False):
-    """(A, live, jet): the anisotropic Hessians (``hesses`` itself for the
-    euclidean norm), the mask of the gradients above the floor, and
-    eval_jet there (None for euclidean A without need_jet)."""
+    grads = np.asarray(grads, dtype=float)
     live = rowsum(grads * grads) > _GRAD_FLOOR
-    jet = None
-    if need_jet or norm.family != "euclidean":
-        jet = eval_jet(norm, grads[live])
+    jet = None if norm.family == "euclidean" else eval_jet(
+        norm, _rows(grads, live))
+    return _aniso_matrix(norm, np.array(hesses, dtype=float), live, jet)
+
+
+def _rows(x, live):
+    """x at the rows of the mask ``live``: x itself when all are live."""
+    return x if np.all(live) else x[live]
+
+
+def _scatter(rows, live):
+    """The inverse of _rows: ``rows`` at the mask ``live``, 0 elsewhere."""
+    if np.all(live):
+        return rows
+    out = np.zeros(live.shape + rows.shape[1:])
+    out[live] = rows
+    return out
+
+
+def _aniso_matrix(norm: Norm, hesses, live, jet):
+    """A from the field Hessians and eval_jet at the gradients of the mask
+    ``live`` (the 0-matrix elsewhere); ``hesses`` itself for euclidean."""
     if norm.family == "euclidean":
-        return hesses, live, jet
-    out = np.zeros_like(hesses)
-    out[live] = half_sq_hessian(*jet) @ hesses[live]
-    return out, live, jet
+        return hesses
+    return _scatter(half_sq_hessian(*jet) @ _rows(hesses, live), live)
+
+
+def _aniso_trace(norm: Norm, hesses, live, jet):
+    """S_1(A) without A: the trace sum of (F^2/2)_il u_li, 0 off ``live``;
+    the trace of ``hesses`` for euclidean."""
+    if norm.family == "euclidean":
+        return sk_stack(hesses, 1)
+    return _scatter(
+        _trace_product(half_sq_hessian(*jet), _rows(hesses, live)), live)
 
 
 def sk_field(norm: Norm, u: Field, x, k: int) -> float:
@@ -97,14 +117,69 @@ def level_curvature(norm: Norm, u: Field, x, k: int) -> float:
 def curvature_batch(norm: Norm, grads, hesses):
     """F(grad u) and the level-set curvatures of every order at m points.
 
-    For grads (m, n) and hesses (m, n, n) returns fv = F(grad u), shape
-    (m,), and curv, shape (n, m): row k is the k-th anisotropic mean
-    curvature S_k(F_il u_lj), k = 0..n-1 (row 0 is one), all from one jet.
+    For grads (m, n) and hesses (m, n, n) (any leading axes) returns
+    fv = F(grad u), shape (m,), and curv, shape (n, m): row k is the k-th
+    anisotropic mean curvature S_k(F_il u_lj), k = 0..n-1 (row 0 is one),
+    all from one jet. Orders 1 and n - 1 skip the product matrix:
+    S_1 is the trace sum sum_ij F_ij u_ji, and since D^2F(xi) xi = 0 the
+    adjugate of D^2F is S_{n-1}(D^2F) nu nu^T, nu = grad u / |grad u|, so
+
+        S_{n-1}(F_il u_lj) = S_{n-1}(D^2F) nu^T adj(D^2u) nu.
+
+    Only the orders 2..n-2 (n >= 4) read F_il u_lj itself.
     """
     n = grads.shape[-1]
     fv, _, fh = eval_jet(norm, grads)
-    curv_matrix = fh @ hesses
-    return fv, np.stack([sk_stack(curv_matrix, k) for k in range(n)])
+    curv = np.empty((n,) + fv.shape)
+    curv[0] = 1.0
+    if n > 1:
+        curv[1] = _trace_product(fh, hesses)
+    if n > 2:
+        curv[n - 1] = (sk_stack(fh, n - 1) * _adjugate_form(hesses, grads)
+                       / rowsum(grads * grads))
+    if n > 3:
+        product = fh @ hesses
+        for k in range(2, n - 1):
+            curv[k] = sk_stack(product, k)
+    return fv, curv
+
+
+def _trace_product(a, b):
+    """S_1(a b) = sum_ij a_ij b_ji over stacks (..., n, n), entry by entry,
+    without the product matrix."""
+    n = a.shape[-1]
+    out = a[..., 0, 0] * b[..., 0, 0]
+    term = np.empty_like(out)
+    for i in range(n):
+        for j in range(n):
+            if i or j:
+                out += np.multiply(a[..., i, j], b[..., j, i], out=term)
+    return out
+
+
+def _adjugate_form(h, v):
+    """v^T adj(h) v over stacks h (..., n, n) and v (..., n), n >= 3: by
+    3D cofactors, else as minus the bordered determinant
+    det [[h, v], [v^T, 0]]."""
+    n = v.shape[-1]
+    if n != 3:
+        border = np.zeros(v.shape[:-1] + (n + 1, n + 1))
+        border[..., :n, :n] = h
+        border[..., :n, n] = border[..., n, :n] = v
+        return -np.linalg.det(border)
+
+    def cofactor(a, b):
+        a1, a2, b1, b2 = (a + 1) % 3, (a + 2) % 3, (b + 1) % 3, (b + 2) % 3
+        return (h[..., a1, b1] * h[..., a2, b2]
+                - h[..., a1, b2] * h[..., a2, b1])
+
+    # sum_ab v_a v_b C_ab, with the cofactor C_ab of entry (a, b)
+    out = v[..., 0] * v[..., 0] * cofactor(0, 0)
+    for a in (1, 2):
+        out += v[..., a] * v[..., a] * cofactor(a, a)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        out += v[..., a] * v[..., b] * (cofactor(a, b) + cofactor(b, a))
+    return out
 
 
 def newton_curvatures(norm: Norm, grads, hesses):
@@ -126,8 +201,11 @@ class PolarTable:
 
     The twin of bodies.LevelTable: built once from (norm, field, rays,
     requests), it solves the polar rule at ``rays`` directions (None means
-    default_rays) and walks its nodes once through polar_integral, with one
-    norm jet and one anisotropic Hessian A per block for every request:
+    default_rays) and walks its nodes once through polar_integral, with at
+    most one norm jet and one anisotropic Hessian A per block for every
+    request, each built only when a request reads it: the norm Hessian when
+    some S_k(A), k >= 1, is read (S_1(A) is the trace sum, without A),
+    and A when an order k >= 2 is. The requests:
     ("hessian", k), the integral of (-u) S_k(A); ("generalized", k, p),
     that of sum_ij S_k^{ij} F^{p-k} F_i u_j = F^{p-k} z_k . grad u with
     z_1 = grad F and z_j = S_{j-1}(A) grad F - A z_{j-1} = T_j^T grad F;
@@ -154,6 +232,11 @@ class PolarTable:
         # of shape (nodes, directions, n)
         nodes = {q[1]: np.empty(r.shape) for q in live if q[0] == "sk"}
         sums = [q for q in live if q[0] != "sk"]
+        # the orders k >= 1 of the S_k(A) read, and whether A itself is
+        gen = [q[1] for q in live if q[0] == "generalized"]
+        self._orders = ({q[1] for q in live if q[0] in ("hessian", "sk")}
+                        | set(range(1, max(gen, default=1)))) - {0}
+        self._reads_a = max(self._orders | set(gen), default=0) > 1
         totals = polar_integral(
             lambda *jets: self._integrands(sums, nodes, *jets), rule,
             all(q[0] == "lp" for q in live))
@@ -180,21 +263,39 @@ class PolarTable:
         ``nodes``."""
         gen = [q for q in sums if q[0] == "generalized"]
         if grads is not None:
-            a, live, jet = _aniso_jet(self.norm, grads, hesses, bool(gen))
-            sk = functools.cache(lambda k: sk_stack(a, k))
+            norm = self.norm
+            sq = rowsum(grads * grads)
+            live = sq > _GRAD_FLOOR
+            curved = bool(self._orders) and norm.family != "euclidean"
+            jet = None
+            if gen or curved:
+                jet = (eval_jet if curved else eval_grad)(
+                    norm, _rows(grads, live))
+            a = (_aniso_matrix(norm, hesses, live, jet) if self._reads_a
+                 else None)
+
+            @functools.cache
+            def sk(k):
+                if k == 0:
+                    return np.ones(vals.shape)
+                if k == 1:
+                    return _aniso_trace(norm, hesses, live, jet)
+                return sk_stack(a, k)
+
             for k, values in nodes.items():
                 values[rows] = sk(k)
         if gen:
-            strong = rowsum(grads * grads) > _GENERALIZED_FLOOR
-            g = grads[strong]
-            fv, fg = jet[0][strong[live]], jet[1][strong[live]]
+            # the gradients above the generalized floor, a subset of live
+            strong = sq > _GENERALIZED_FLOOR
+            g = _rows(grads, strong)
+            fv, fg = (_rows(x, _rows(strong, live)) for x in jet[:2])
             z = [fg]
             kmax = max(q[1] for q in gen)
             # A is read only from order 2 on
-            a_strong = a[strong] if kmax > 1 else None
+            a_strong = _rows(a, strong) if kmax > 1 else None
             for j in range(1, kmax):
-                z.append(sk(j)[strong][:, None] * fg
-                         - np.einsum("mij,mj->mi", a_strong, z[-1]))
+                z.append(_rows(sk(j), strong)[..., None] * fg
+                         - np.einsum("...ij,...j->...i", a_strong, z[-1]))
         out = []
         for q in sums:
             if q[0] == "hessian":
@@ -203,8 +304,8 @@ class PolarTable:
                 out.append(np.maximum(-vals, 0.0) ** q[1])
             else:
                 _, k, p = q
-                out.append(np.zeros(vals.shape))
-                out[-1][strong] = fv ** (p - k) * rowsum(z[k - 1] * g)
+                out.append(_scatter(fv ** (p - k) * rowsum(z[k - 1] * g),
+                                    strong))
         return out
 
 

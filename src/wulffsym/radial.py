@@ -146,8 +146,10 @@ def solve_radial(f_star: MonotoneProfile, outer_radius: float, n: int, k: int,
     """Radial solution of the k-Hessian equation with source f_star.
 
     v(r) = -(n / C(n,k))^{1/k} * int_r^R (s^{k-n} G(s))^{1/k} ds with
-    G(s) = int_0^s f_star(t) t^{n-1} dt; the returned increasing profile
-    carries the analytic v' and the meta key "vpp" with v''.
+    G(s) = int_0^s f_star(t) t^{n-1} dt, exact for the linearly
+    interpolated source (_source_integral); the returned increasing
+    profile carries the analytic v' and the meta keys "vpp" with v'' and
+    "clipped", the count of nodes where G came out negative (set to 0).
     """
     _check_order(k, n, lo=1)
     if outer_radius <= 0.0:
@@ -157,20 +159,17 @@ def solve_radial(f_star: MonotoneProfile, outer_radius: float, n: int, k: int,
     if np.any(f_star.values < 0.0):
         raise InputError("source profile must be nonnegative")
     r = np.linspace(0.0, outer_radius, nodes)
-    # the k-th root amplifies interpolation error of the inner integral
-    # near the center, so tabulate it on an 8x refined grid
-    r_fine = np.linspace(0.0, outer_radius, 8 * (nodes - 1) + 1)
-    cum_fine = panel_cumulative(lambda s: f_star(s) * s ** (n - 1.0), r_fine)
-    clipped = int(np.sum(cum_fine < 0.0))
+    big_g = _source_integral(f_star, n, outer_radius)
+    cum = big_g(r)
+    clipped = int(np.sum(cum < 0.0))
     if clipped:
         warnings.warn(f"clipped {clipped} negative cumulative values")
-        cum_fine = np.maximum(cum_fine, 0.0)
-    cum = np.interp(r, r_fine, cum_fine)
+        cum = np.maximum(cum, 0.0)
 
     coeff = (n / math.comb(n, k)) ** (1.0 / k)
 
     def phi(s):
-        g = np.maximum(np.interp(s, r_fine, cum_fine), 0.0)
+        g = np.maximum(big_g(s), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             val = np.where(s > 0.0, (s ** float(k - n) * g) ** (1.0 / k), 0.0)
         return coeff * val
@@ -189,6 +188,49 @@ def solve_radial(f_star: MonotoneProfile, outer_radius: float, n: int, k: int,
     vpp[0] = (float(f_star(0.0)) / math.comb(n, k)) ** (1.0 / k)
     return MonotoneProfile(r, v, "increasing", vp,
                            {"vpp": vpp, "clipped": clipped})
+
+
+def _source_integral(f_star: MonotoneProfile, n: int, outer_radius: float):
+    """s -> G(s) = int_0^s f_star(t) t^{n-1} dt on [0, outer_radius], exact.
+
+    The source is linear between its nodes and constant beyond its ends,
+    so G is a polynomial on each segment between 0, the kinks of the
+    source inside (0, outer_radius) and outer_radius: prefix sums of the
+    segment integrals give G at the segment ends, and one more segment
+    integral reaches any s. Nodes where the slope does not change are no
+    segment ends, so a constant source solves bit for bit whatever its
+    nodes.
+    """
+    r = f_star.r
+    slopes = np.concatenate([[0.0], np.diff(f_star.values) / np.diff(r),
+                             [0.0]])
+    kink = (np.diff(slopes) != 0.0) & (r > 0.0) & (r < outer_radius)
+    ends = np.concatenate([[0.0], r[kink], [outer_radius]])
+    f_ends = f_star(ends)
+    prefix = np.concatenate([[0.0], np.cumsum(_segment_integral(
+        ends[:-1], np.diff(ends), f_ends[:-1], f_ends[1:], n))])
+
+    def big_g(s):
+        j = np.clip(np.searchsorted(ends, s, side="right") - 1,
+                    0, ends.size - 2)
+        return prefix[j] + _segment_integral(ends[j], s - ends[j],
+                                             f_ends[j], f_star(s), n)
+
+    return big_g
+
+
+def _segment_integral(a, h, fa, fb, n: int):
+    """int_a^{a+h} f(t) t^{n-1} dt for f linear from fa to fb, a, h >= 0.
+
+    With t = a + h tau, t^{n-1} = sum_j C(n-1, j) a^{n-1-j} h^j tau^j and
+    f = fa (1 - tau) + fb tau integrate term by term; for a nonnegative
+    source every term is nonnegative, so nothing cancels.
+    """
+    total = 0.0
+    for j in range(n):
+        total = total + (math.comb(n - 1, j) * a ** (n - 1 - j) * h ** j
+                         * (fa / ((j + 1) * (j + 2)) + fb / (j + 2)))
+    return h * total
 
 
 def rearrangement_grid(u: Field):

@@ -11,6 +11,7 @@ from wulffsym.anisotropy import (
     dual_jet,
     ellipsoid_norm,
     euclidean_norm,
+    eval_grad,
     eval_jet,
     half_sq_hessian,
     regularized_p_norm,
@@ -127,14 +128,15 @@ def broadcast_jet(norm, xi):
     u = np.sum(qb, axis=-1)[..., None]
     b = qa + eps * np.sum(qa, axis=-1)[..., None]
     h_vec = xi * b
-    scale1 = big_g ** (1.0 / p - 1.0)
+    # the ufunc power, on a single vector too (its sums are numpy scalars)
+    scale1 = np.power(big_g, 1.0 / p - 1.0)
     diag = b + (p - 2.0) * sq * qb
     dh = (diag[..., :, None] * eye
           + (p - 2.0) * eps * (xi * qb)[..., :, None] * xi[..., None, :]
           + (p - 2.0) * eps * xi[..., :, None]
           * (xi * (qb + eps * u))[..., None, :])
-    return big_g ** (1.0 / p), scale1[..., None] * h_vec, (
-        (1.0 - p) * (big_g ** (1.0 / p - 2.0))[..., None, None]
+    return np.power(big_g, 1.0 / p), scale1[..., None] * h_vec, (
+        (1.0 - p) * np.power(big_g, 1.0 / p - 2.0)[..., None, None]
         * h_vec[..., :, None] * h_vec[..., None, :]
         + scale1[..., None, None] * dh)
 
@@ -173,10 +175,56 @@ class TestRowJets:
     @pytest.mark.parametrize("x", [1.0, np.float64(2.0), np.ones(3)])
     def test_rejects_scalars_and_wrong_lengths(self, x):
         for norm in all_norms(2):
-            for jet in (eval_jet, dual_jet, anisotropy.dual_jets):
+            for jet in (eval_jet, eval_grad, dual_jet, anisotropy.dual_jets):
                 with pytest.raises(DomainError,
                                    match="expected vectors of length 2"):
                     jet(norm, x)
+
+
+class TestSingleVectors:
+    """One vector of shape (n,) takes the batch path's arithmetic: its jets
+    are row 0 of the same vector as a batch, byte for byte."""
+
+    @staticmethod
+    def norms(n):
+        spd = np.diag([4.0, 1.0, 2.25][:n]) + 0.3
+        return ([euclidean_norm(n), ellipsoid_norm(spd),
+                 anisotropy._polar(ellipsoid_norm(spd))]
+                + [regularized_p_norm(n, p) for p in (1.5, 3.0, 7.0)])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_single_vector_is_batch_row(self, n):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((60, n)) * np.exp(
+            rng.uniform(-20.0, 20.0, size=(60, 1)))
+        for norm in self.norms(n):
+            for jet in (eval_jet, eval_grad, dual_jet):
+                batch = jet(norm, x)
+                for i, xi in enumerate(x):
+                    single = jet(norm, xi)
+                    for one, row, many in zip(single, jet(norm, xi[None]),
+                                              batch):
+                        one = np.asarray(one).tobytes()
+                        assert one == row[0].tobytes(), (norm, jet, xi)
+                        assert one == many[i].tobytes(), (norm, jet, xi)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_value_gradient_jets_are_the_full_jets_heads(self, n):
+        # eval_grad is eval_jet without the Hessian, and dual_jet dual_jets
+        # without it, byte for byte, on every shape
+        rng = np.random.default_rng(23)
+        for norm in self.norms(n):
+            for shape in [(), (7,), (3, 5)]:
+                x = rng.standard_normal(shape + (n,)) * np.exp(
+                    rng.uniform(-20.0, 20.0, size=shape + (1,)))
+                for head, full in ((eval_grad, eval_jet),
+                                   (dual_jet, anisotropy.dual_jets)):
+                    got, want = head(norm, x), full(norm, x)[:2]
+                    assert len(got) == 2
+                    for a, b in zip(got, want):
+                        assert np.shape(a) == np.shape(b)
+                        assert (np.asarray(a).tobytes()
+                                == np.asarray(b).tobytes()), (norm, shape)
 
 
 class TestDualJet:

@@ -36,7 +36,7 @@ from wulffsym.fields import (
     quadratic_ellipsoid,
     radial_power,
 )
-from wulffsym.quad import legendre_rule
+from wulffsym.quad import legendre_rule, rowsum
 from wulffsym.rays import _DirectionGrid, _box_exit, _ray_roots
 
 
@@ -248,6 +248,32 @@ class TestLevelTable:
         assert np.array_equal(table.levels, levels)
 
 
+    def test_table_builds_no_normals(self, monkeypatch):
+        # the table reduces a block from per-point scalars: W_0 from the
+        # support values, not from (x - anchor) . nu; the normals of a
+        # sample are built on first read, and only then
+        stacked = []
+        level_sums = bodies._level_sums
+
+        def spy(b):
+            stacked.append(b)
+            return level_sums(b)
+
+        monkeypatch.setattr(bodies, "_level_sums", spy)
+        norm = ellipsoid_norm(np.diag([4.0, 1.0, 2.25]))
+        u = perturbed_radial(norm)
+        LevelTable(norm, u, 20, 16)
+        assert stacked
+        assert all("normals" not in vars(b) for b in stacked)
+        sample = sample_level_set(norm, u, -0.2, rays=16)
+        assert "normals" not in vars(sample)
+        rel = rowsum((sample.points - sample.anchor) * sample.normals)
+        assert "normals" in vars(sample)
+        assert np.max(np.abs(sample.support - rel) / rel) <= 1e-14
+        assert mixed_volume(sample, 0) == pytest.approx(
+            float(np.sum(sample.weights * rel)) / 3, rel=1e-14)
+
+
 def bisected_radii(u, omega, levels, iters=54):
     """Radii s with u(anchor + s omega) = t by bisection on u.values alone.
 
@@ -407,8 +433,8 @@ class TestSurfaceWeights:
         s = _ray_roots(u, _box_exit(u, grid), level_grid(u, 10),
                        restriction)
         grads = restriction.jets(s)[1]
-        got = bodies._surface_weights(grid, s, grads,
-                                      np.linalg.norm(grads, axis=-1))
+        got = bodies._surface_terms(grid, s, grads,
+                                    np.linalg.norm(grads, axis=-1))[0]
         want = parametrized_weights(grid, rays, s, grads)
         assert np.max(np.abs(got - want) / want) <= 1e-12
 

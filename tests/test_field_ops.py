@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wulffsym.anisotropy import (
     ellipsoid_norm,
@@ -216,8 +218,9 @@ class TestLevelCurvature:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_reads_the_broadcast_hessian(self, dim):
         # the ray restriction of a quadratic hands a read-only broadcast
-        # Hessian; the curvatures are S_k of the product F_il u_lj from
-        # np.matmul, bit for bit, on a (levels, directions) stack
+        # Hessian; on a (levels, directions) stack the curvatures are those
+        # of a writable contiguous copy bit for bit, and S_k of the product
+        # F_il u_lj from np.matmul up to rounding
         u = quadratic_ellipsoid(dim, axes=[2.0, 1.0, 1.5][:dim])
         omega = _DirectionGrid(dim, 16).omega
         s = np.linspace(0.3, 0.6, 3)[:, None] * np.ones(omega.shape[0])
@@ -226,10 +229,46 @@ class TestLevelCurvature:
         for norm in (euclidean_norm(dim), regularized_p_norm(dim, 3.0),
                      ellipsoid_norm(np.diag([4.0, 1.0, 2.25][:dim]))):
             _, curv = curvature_batch(norm, grads, hesses)
+            _, copied = curvature_batch(norm, grads, hesses.copy())
             product = eval_jet(norm, grads)[2] @ hesses
             assert curv.shape == (dim,) + grads.shape[:-1]
+            assert curv.tobytes() == copied.tobytes()
             for k in range(dim):
-                assert curv[k].tobytes() == sk_stack(product, k).tobytes()
+                want = sk_stack(product, k)
+                assert np.max(np.abs(curv[k] - want)
+                              / (1.0 + np.abs(want))) <= 1e-14
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3, 4]),
+           family=st.sampled_from(["euclidean", "ellipsoid", "p1.5", "p3",
+                                   "p7"]),
+           log_scale=st.floats(-6.0, 6.0))
+    def test_rows_are_eigenvalue_polynomials(self, seed, n, family,
+                                             log_scale):
+        # row k is e_k of the real spectrum of D^2F(grad u) D^2u, a PSD
+        # matrix times a symmetric one (indefinite here), at gradients of
+        # size 1e-6 to 1e6; the oracle is np.poly of np.linalg.eigvals
+        rng = np.random.default_rng(seed)
+        if family == "euclidean":
+            norm = euclidean_norm(n)
+        elif family == "ellipsoid":
+            a = rng.standard_normal((n, n))
+            norm = ellipsoid_norm(a @ a.T + 0.5 * np.eye(n))
+        else:
+            norm = regularized_p_norm(n, float(family[1:]))
+        grads = 10.0 ** log_scale * rng.standard_normal((6, n))
+        hesses = rng.standard_normal((6, n, n))
+        hesses = 0.5 * (hesses + np.swapaxes(hesses, -1, -2))
+        _, curv = curvature_batch(norm, grads, hesses)
+        assert curv.shape == (n, 6)
+        fh = eval_jet(norm, grads)[2]
+        for i in range(6):
+            poly = np.real(np.poly(np.linalg.eigvals(fh[i] @ hesses[i])))
+            scale = np.linalg.norm(fh[i], 2) * np.linalg.norm(hesses[i], 2)
+            for k in range(n):
+                want = (-1) ** k * poly[k]
+                assert abs(curv[k, i] - want) <= 1e-11 * scale ** k, (
+                    k, curv[k, i], want)
 
     def test_degenerate_gradient_rejected(self):
         norm = euclidean_norm(2)
@@ -437,6 +476,39 @@ class TestPolarTable:
         }
         for req in self.REQUESTS:
             assert np.array_equal(table[req], alone[req[0]](*req[1:])), req
+
+    def test_norm_hessians_only_where_read(self, monkeypatch):
+        # a euclidean table of order-1 and value requests takes no norm
+        # Hessian; S_1(A) of any norm is the trace sum, which builds no A
+        def no_product(*args):
+            raise AssertionError("anisotropic Hessian A built")
+
+        jets = []
+
+        def counted(norm, xi):
+            jets.append(np.asarray(xi).size // norm.dim)
+            return eval_jet(norm, xi)
+
+        monkeypatch.setattr(field_ops, "eval_jet", counted)
+        monkeypatch.setattr(field_ops, "_aniso_matrix", no_product)
+        norm = euclidean_norm(3)
+        u = quadratic_ellipsoid(3)
+        reqs = [("hessian", 1), ("generalized", 1, 1.5), ("lp", 2.0),
+                ("sk", 1)]
+        table = PolarTable(norm, u, 16, reqs)
+        assert jets == []
+        assert table[("generalized", 1, 1.5)] == generalized_integral(
+            norm, u, 1, 1.5, 16)
+        norm = regularized_p_norm(2, 3.0)
+        u = perturbed_radial(norm)
+        table = PolarTable(norm, u, 64, [("hessian", 1), ("sk", 1)])
+        assert sum(jets) == table[("sk", 1)].size
+        pts = table.points.reshape(-1, 2)
+        _, grads, hesses = u.jets(pts)
+        monkeypatch.undo()
+        want = sk_stack(aniso_hessian_batch(norm, grads, hesses), 1)
+        got = table[("sk", 1)].reshape(-1)
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
 
     def test_sk_values_at_the_points(self):
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))

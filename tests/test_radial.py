@@ -9,7 +9,7 @@ from wulffsym.anisotropy import (
     regularized_p_norm,
     wulff_volume,
 )
-from wulffsym import quad, rays
+from wulffsym import quad, radial, rays
 from wulffsym.errors import DomainError, InputError
 from wulffsym.field_ops import hessian_integral, sk_field
 from wulffsym.fields import quadratic_ellipsoid, radial_field, radial_power
@@ -175,6 +175,53 @@ class TestSolveRadial:
             want = -((c / math.comb(n, k)) ** (1.0 / k)
                      * (radius ** 2 - v.r ** 2) / 2.0)
             assert np.max(np.abs(v.values - want)) < 1e-8
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_constant_source_to_rounding(self, n, k):
+        # the inner integral is exact for a piecewise-linear source, so a
+        # constant one solves to rounding, on two nodes or on 64
+        c, radius = 1.25, 1.3
+        want_slope = (c / math.comb(n, k)) ** (1.0 / k)
+        for f in (MonotoneProfile([0.0, radius], [c, c], "decreasing"),
+                  self.constant_profile(c, radius)):
+            v = solve_radial(f, radius, n, k)
+            want = -want_slope * (radius ** 2 - v.r ** 2) / 2.0
+            assert np.max(np.abs(v.values - want)) <= 1e-14
+            assert np.max(np.abs(v.derivative - want_slope * v.r)) <= 1e-14
+            assert v.meta["clipped"] == 0
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_piecewise_linear_source_against_segment_gauss(self, n, k):
+        # v'(r) = (n/C(n,k))^{1/k} (r^{k-n} G(r))^{1/k}: G from a 6-node
+        # Gauss rule on every piece between the source's nodes and r
+        # (exact for the degree-n integrand f(t) t^{n-1}), the source
+        # constant beyond its ends
+        nodes = np.array([0.13, 0.37, 0.61, 0.93])
+        values = np.array([3.0, 2.5, 1.0, 0.2])
+        f = MonotoneProfile(nodes, values, "decreasing")
+        radius = 1.2
+        v = solve_radial(f, radius, n, k, nodes=97)
+        x, w = np.polynomial.legendre.leggauss(6)
+
+        def inner(r):
+            ends = np.concatenate([[0.0], nodes[nodes < r], [r]])
+            total = 0.0
+            for a, b in zip(ends[:-1], ends[1:]):
+                t = a + 0.5 * (b - a) * (x + 1.0)
+                total += 0.5 * (b - a) * np.sum(
+                    w * np.interp(t, nodes, values) * t ** (n - 1))
+            return total
+
+        coeff = (n / math.comb(n, k)) ** (1.0 / k)
+        want = np.array([coeff * (r ** (k - n) * inner(r)) ** (1.0 / k)
+                         for r in v.r[1:]])
+        got = v.derivative[1:]
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+        # G itself, between the solver's nodes too
+        s = np.random.default_rng(5).uniform(0.0, radius, 200)
+        big_g = radial._source_integral(f, n, radius)
+        want = np.array([inner(r) for r in s])
+        assert np.max(np.abs(big_g(s) - want) / want) <= 1e-13
 
     def test_comparison_source(self):
         f = self.constant_profile(5.0 / 4.0, math.sqrt(2.0))
