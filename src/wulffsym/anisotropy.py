@@ -255,7 +255,8 @@ def _residual(r1, v):
 def _dual_numeric(norm: Norm, omega):
     """Damped Newton on the stationarity system of the dual sup.
 
-    omega holds unit vectors, so the residual test is scale-free.
+    omega holds unit vectors, so the residual test is scale-free. Only
+    the Newton step reads a norm Hessian.
     """
     n = norm.dim
     p = norm.exponent
@@ -264,7 +265,7 @@ def _dual_numeric(norm: Norm, omega):
     bad = rowsum(xi * xi) == 0.0
     if np.any(bad):
         xi[bad] = omega[bad]
-    xi = xi / eval_jet(norm, xi)[0][..., None]
+    xi = xi / eval_grad(norm, xi)[0][..., None]
     lam = rowsum(xi * omega)
     for it in range(_DUAL_ITERS + 1):
         v, g, h = eval_jet(norm, xi)
@@ -293,7 +294,7 @@ def _dual_numeric(norm: Norm, omega):
         for _ in range(12):
             cand_xi = xi_live + alpha[:, None] * step[:, :n]
             cand_lam = lam_live + alpha * step[:, n]
-            vv, gg, _ = eval_jet(norm, cand_xi)
+            vv, gg = eval_grad(norm, cand_xi)
             rr1 = cand_lam[:, None] * gg - omega[live]
             rr = _residual(rr1, vv)
             worse = rr > res_live
@@ -308,7 +309,7 @@ def _dual_numeric(norm: Norm, omega):
             "dual norm Newton solve did not converge at direction "
             f"{omega[worst].tolist()} (p={p}, eps={norm.smoothing}): "
             f"residual {res[worst]:.3e} after {it} iterations")
-    xi = xi / eval_jet(norm, xi)[0][..., None]
+    xi = xi / eval_grad(norm, xi)[0][..., None]
     return rowsum(xi * omega), xi
 
 

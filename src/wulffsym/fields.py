@@ -7,22 +7,24 @@ points. Three preset families cover the built-in corpus:
 * ``quadratic_ellipsoid``  u = (x^T Q x - 1) / 2 on an ellipsoid, Q SPD
 * ``radial_power``         u = (F*(x)^a - R^a) / a on a Wulff ball of
                            radius R, a >= 2, F* the dual norm
-* ``perturbed_radial``     radial_power plus a small convex quadratic,
-                           breaking the radial symmetry while keeping all
-                           level sets convex (validated at build time)
+* ``perturbed_radial``     radial_power plus a convex quadratic, breaking
+                           the radial symmetry while keeping all level
+                           sets convex
 
 Every preset is star-shaped about its anchor. F* is 1-homogeneous, grad F*
 0-homogeneous and hess F* (-1)-homogeneous, so along a ray
 x = anchor + s w the field and its derivatives are functions of s whose
-constants depend on the direction w alone. A preset therefore carries a
-ray restriction ``ray``: given directions w of shape (m, n) it computes
-those constants once (one dual solve per direction for the radial
-families: F*(w), grad F*(w) and hess F*(w)) and returns a
+constants depend on the direction w alone. A preset is therefore written
+once, as its ray restriction ``ray``: given directions w of shape (m, n)
+it computes those constants once (one dual solve per direction for the
+radial families: F*(w), grad F*(w) and hess F*(w)) and returns a
 ``RayRestriction`` whose ``along(s)`` gives (u, du/ds) and whose
 ``jets(s)`` gives (u, grad u, hess u) at anchor + s w, s of shape
 (..., m) broadcast against the m directions. The ray roots, the level-set
-samples and the polar quadrature evaluate the field through it alone;
-``jets`` and ``values`` (its first output) serve points off a grid.
+samples and the polar quadrature evaluate the field through it alone.
+The pointwise oracle ``jets`` (and ``values``, its first output) for
+points off a grid is derived from it: x = anchor + s w with
+s = |x - anchor|, one restriction per call over the points' directions.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -30,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .anisotropy import Norm, dual_jets, eval_jet
+from .anisotropy import Norm, dual_jets, eval_grad
 from .errors import DomainError, InputError
 from .quad import rowsum
 
@@ -81,9 +83,27 @@ class Field:
         return FieldJet(float(v), g, h)
 
 
-def _first(jets):
-    """The value oracle of a jets oracle: its first output."""
-    return lambda pts: jets(pts)[0]
+def _preset(name, min_value, box, ray, radial_profile=None) -> Field:
+    """A Field anchored at the origin whose pointwise oracle is its ray
+    restriction: each point x is anchor + s w with s = |x - anchor|, and
+    w = e_1 at the anchor itself, where the restriction takes its s = 0
+    limit. Points of shape (..., n), a single (n,) vector included."""
+    dim = box.shape[0]
+    anchor = np.zeros(dim)
+
+    def jets(pts):
+        d = pts.reshape(-1, dim) - anchor
+        s = np.sqrt(rowsum(d * d))
+        lengths = s
+        if not np.all(s):
+            d[s == 0.0, 0] = 1.0
+            lengths = np.sqrt(rowsum(d * d))
+        out = ray(d / lengths[:, None]).jets(s)
+        return tuple(np.reshape(a, pts.shape[:-1] + a.shape[1:])
+                     for a in out)
+
+    return Field(dim, name, anchor, min_value, box, jets,
+                 lambda pts: jets(pts)[0], ray, radial_profile)
 
 
 def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
@@ -108,12 +128,6 @@ def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
     qinv = np.linalg.inv(q)
     box = np.stack([-np.sqrt(np.diag(qinv)), np.sqrt(np.diag(qinv))], axis=-1)
 
-    def jets(pts):
-        qx = pts @ q
-        v = 0.5 * (np.sum(pts * qx, axis=-1) - 1.0)
-        h = np.broadcast_to(q, pts.shape + (dim,)).copy()
-        return v, qx, h
-
     def ray(omega):
         qo = omega @ q
         qw = rowsum(qo * omega)
@@ -128,7 +142,7 @@ def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
 
         return RayRestriction(along, jets)
 
-    return Field(dim, name, np.zeros(dim), -0.5, box, jets, _first(jets), ray)
+    return _preset(name, -0.5, box, ray)
 
 
 def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
@@ -139,31 +153,9 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
     the admissible class on the Wulff ball of the given radius.
     """
     dim = norm.dim
-    fe = np.stack([eval_jet(norm, e)[0]
-                   for e in np.eye(dim)])  # support function values F(e_i)
+    fe = eval_grad(norm, np.eye(dim))[0]  # support function values F(e_i)
     box = np.stack([-radius * fe, radius * fe], axis=-1)
     origin_vpp = float(vpp_fn(np.zeros(1))[0])
-
-    def jets(pts):
-        pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, dim)
-        live = np.sum(flat * flat, axis=-1) > 1e-28
-        m = flat.shape[0]
-        r = np.zeros(m)
-        grad = np.zeros((m, dim))
-        hess = np.broadcast_to(origin_vpp * np.eye(dim), (m, dim, dim)).copy()
-        if np.any(live):
-            rl, xi, hd = dual_jets(norm, flat[live])
-            vp = np.asarray(vp_fn(rl))
-            vpp = np.asarray(vpp_fn(rl))
-            r[live] = rl
-            grad[live] = vp[:, None] * xi
-            hess[live] = (vpp[:, None, None] * xi[:, :, None] * xi[:, None, :]
-                          + vp[:, None, None] * hd)
-        v = np.asarray(v_fn(r))
-        lead = pts.shape[:-1]
-        return (v.reshape(lead), grad.reshape(lead + (dim,)),
-                hess.reshape(lead + (dim, dim)))
 
     def ray(omega):
         fo, xi, hd = dual_jets(norm, omega)
@@ -188,9 +180,8 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
 
         return RayRestriction(along, jets)
 
-    return Field(dim, name, np.zeros(dim), float(v_fn(np.zeros(1))[0]),
-                 box, jets, _first(jets), ray,
-                 radial_profile=(v_fn, vp_fn, radius))
+    return _preset(name, float(v_fn(np.zeros(1))[0]), box, ray,
+                   (v_fn, vp_fn, radius))
 
 
 def radial_power(norm: Norm, a: float = 2.0, radius: float = 1.0,
@@ -217,9 +208,10 @@ def perturbed_radial(norm: Norm, a: float = 2.0, radius: float = 1.0,
                      name: str = "perturbed_radial") -> Field:
     """Radial power plus the convex quadratic (strength/2) x^T P x.
 
-    P is diagonal with the given positive weights (default an asymmetric
-    spread), so the minimum stays at the anchor and every sublevel set
-    stays convex; convexity is still validated on sampled level sets.
+    P is diagonal with the given nonnegative weights (default an
+    asymmetric spread), so the minimum stays at the anchor and u stays
+    convex: F*^a is convex for a norm F* and a >= 2, and P is positive
+    semidefinite.
     """
     dim = norm.dim
     if weights is None:
@@ -234,14 +226,6 @@ def perturbed_radial(norm: Norm, a: float = 2.0, radius: float = 1.0,
                          "nonnegative")
     base = radial_power(norm, a=a, radius=radius)
     p = np.diag(weights)
-
-    def jets(pts):
-        pts = np.asarray(pts, dtype=float)
-        v, g, h = base.jets_fn(pts)
-        v = v + 0.5 * strength * np.sum((pts @ p) * pts, axis=-1)
-        g = g + strength * (pts @ p)
-        h = h + strength * p
-        return v, g, h
 
     def ray(omega):
         radial = base.ray(omega)
@@ -260,13 +244,7 @@ def perturbed_radial(norm: Norm, a: float = 2.0, radius: float = 1.0,
 
         return RayRestriction(along, jets)
 
-    out = Field(dim, name, np.zeros(dim), base.min_value,
-                base.bounding_box, jets, _first(jets), ray)
-    defect = quasiconvexity_defect(out)
-    if defect < -1e-8:
-        raise InputError(
-            f"perturbation destroys quasi-convexity (defect {defect:.3e})")
-    return out
+    return _preset(name, base.min_value, base.bounding_box, ray)
 
 
 def quasiconvexity_defect(u: Field, samples: int = 512, seed: int = 0) -> float:

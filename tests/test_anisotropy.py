@@ -331,6 +331,29 @@ class TestDualJet:
         with pytest.raises(NumericError, match=r"p=3\.0, eps=0\.05"):
             dual_jet(norm, np.array([0.6, 0.8]))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_norm_hessian_per_newton_iteration(self, monkeypatch, n):
+        # the line search and the normalizations read F and grad F alone:
+        # every iteration but the last solves one Newton system
+        jets, solves = [], []
+        jet, solve = anisotropy.eval_jet, np.linalg.solve
+
+        def counted_jet(*args):
+            jets.append(1)
+            return jet(*args)
+
+        def counted_solve(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(anisotropy, "eval_jet", counted_jet)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        omega = sample_vectors(np.random.default_rng(13), n, 64)
+        omega /= np.linalg.norm(omega, axis=-1, keepdims=True)
+        anisotropy._dual_numeric(regularized_p_norm(n, 3.0), omega)
+        assert len(solves) >= 1
+        assert len(jets) == len(solves) + 1
+
 
 class TestDualHessian:
     @pytest.mark.parametrize("n", [2, 3])

@@ -480,6 +480,22 @@ class TestMain:
         path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(path)]) == 2
 
+    def test_small_perturbed_domain_passes_every_task(self, tmp_path):
+        # {u < 0} lies far inside the base Wulff box; a sampled convexity
+        # check at build once found no interior point and exited 2
+        raw = base_config(tmp_path, list(cli.TASKS), orders=[1],
+                          exponents=[1.5])
+        raw["norm"] = {"family": "euclidean", "dim": 3}
+        raw["field"] = {"preset": "perturbed_radial", "params": {
+            "a": 5.035, "radius": 0.106, "strength": 0.027,
+            "weights": [2.232, 1.964, 0.288]}}
+        raw["grids"] = {"levels": 40, "rays": 32}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(report["tasks"]) == set(cli.TASKS)
+
     def test_task_failure_exit_1(self, tmp_path):
         # five levels are too few for a level grid; the task records the
         # failure and the run exits 1

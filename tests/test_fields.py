@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wulffsym import fields
 from wulffsym.anisotropy import ellipsoid_norm, euclidean_norm, regularized_p_norm
 from wulffsym.errors import InputError
 from wulffsym.fields import (
@@ -52,11 +55,20 @@ def test_jets_match_finite_differences(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_minimum_and_anchor(n):
+    # min value, zero gradient and the restriction's s = 0 Hessian v''(0) I
+    # (plus the perturbation's), alone and as a batch row
+    axes = np.array([2.0, 1.0, 1.5][:n])
+    limits = [np.eye(n), np.diag(1.0 / axes**2), np.eye(n),
+              np.zeros((n, n)), np.eye(n) + 0.25 * np.diag(
+                  np.linspace(0.4, 1.6, n))]
     for norm in norm_list(n):
-        for u in preset_list(norm):
+        for u, limit in zip(preset_list(norm), limits):
+            jet = u.jet(u.anchor)
+            assert jet.value == u.min_value, (norm, u.name)
+            assert np.array_equal(jet.gradient, np.zeros(n)), (norm, u.name)
+            assert np.array_equal(jet.hessian, limit), (norm, u.name)
             v, g, _ = u.jets(u.anchor[None, :])
-            assert v[0] == pytest.approx(u.min_value, abs=1e-12)
-            assert np.allclose(g[0], 0.0, atol=1e-12)
+            assert v[0] == u.min_value and not np.any(g[0]), u.name
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -86,6 +98,27 @@ def test_quasiconvexity_defect_nonnegative(n):
     for norm in norm_list(n):
         for u in preset_list(norm):
             assert quasiconvexity_defect(u, samples=128) > -1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", [0, 1, 2],
+                         ids=["euclidean", "ellipsoid", "regularized_p"])
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(2.0, 6.0), radius=st.floats(0.3, 4.0),
+       sigma=st.floats(0.0, 0.25), data=st.data())
+def test_perturbed_radial_is_quasiconvex(n, family, a, radius, sigma, data):
+    # convexity follows from the parameter checks (F*^a convex for a >= 2,
+    # P positive semidefinite); the draws keep {u < -1e-6} a sizeable
+    # part of the Wulff box the defect samples: -min u = R^a / a >= 1.2e-4,
+    # and where F* <= R / 2 (so |x| <= 2 F*(x) <= R for these norms) the
+    # perturbation stays below R^a / 8, less than the radial depth
+    # R^a (1 - 2^-a) / a >= 0.16 R^a there
+    weights = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=n,
+                                          max_size=n)))
+    strength = sigma * radius ** (a - 2.0) / max(float(np.max(weights)), 1.0)
+    u = perturbed_radial(norm_list(n)[family], a=a, radius=radius,
+                         strength=strength, weights=weights)
+    assert quasiconvexity_defect(u, samples=128) > -1e-8
 
 
 def test_perturbed_radial_rejects_destructive_perturbation():
@@ -178,3 +211,72 @@ def test_jets_solve_the_dual_problem_once_per_point(monkeypatch):
     pts = np.random.default_rng(4).uniform(-0.8, 0.8, size=(50, 2))
     u.jets(pts)
     assert solved == [50]
+
+
+def _restricted(u, pts):
+    """(u, grad u, hess u) at points (k, n), each on its own ray."""
+    d = pts - u.anchor
+    s = np.linalg.norm(d, axis=-1)
+    return u.ray(d / s[:, None]).jets(s)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ray_jets_match_finite_differences(n):
+    # the production shape: s of shape (L, m) on m shared directions
+    rng = np.random.default_rng(5)
+    omega = rng.normal(size=(16, n))
+    omega /= np.linalg.norm(omega, axis=-1, keepdims=True)
+    s = rng.uniform(0.1, 0.9, size=(3, 16))
+    h = 1e-5
+    for norm in norm_list(n):
+        for u in preset_list(norm):
+            vals, grads, hesses = u.ray(omega).jets(s)
+            assert vals.shape == (3, 16) and grads.shape == (3, 16, n)
+            assert hesses.shape == (3, 16, n, n)
+            pts = (u.anchor + s[..., None] * omega).reshape(-1, n)
+            grads, hesses = grads.reshape(-1, n), hesses.reshape(-1, n, n)
+            for axis in range(n):
+                e = np.zeros(n)
+                e[axis] = h
+                vp, gp, _ = _restricted(u, pts + e)
+                vm, gm, _ = _restricted(u, pts - e)
+                assert np.allclose((vp - vm) / (2 * h), grads[:, axis],
+                                   atol=1e-8), (norm, u.name)
+                assert np.allclose((gp - gm) / (2 * h), hesses[:, :, axis],
+                                   atol=1e-5), (norm, u.name)
+
+
+def test_jets_build_one_restriction_per_call(monkeypatch):
+    built = []
+    preset = fields._preset
+
+    def spied(name, min_value, box, ray, *rest):
+        def counted(omega):
+            built.append((name, omega.shape))
+            return ray(omega)
+
+        return preset(name, min_value, box, counted, *rest)
+
+    monkeypatch.setattr(fields, "_preset", spied)
+    pts = np.random.default_rng(6).uniform(-0.5, 0.5, size=(4, 5, 3))
+    for norm in norm_list(3):
+        for u in preset_list(norm):
+            built.clear()
+            u.jets(pts)
+            u.values(pts[0])
+            u.jet(pts[0, 0])
+            assert [shape for name, shape in built if name == u.name] == [
+                (20, 3), (5, 3), (1, 3)], u.name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_single_point_is_its_batch_row(n):
+    pts = np.random.default_rng(7).uniform(-0.6, 0.6, size=(6, n))
+    pts[2] = 0.0    # the anchor
+    for norm in norm_list(n):
+        for u in preset_list(norm):
+            batch = u.jets(pts)
+            for i, x in enumerate(pts):
+                for got, want in zip(u.jets(x), batch):
+                    assert got.shape == want.shape[1:], u.name
+                    assert got.tobytes() == want[i].tobytes(), (norm, u.name)
