@@ -7,7 +7,8 @@ come from one Newton solve on the field's ray restriction, which drops
 the levels it has converged (rays._ray_roots), and the field jets at the
 roots from the same restriction. The sample carries the closed-form
 surface weights s^(n-1) |grad u| / (grad u . w) dsigma(w), anisotropic
-curvatures of every order, and the data for the mixed-volume functionals
+curvatures up to the order its caller reads, and the data for the
+mixed-volume functionals
 
     W_k = [n binom(n-1, k-1)]^{-1} * integral of S_{k-1}(curv) F(normal),
 
@@ -30,6 +31,10 @@ entry, and read as an (L, m, n, n) view of unspecified strides. A
 LevelTable has the sampler threads reduce each block of one family to
 the mean radii and coarea integrands that every symmetrization harness
 reads, with one array sum per quantity for all the levels of the block.
+It sums the coarea integrands of the orders it is built with only, and
+samples the curvatures up to the highest order that its mean radii and
+those sums read: S_0..S_{n-2} for zeta_0..zeta_{n-1}, and S_{k-1} for the
+coarea order k; a table that reads S_0 alone builds no norm Hessian.
 """
 
 import functools
@@ -69,13 +74,14 @@ class LevelSetSample:
     For m points in dimension n: points, gradients = grad u (m, n);
     support = (x - anchor) . nu, the support value of the body in the
     normal direction nu, f_of_nu = F(nu), gradient_norms = F(grad u),
-    weights (m,); curvatures (n, m), row j the j-th anisotropic mean
-    curvature S_j(F_il u_lj) (row 0 is one). The unit normals
-    grad u / |grad u| (m, n) are built on first read of ``normals``.
+    weights (m,); curvatures (top + 1, m), row j the j-th anisotropic mean
+    curvature S_j(F_il u_lj) (row 0 is one; top is sample_many's, n - 1
+    by default). The unit normals grad u / |grad u| (m, n) are built on
+    first read of ``normals``.
     diagnostics["residual_max"] is the largest |u - level| at the points.
     The ``reduce`` hook of sample_many gets the samples of the L live
     levels of a block stacked on a leading axis: level and residual_max
-    (L,), points and gradients (L, m, n), curvatures (n, L, m).
+    (L,), points and gradients (L, m, n), curvatures (top + 1, L, m).
     """
 
     level: float
@@ -120,14 +126,15 @@ def _surface_terms(grid: _DirectionGrid, s, grads, gn):
 
 
 def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
-                reduce=_level_views):
+                reduce=_level_views, top: int | None = None):
     """Sample many level sets at once; degenerate entries come back None.
 
     The levels are cut into blocks of about _JET_CHUNK ray roots, mapped
     over the worker threads (parallel.map_blocks). A block takes one ray
     solve, one jet pass and one curvature_batch call for all its levels;
     its levels with min |grad u| < _GRAD_TOL are degenerate and left out
-    of the curvature pass. On the thread that made the block, ``reduce``
+    of the curvature pass, which builds the orders 0..top (None means
+    n - 1; curvature_batch). On the thread that made the block, ``reduce``
     gets one LevelSetSample stacking its live levels, in level order, and
     returns one item per live level. The list holds these items in level
     order, with None at each degenerate level; by default they are
@@ -153,7 +160,7 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
         if not np.all(live):
             t, s, vals, grads, hesses, gn = (
                 x[live] for x in (t, s, vals, grads, hesses, gn))
-        fgrad, curv = curvature_batch(norm, grads, hesses)
+        fgrad, curv = curvature_batch(norm, grads, hesses, top=top)
         weights, support = _surface_terms(grid, s, grads, gn)
         items = iter(reduce(LevelSetSample(
             level=t, points=u.anchor + s[..., None] * grid.omega,
@@ -225,20 +232,20 @@ def af_margins(sample: LevelSetSample) -> np.ndarray:
 
 
 # what a LevelTable keeps of one sampled level set: the mean radii
-# zeta_0..zeta_{n-1}, the coarea sums of orders 1..n, residual_max, and
+# zeta_0..zeta_{n-1}, the coarea sums of its orders, residual_max, and
 # the points (m, n), which callers that count sampled points (the
 # benchmark tracer) read
 LevelSums = namedtuple("LevelSums", "points zeta coarea residual_max")
 
 
-def _level_sums(b: LevelSetSample) -> list:
+def _level_sums(b: LevelSetSample, orders) -> list:
     """LevelSums of each stacked level, from one np.sum over the (L, m)
-    points axis per mixed volume and coarea order."""
+    points axis per mixed volume and coarea order of ``orders``."""
     n = b.points.shape[-1]
     w = [_mixed_volumes(b, j).tolist() for j in range(n)]
     coarea = [np.sum(b.weights * b.curvatures[k - 1] * b.gradient_norms ** k
                      * b.f_of_nu, axis=-1).tolist()
-              for k in range(1, n + 1)]
+              for k in orders]
     return [LevelSums(
         b.points[i], [_radius(b.norm, w[j][i], n, j) for j in range(n)],
         [c[i] for c in coarea], float(b.diagnostics["residual_max"][i]))
@@ -248,31 +255,42 @@ def _level_sums(b: LevelSetSample) -> list:
 class LevelTable:
     """Mean radii and coarea integrands of one sampled family of level sets.
 
-    Built once from (norm, field, level grid, rays); ``levels`` is a level
-    count for ``level_grid`` or an explicit array of levels. Degenerate
-    levels are skipped with a warning and listed in ``skipped``. For the
-    kept ``levels``, ``zeta[j]`` holds the mean radius zeta_j, j = 0..n-1,
-    and ``coarea[k - 1]`` the surface integral of
+    Built once from (norm, field, level grid, rays, orders); ``levels`` is
+    a level count for ``level_grid`` or an explicit array of levels.
+    Degenerate levels are skipped with a warning and listed in
+    ``skipped``. For the kept ``levels``, ``zeta[j]`` holds the mean radius
+    zeta_j, j = 0..n-1, and ``coarea[i]`` the surface integral of
     S_{k-1}(curv) F(grad u)^k F(nu), the coarea integrand of the
-    k-Hessian energy, k = 1..n; ``residual_max`` is the largest
-    |u - level| at the ray roots of the kept levels. The sampler threads
-    reduce the live levels of each sampling block to these sums (one
-    LevelSums per live level) as soon as it is sampled, with one array sum
-    per quantity over all of them; sample_many puts None at the degenerate
-    levels, and the samples themselves are not kept.
+    k-Hessian energy, for the i-th order k of ``orders``: the sorted orders
+    in 1..n of the ``orders`` argument (None means all, so that
+    ``coarea[k - 1]`` is order k; an order outside 1..n is left out, and
+    hessian_integral_coarea raises on reading it). The curvatures are
+    sampled up to the highest order these read. ``residual_max`` is the
+    largest |u - level| at the ray roots of the kept levels. The sampler
+    threads reduce the live levels of each sampling block to these sums
+    (one LevelSums per live level) as soon as it is sampled, with one
+    array sum per quantity over all of them; sample_many puts None at the
+    degenerate levels, and the samples themselves are not kept.
     """
 
     def __init__(self, norm: Norm, u: Field, levels=200,
-                 rays: int | None = None):
+                 rays: int | None = None, orders=None):
+        n = u.dim
         grid = (level_grid(u, levels) if np.isscalar(levels)
                 else np.asarray(levels, dtype=float))
-        sums = sample_many(norm, u, grid, rays=rays, reduce=_level_sums)
+        self.orders = tuple(range(1, n + 1) if orders is None else
+                            sorted({k for k in orders if 1 <= k <= n}))
+        sums = sample_many(
+            norm, u, grid, rays=rays,
+            reduce=lambda b: _level_sums(b, self.orders),
+            top=max(n - 2, max(self.orders, default=0) - 1))
         live = np.array([s is not None for s in sums], dtype=bool)
         for t in grid[~live]:
             warnings.warn(f"skipping degenerate level t={t:.6g}")
         kept = [s for s in sums if s is not None]
         self.norm, self.field, self.rays = norm, u, rays
         self.levels, self.skipped = grid[live], grid[~live]
-        self.zeta = np.array([s.zeta for s in kept]).T.reshape(u.dim, -1)
-        self.coarea = np.array([s.coarea for s in kept]).T.reshape(u.dim, -1)
+        self.zeta = np.array([s.zeta for s in kept]).T.reshape(n, -1)
+        self.coarea = np.array([s.coarea for s in kept]).T.reshape(
+            len(self.orders), len(kept))
         self.residual_max = max((s.residual_max for s in kept), default=0.0)

@@ -256,7 +256,8 @@ def _margin_row(task, case, lhs, rhs, tolerance, k=None, p=None):
 @dataclass(eq=False)
 class _Context:
     """What every task takes: the config, norm, field and output directory
-    of a run, and its one LevelTable and PolarTable, built on first read."""
+    of a run, and its one LevelTable (with the coarea sums of the
+    configured orders) and PolarTable, built on first read."""
 
     cfg: ExperimentConfig
     norm: Norm
@@ -266,7 +267,7 @@ class _Context:
     @functools.cached_property
     def levels(self) -> LevelTable:
         return LevelTable(self.norm, self.u, self.cfg.grids.get("levels", 200),
-                          self.cfg.grids.get("rays"))
+                          self.cfg.grids.get("rays"), self.cfg.orders)
 
     @functools.cached_property
     def polar(self) -> PolarTable:

@@ -8,8 +8,9 @@ the 0-matrix by convention where grad u = 0 (non-euclidean F), and the
 plain Hessian for the euclidean norm. S_k of A is the anisotropic
 k-Hessian operator; S_k of (F_{il} u_{lj}) evaluated on a level set is the
 k-th anisotropic mean curvature of that level set (curvature_batch,
-which reads the product F_il u_lj only for the orders 2..n-2; its
-Newton-transform form, newton_curvatures, is only a cross-check). Energy
+which builds the orders up to the one its caller reads, and the product
+F_il u_lj only for the orders 2..n-2; its Newton-transform form,
+newton_curvatures, is only a cross-check). Energy
 integrals over {u < 0} are taken on the polar rule of the rays module
 (Gauss nodes on rays from the anchor to the exactly solved boundary), or
 through the coarea decomposition over sampled level sets. A PolarTable
@@ -114,32 +115,39 @@ def level_curvature(norm: Norm, u: Field, x, k: int) -> float:
     return float(curv[k, 0])
 
 
-def curvature_batch(norm: Norm, grads, hesses):
-    """F(grad u) and the level-set curvatures of every order at m points.
+def curvature_batch(norm: Norm, grads, hesses, top: int | None = None):
+    """F(grad u) and the level-set curvatures of orders 0..top at m points.
 
     For grads (m, n) and hesses (m, n, n) (any leading axes) returns
-    fv = F(grad u), shape (m,), and curv, shape (n, m): row k is the k-th
-    anisotropic mean curvature S_k(F_il u_lj), k = 0..n-1 (row 0 is one),
-    all from one jet. Orders 1 and n - 1 skip the product matrix:
-    S_1 is the trace sum sum_ij F_ij u_ji, and since D^2F(xi) xi = 0 the
-    adjugate of D^2F is S_{n-1}(D^2F) nu nu^T, nu = grad u / |grad u|, so
+    fv = F(grad u), shape (m,), and curv, shape (top + 1, m): row k is the
+    k-th anisotropic mean curvature S_k(F_il u_lj), k = 0..top (row 0 is
+    one; None means top = n - 1), all from one jet. Orders 1 and n - 1
+    skip the product matrix: S_1 is the trace sum sum_ij F_ij u_ji, and
+    since D^2F(xi) xi = 0 the adjugate of D^2F is S_{n-1}(D^2F) nu nu^T,
+    nu = grad u / |grad u|, so
 
         S_{n-1}(F_il u_lj) = S_{n-1}(D^2F) nu^T adj(D^2u) nu.
 
-    Only the orders 2..n-2 (n >= 4) read F_il u_lj itself.
+    Only the orders 2..min(top, n - 2) (n >= 4) read F_il u_lj itself,
+    and top = 0 reads no norm Hessian: F comes from eval_grad.
     """
     n = grads.shape[-1]
-    fv, _, fh = eval_jet(norm, grads)
-    curv = np.empty((n,) + fv.shape)
+    top = n - 1 if top is None else top
+    _check_order(top, n - 1)
+    if top == 0:
+        fv = eval_grad(norm, grads)[0]
+    else:
+        fv, _, fh = eval_jet(norm, grads)
+    curv = np.empty((top + 1,) + fv.shape)
     curv[0] = 1.0
-    if n > 1:
+    if top > 0:
         curv[1] = _trace_product(fh, hesses)
-    if n > 2:
+    if top == n - 1 > 1:
         curv[n - 1] = (sk_stack(fh, n - 1) * _adjugate_form(hesses, grads)
                        / rowsum(grads * grads))
-    if n > 3:
+    if min(top, n - 2) > 1:
         product = fh @ hesses
-        for k in range(2, n - 1):
+        for k in range(2, min(top, n - 2) + 1):
             curv[k] = sk_stack(product, k)
     return fv, curv
 
@@ -380,12 +388,15 @@ def hessian_integral_coarea(table, k: int) -> float:
 
     (1/k) * integral over t of the surface integral of
     S_{k-1}(curvatures) F(grad u)^k F(normal) over each level set of a
-    bodies.LevelTable.
+    bodies.LevelTable; k must be one of the table's ``orders``.
     """
     _check_order(k, table.field.dim, lo=1)
+    if k not in table.orders:
+        raise DomainError(f"the level table holds the coarea sums of orders "
+                          f"{list(table.orders)}; build it with k={k}")
     if table.levels.size < 2:
         raise NumericError("too few valid levels for the coarea integral")
-    return trapezoid(table.coarea[k - 1], table.levels) / k
+    return trapezoid(table.coarea[table.orders.index(k)], table.levels) / k
 
 
 def lp_norm(u: Field, p: float, rays: int | None = None) -> float:

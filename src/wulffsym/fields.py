@@ -150,7 +150,14 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
     """u(x) = v(F*(x)) from scalar profile callables v, v', v''.
 
     v must be increasing with v(radius) = 0 and v'(0) = 0 so that u lies in
-    the admissible class on the Wulff ball of the given radius.
+    the admissible class on the Wulff ball of the given radius. On the
+    anchor (s = 0) the ray restriction's Hessian is its limit along the
+    ray w, v''(0) (grad F* grad F*^T + F* hess F*)(w): v''(0) times the
+    Hessian of F*^2/2 at w, which for the euclidean and ellipsoid norms
+    is the same for every w (I and the inverse norm matrix). For other
+    norms and v''(0) != 0 (regularized_p with a = 2) the Hessian has no
+    limit at the anchor, and the pointwise oracle gives the limit along
+    the anchor's ray e_1.
     """
     dim = norm.dim
     fe = eval_grad(norm, np.eye(dim))[0]  # support function values F(e_i)
@@ -165,8 +172,7 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
             return v_fn(s * fo), vp_fn(s * fo) * fo
 
         def jets(s):
-            # grad F* is 0-homogeneous and hess F* (-1)-homogeneous; on the
-            # anchor itself (s = 0) the Hessian is its limit v''(0) I
+            # grad F* is 0-homogeneous and hess F* (-1)-homogeneous
             s = np.asarray(s, dtype=float)
             r = s * fo
             vp = np.asarray(vp_fn(r))
@@ -174,8 +180,10 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
             with np.errstate(divide="ignore", invalid="ignore"):
                 hess = (np.asarray(vpp_fn(r))[..., None, None] * xx
                         + (vp / s)[..., None, None] * hd)
-            hess = np.where(live[..., None, None], hess,
-                            origin_vpp * np.eye(dim))
+            if not np.all(live):
+                # on the anchor itself (s = 0), the limit along the ray
+                hess = np.where(live[..., None, None], hess, origin_vpp
+                                * (xx + fo[:, None, None] * hd))
             return np.asarray(v_fn(r)), vp[..., None] * xi, hess
 
         return RayRestriction(along, jets)

@@ -1,9 +1,10 @@
 """Thread budget control and the one block-parallel map.
 
 ``map_blocks`` serves level sampling and the polar passes on at most
-``WULFFSYM_THREADS`` worker threads (default: the available cores).
-Results never depend on the thread count: the callers cut their work into
-blocks of a fixed size, and the block results come back in block order.
+``WULFFSYM_THREADS`` worker threads (default: the cores this process may
+run on). Results never depend on the thread count: the callers cut their
+work into blocks of a fixed size, and the block results come back in
+block order.
 """
 
 import os
@@ -15,6 +16,8 @@ ENV_VAR = "WULFFSYM_THREADS"
 def thread_count() -> int:
     raw = os.environ.get(ENV_VAR)
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         value = int(raw)

@@ -110,7 +110,10 @@ def _ray_roots(u, s_hi, levels: np.ndarray, restriction):
     plain Newton step (u - t) / (du/ds) on u is below _NEWTON_RTOL s, so a
     square root clipped at zero next to the anchor never ends one.
     Converged entries stay fixed, and a level whose entries have all
-    converged leaves the iteration, so each row is the single-level solve.
+    converged leaves the iteration, so each row is the single-level solve;
+    once every live entry passes the test, the solve writes their Newton
+    steps and returns without the bracket and bisection updates of that
+    iteration.
     The solve starts at the box exit: on rays where sqrt(u - m) is convex,
     as on every preset, Newton from above descends to the root without
     leaving the bracket, also when the root sits at the bracket's edge, so
@@ -131,14 +134,18 @@ def _ray_roots(u, s_hi, levels: np.ndarray, restriction):
     for _ in range(_NEWTON_ITERS):
         val, slope = restriction.along(s)
         g = val - t
-        below = g < 0.0
-        np.copyto(lo, s, where=below)
-        np.copyto(hi, s, where=~below)
         root = np.sqrt(np.maximum(val - m, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             done = np.abs(g / slope) <= _NEWTON_RTOL * s
             dx = 2.0 * root * g / ((root + np.sqrt(t - m)) * slope)
         cand = s - dx
+        if np.all(done | ~live):
+            # a converged entry takes its Newton step, as below
+            out[rows] = np.where(live, cand, s)
+            return out
+        below = g < 0.0
+        np.copyto(lo, s, where=below)
+        np.copyto(hi, s, where=~below)
         newton = done | ((cand > lo) & (cand < hi)
                          & (2.0 * np.abs(dx) <= step))
         nxt = np.where(newton, cand, 0.5 * (lo + hi))

@@ -27,6 +27,7 @@ from wulffsym.field_ops import (
     PolarTable,
     domain_volume,
     hessian_integral,
+    hessian_integral_coarea,
     level_grid,
     newton_curvatures,
 )
@@ -142,9 +143,9 @@ class TestSampling:
         passed = []
         curvature_batch = bodies.curvature_batch
 
-        def counted(norm, grads, hesses):
+        def counted(norm, grads, hesses, top=None):
             passed.append(grads.copy())
-            return curvature_batch(norm, grads, hesses)
+            return curvature_batch(norm, grads, hesses, top)
 
         monkeypatch.setattr(bodies, "curvature_batch", counted)
         monkeypatch.setenv("WULFFSYM_THREADS", "1")
@@ -248,6 +249,46 @@ class TestLevelTable:
         assert np.array_equal(table.levels, levels)
 
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_order_limit_keeps_every_value(self, monkeypatch, dim, threads):
+        # a table built for order 1 samples fewer curvature rows (none but
+        # S_0 in 2D, no S_2 in 3D) and keeps every value it holds bit for
+        # bit, on blocks of several levels
+        monkeypatch.setenv("WULFFSYM_THREADS", threads)
+        monkeypatch.setattr(bodies, "_JET_CHUNK", 1 << 10)
+        norm = regularized_p_norm(dim, 3.0)
+        u = perturbed_radial(norm)
+        rays = 64 if dim == 2 else 8
+        full = LevelTable(norm, u, 30, rays)
+        one = LevelTable(norm, u, 30, rays, orders=[1])
+        assert full.orders == tuple(range(1, dim + 1)) and one.orders == (1,)
+        assert one.zeta.tobytes() == full.zeta.tobytes()
+        assert one.coarea.shape == (1, 30)
+        assert one.coarea[0].tobytes() == full.coarea[0].tobytes()
+        assert one.residual_max == full.residual_max
+        assert np.array_equal(one.levels, full.levels)
+        assert np.array_equal(one.skipped, full.skipped)
+
+    def test_coarea_of_an_unbuilt_order_raises(self):
+        # an order the table has no coarea sums for fails its reader; an
+        # order outside 1..n keeps its range error
+        norm = euclidean_norm(3)
+        u = quadratic_ellipsoid(3)
+        table = LevelTable(norm, u, 20, 8, orders=[2, 7, 0, 2])
+        assert table.orders == (2,)
+        assert np.all(np.isfinite(table.coarea))
+        assert hessian_integral_coarea(table, 2) > 0.0
+        for k in (1, 3):
+            with pytest.raises(DomainError, match=r"orders \[2\]; build it "
+                               f"with k={k}"):
+                hessian_integral_coarea(table, k)
+        with pytest.raises(DomainError, match=r"order k=7 outside \[1, 3\]"):
+            hessian_integral_coarea(table, 7)
+        empty = LevelTable(euclidean_norm(2), quadratic_ellipsoid(2), 20, 16,
+                           orders=[])
+        assert empty.orders == () and empty.coarea.shape == (0, 20)
+
     def test_table_builds_no_normals(self, monkeypatch):
         # the table reduces a block from per-point scalars: W_0 from the
         # support values, not from (x - anchor) . nu; the normals of a
@@ -255,9 +296,9 @@ class TestLevelTable:
         stacked = []
         level_sums = bodies._level_sums
 
-        def spy(b):
+        def spy(b, orders):
             stacked.append(b)
-            return level_sums(b)
+            return level_sums(b, orders)
 
         monkeypatch.setattr(bodies, "_level_sums", spy)
         norm = ellipsoid_norm(np.diag([4.0, 1.0, 2.25]))
@@ -354,6 +395,31 @@ class TestRayRoots:
         _ray_roots(u, _box_exit(u, grid), level_grid(u, 40)[20:],
                    RayRestriction(along, restriction.jets))
         assert len(calls) <= 3
+
+    def test_early_return_keeps_single_level_rows(self):
+        # a = 3 is not quadratic along the rays, so the rays of a block
+        # converge on different steps; the solve returns on the step on
+        # which its last rays converge, and every row is still the
+        # single-level solve, at rounding
+        u = perturbed_radial(regularized_p_norm(3, 3.0), a=3.0)
+        grid = _DirectionGrid(3, 16)
+        restriction = u.ray(grid.omega)
+        s_hi = _box_exit(u, grid)
+        levels = level_grid(u, 20)
+        steps = []
+
+        def along(s):
+            steps.append(s.shape[0])
+            return restriction.along(s)
+
+        many = _ray_roots(u, s_hi, levels,
+                          RayRestriction(along, restriction.jets))
+        assert len(steps) > 3
+        for t, row in zip(levels, many):
+            one = _ray_roots(u, s_hi, np.array([t]), restriction)
+            assert np.array_equal(row, one[0]), t
+        vals = restriction.along(many)[0]
+        assert np.max(np.abs(vals - levels[:, None])) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_levels_next_to_the_minimum(self, dim):

@@ -120,6 +120,30 @@ class TestRun:
         assert len(calls) == 1
         assert np.array_equal(calls[0], level_grid(u, 80))
 
+    def test_level_table_sums_the_configured_orders(self, monkeypatch):
+        # the run's one level table gets the config's orders; on ball3
+        # (orders [1]) it builds no S_2 row, which the identities task's
+        # two-route spread still reads
+        built, adjugates = [], []
+        level_table, adjugate = cli.LevelTable, field_ops._adjugate_form
+
+        def table(norm, u, levels, rays, orders):
+            before = len(adjugates)
+            out = level_table(norm, u, levels, rays, orders)
+            built.append((orders, out.orders, len(adjugates) - before))
+            return out
+
+        def counted(h, v):
+            adjugates.append(h.shape)
+            return adjugate(h, v)
+
+        monkeypatch.setattr(cli, "LevelTable", table)
+        monkeypatch.setattr(field_ops, "_adjugate_form", counted)
+        report = run(ExperimentConfig.from_dict(BALL3D))
+        assert report["passed"]
+        assert built == [([1], (1,), 0)]
+        assert (100, 3, 3) in adjugates
+
     @pytest.mark.parametrize("name, directions", [
         ("ellipse", 400), ("ball3d", 96 * 48), ("regp2d", 2048)],
         ids=["ellipse", "ball3d", "regp2d"])

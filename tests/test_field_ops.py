@@ -270,6 +270,40 @@ class TestLevelCurvature:
                 assert abs(curv[k, i] - want) <= 1e-11 * scale ** k, (
                     k, curv[k, i], want)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_top_rows_are_the_full_rows(self, n):
+        # the rows 0..top of a limited call are the full call's bit for
+        # bit, for every top and norm family
+        rng = np.random.default_rng(n)
+        grads = rng.standard_normal((2, 5, n))
+        hesses = rng.standard_normal((2, 5, n, n))
+        hesses = 0.5 * (hesses + np.swapaxes(hesses, -1, -2))
+        for norm in (euclidean_norm(n), regularized_p_norm(n, 3.0),
+                     ellipsoid_norm(np.diag([4.0, 1.0, 2.25, 0.5][:n]))):
+            fv, full = curvature_batch(norm, grads, hesses)
+            for top in range(n):
+                fv_top, rows = curvature_batch(norm, grads, hesses, top)
+                assert rows.shape == (top + 1, 2, 5)
+                assert fv_top.tobytes() == fv.tobytes(), (norm, top)
+                assert rows.tobytes() == full[:top + 1].tobytes(), (norm, top)
+            with pytest.raises(DomainError):
+                curvature_batch(norm, grads, hesses, n)
+
+    def test_top_zero_builds_no_norm_hessian(self, monkeypatch):
+        # order 0 reads F(grad u) alone, from eval_grad
+        def boom(norm, xi):
+            raise AssertionError("eval_jet called")
+
+        rng = np.random.default_rng(3)
+        grads = rng.standard_normal((7, 3))
+        hesses = np.broadcast_to(np.eye(3), (7, 3, 3))
+        norm = regularized_p_norm(3, 3.0)
+        fv, _ = curvature_batch(norm, grads, hesses)
+        monkeypatch.setattr(field_ops, "eval_jet", boom)
+        fv0, rows = curvature_batch(norm, grads, hesses, 0)
+        assert fv0.tobytes() == fv.tobytes()
+        assert np.array_equal(rows, np.ones((1, 7)))
+
     def test_degenerate_gradient_rejected(self):
         norm = euclidean_norm(2)
         u = quadratic_ellipsoid(2)

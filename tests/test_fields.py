@@ -55,18 +55,31 @@ def test_jets_match_finite_differences(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_minimum_and_anchor(n):
-    # min value, zero gradient and the restriction's s = 0 Hessian v''(0) I
-    # (plus the perturbation's), alone and as a batch row
+    # min value, zero gradient and the restriction's s = 0 Hessian, alone
+    # and as a batch row: for a = 2 the limit of the radial Hessian
+    # (grad F* grad F*^T + F* hess F*), I for the euclidean norm and M^-1
+    # for the ellipsoid norm of matrix M; regularized_p has no limit at
+    # the anchor, and the value is the one along the anchor's ray e_1
+    # (the a = 2 Hessian is constant along a ray); plus the perturbation's
     axes = np.array([2.0, 1.0, 1.5][:n])
-    limits = [np.eye(n), np.diag(1.0 / axes**2), np.eye(n),
-              np.zeros((n, n)), np.eye(n) + 0.25 * np.diag(
-                  np.linspace(0.4, 1.6, n))]
+    e1 = np.eye(n)[0]
     for norm in norm_list(n):
-        for u, limit in zip(preset_list(norm), limits):
+        radial = {"euclidean": np.eye(n),
+                  "ellipsoid": np.diag(1.0 / np.array([4.0, 1.0, 2.25][:n])),
+                  "regularized_p": radial_power(norm, a=2.0).jet(
+                      1e-9 * e1).hessian}[norm.family]
+        limits = [np.eye(n), np.diag(1.0 / axes**2), radial,
+                  np.zeros((n, n)),
+                  radial + 0.25 * np.diag(np.linspace(0.4, 1.6, n))]
+        for i, (u, limit) in enumerate(zip(preset_list(norm), limits)):
             jet = u.jet(u.anchor)
             assert jet.value == u.min_value, (norm, u.name)
             assert np.array_equal(jet.gradient, np.zeros(n)), (norm, u.name)
-            assert np.array_equal(jet.hessian, limit), (norm, u.name)
+            if i in (2, 4):  # the a = 2 limits, to rounding
+                assert np.allclose(jet.hessian, limit, rtol=1e-14,
+                                   atol=1e-15), (norm, u.name)
+            else:
+                assert np.array_equal(jet.hessian, limit), (norm, u.name)
             v, g, _ = u.jets(u.anchor[None, :])
             assert v[0] == u.min_value and not np.any(g[0]), u.name
 

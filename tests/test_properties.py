@@ -179,6 +179,18 @@ class TestThreading:
         with pytest.raises(ValueError):
             thread_count()
 
+    def test_default_is_the_cores_this_process_may_run_on(self,
+                                                          monkeypatch):
+        # under a cpuset or taskset the machine's core count overstates
+        # the budget: the default is the size of the affinity mask
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                            lambda pid: {3}, raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
+        assert thread_count() == 1
+        monkeypatch.delattr(parallel.os, "sched_getaffinity")
+        assert thread_count() == 64
+
     def test_results_independent_of_thread_count(self, monkeypatch):
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))
         u = perturbed_radial(norm)
