@@ -23,7 +23,7 @@ radius is (W_k / kappa_n)^{1/(n-k)}, the radius of the Wulff ball sharing
 that mixed volume; differences of mean radii across orders are the
 Aleksandrov-Fenchel margins, nonnegative for convex bodies and zero
 exactly on Wulff balls. Sampling runs by block of levels: one ray solve
-(from box exits computed once per call), one jet pass and one curvature
+(from boundary radii solved once per call), one jet pass and one curvature
 pass serve all the levels of a block, whose live (non-degenerate) levels
 reach its ``reduce`` hook as one stacked LevelSetSample. The norm
 Hessian of a block is stored as (n, n, L, m), one row of points per
@@ -131,14 +131,16 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
 
     The levels are cut into blocks of about _JET_CHUNK ray roots, mapped
     over the worker threads (parallel.map_blocks). A block takes one ray
-    solve, one jet pass and one curvature_batch call for all its levels;
-    its levels with min |grad u| < _GRAD_TOL are degenerate and left out
-    of the curvature pass, which builds the orders 0..top (None means
-    n - 1; curvature_batch). On the thread that made the block, ``reduce``
-    gets one LevelSetSample stacking its live levels, in level order, and
-    returns one item per live level. The list holds these items in level
-    order, with None at each degenerate level; by default they are
-    LevelSetSample views.
+    solve, started at the boundary radii scaled by sqrt((t - m) / (0 - m))
+    (m = u.min_value; the radii are solved once per call from the box
+    exits, rays._ray_roots), one jet pass and one curvature_batch call for
+    all its levels; its levels with min |grad u| < _GRAD_TOL are
+    degenerate and left out of the curvature pass, which builds the orders
+    0..top (None means n - 1; curvature_batch). On the thread that made
+    the block, ``reduce`` gets one LevelSetSample stacking its live
+    levels, in level order, and returns one item per live level. The list
+    holds these items in level order, with None at each degenerate level;
+    by default they are LevelSetSample views.
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     m = u.min_value
@@ -149,10 +151,11 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
     grid = _DirectionGrid(u.dim, rays)
     restriction = u.ray(grid.omega)
     s_hi = _box_exit(u, grid)
+    radii = _ray_roots(u, s_hi, np.array([0.0]), restriction)[0]
 
     def block(bounds):
         t = levels[slice(*bounds)]
-        s = _ray_roots(u, s_hi, t, restriction)
+        s = _ray_roots(u, s_hi, t, restriction, radii)
         vals, grads, hesses = restriction.jets(s)
         gn = np.sqrt(rowsum(grads * grads))
         # eval_jet raises on a zero gradient
@@ -176,9 +179,11 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
 
 
 def sample_level_set(norm: Norm, u: Field, t: float,
-                     rays: int | None = None) -> LevelSetSample:
-    """Sample the boundary of {u < t}; t must lie in (min u, 0]."""
-    sample = sample_many(norm, u, [float(t)], rays=rays)[0]
+                     rays: int | None = None,
+                     top: int | None = None) -> LevelSetSample:
+    """Sample the boundary of {u < t}; t must lie in (min u, 0]. The
+    curvatures run to order ``top`` (sample_many)."""
+    sample = sample_many(norm, u, [float(t)], rays=rays, top=top)[0]
     if sample is None:
         raise DegenerateLevelError(f"level t={t} carries vanishing gradient")
     if sample.diagnostics["residual_max"] > 1e-9:

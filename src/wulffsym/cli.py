@@ -373,7 +373,8 @@ def _task_mixedvol(ctx: _Context):
     rows = []
     kap = wulff_volume(norm)
     n = u.dim
-    rays = ctx.cfg.grids.get("rays")
+    # mixed_volume reads the curvature rows S_0..S_{n-2} only
+    sampling = dict(rays=ctx.cfg.grids.get("rays"), top=n - 2)
     if u.radial_profile is not None:
         v_fn, _, radius = u.radial_profile
         for frac in (0.25, 0.5, 1.0):
@@ -381,7 +382,7 @@ def _task_mixedvol(ctx: _Context):
             t = min(float(v_fn(np.array([r]))[0]), 0.0)
             if t <= u.min_value:
                 continue
-            sample = sample_level_set(norm, u, t, rays=rays)
+            sample = sample_level_set(norm, u, t, **sampling)
             for k in range(n):
                 got = mixed_volume(sample, k)
                 want = kap * r ** (n - k)
@@ -389,8 +390,8 @@ def _task_mixedvol(ctx: _Context):
                     "mixedvol", f"wulff ball value r={r:g}", got, want,
                     1e-4, abs(got - want) <= 1e-4 * want, k=k))
     else:
-        sample = sample_level_set(norm, u, 0.0, rays=rays)
-        half = sample_level_set(norm, u, u.min_value * 0.5, rays=rays)
+        sample = sample_level_set(norm, u, 0.0, **sampling)
+        half = sample_level_set(norm, u, u.min_value * 0.5, **sampling)
         for k in range(n):
             big = mixed_volume(sample, k)
             small = mixed_volume(half, k)

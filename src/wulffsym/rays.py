@@ -10,22 +10,24 @@ evaluated on that grid. One root solver serves every level and ray at
 once: safeguarded Newton on sqrt(u - min u), read from the restriction's
 s -> (u, du/ds), inside the bracket from the anchor to the bounding-box
 exit (a Newton step that leaves the bracket or, after the first, fails
-to halve the previous step is replaced by a bisection step). Mean radii
-grow like sqrt(t - min u) at a nondegenerate minimum, and
-sqrt(u - min u) is linear in s wherever u is quadratic along the ray, so
-there one step lands on the root; a solve ends on the plain Newton step
-on u. The levels whose rays have all converged leave the iteration, and
-rays left unconverged raise NumericError. The roots at level 0 are the
-boundary radii. The polar rule
-cuts each ray from the anchor to its boundary radius into equal panels
-of the one cached 48-node Gauss rule; the domain integrals use it with
-one panel, the rearrangement grid with many. polar_integral maps blocks
-of _CHUNK nodes of a rule over the worker threads, hands the field jets
-at the nodes to an integrand that returns a stack of quantities, and
-sums each of them; the polar table of field_ops asks it for every domain
-integral of one rule at once. Arguments named u are fields.Field
-instances; the module does not import fields, so anisotropy can
-integrate Wulff-ball volumes on the same grids.
+to halve the previous step is replaced by a bisection step). The roots
+at level 0 are the boundary radii, solved from the box exit; sampling
+starts every level t at them scaled by sqrt((t - min u) / (0 - min u)).
+sqrt(u - min u) is convex along every preset's rays and 0 at the anchor,
+so that start is at or below the root and one step from it lands at or
+above it; wherever u is quadratic along the ray it is linear, the start
+is the root and the solve ends after one restriction call. A solve ends
+on the plain Newton step on u. The levels whose rays have all converged
+leave the iteration, and rays left unconverged raise NumericError. The
+polar rule cuts each ray from the anchor to its boundary radius into
+equal panels of the one cached 48-node Gauss rule; the domain integrals
+use it with one panel, the rearrangement grid with many. polar_integral
+maps blocks of _CHUNK nodes of a rule over the worker threads, hands the
+field jets at the nodes to an integrand that returns a stack of
+quantities, and sums each of them; the polar table of field_ops asks it
+for every domain integral of one rule at once. Arguments named u are
+fields.Field instances; the module does not import fields, so anisotropy
+can integrate Wulff-ball volumes on the same grids.
 """
 
 import math
@@ -98,7 +100,7 @@ def _box_exit(u, grid: _DirectionGrid):
     return np.min(np.minimum(t_hi, t_lo), axis=-1)
 
 
-def _ray_roots(u, s_hi, levels: np.ndarray, restriction):
+def _ray_roots(u, s_hi, levels: np.ndarray, restriction, radii=None):
     """Radii s with u(anchor + s omega) = t, shape (levels, directions).
 
     Safeguarded Newton (rtsafe) on sqrt(u - m), m = u.min_value, with u
@@ -113,24 +115,25 @@ def _ray_roots(u, s_hi, levels: np.ndarray, restriction):
     converged leaves the iteration, so each row is the single-level solve;
     once every live entry passes the test, the solve writes their Newton
     steps and returns without the bracket and bisection updates of that
-    iteration.
-    The solve starts at the box exit: on rays where sqrt(u - m) is convex,
-    as on every preset, Newton from above descends to the root without
-    leaving the bracket, also when the root sits at the bracket's edge, so
-    its first step is not held to the halving test. Rays still unconverged
+    iteration; the bracket state is built only when the first test fails.
+    The solve starts at the box exit or, given ``radii`` (the level-0 roots
+    on the grid), at radii sqrt((t - m) / (0 - m)), clipped to the
+    bracket. On rays where sqrt(u - m) is convex, as on every preset, that
+    start is at or below the root, one Newton step from it lands at or
+    above it, and Newton from above descends to the root without leaving
+    the bracket, also when the root sits at the bracket's edge, so the
+    first step is not held to the halving test. Where u is quadratic along
+    the ray the start is the root to rounding, and a solve whose first
+    test passes returns after one ``along`` call. Rays still unconverged
     after _NEWTON_ITERS steps raise NumericError.
     """
     shape = (levels.shape[0], s_hi.shape[0])
-    out = np.empty(shape)
-    rows = np.arange(shape[0])
     t = levels[:, None]
     m = u.min_value
-    lo = np.zeros(shape)
-    hi = np.broadcast_to(s_hi * (1.0 + 1e-12), shape).copy()
-    s = hi.copy()
-    # the first Newton step has no previous step to halve
-    step = np.full(shape, np.inf)
-    live = np.ones(shape, dtype=bool)
+    s_max = s_hi * (1.0 + 1e-12)
+    s = (np.broadcast_to(s_max, shape).copy() if radii is None
+         else np.minimum(radii * np.sqrt((t - m) / -m), s_max))
+    live = None
     for _ in range(_NEWTON_ITERS):
         val, slope = restriction.along(s)
         g = val - t
@@ -139,7 +142,15 @@ def _ray_roots(u, s_hi, levels: np.ndarray, restriction):
             done = np.abs(g / slope) <= _NEWTON_RTOL * s
             dx = 2.0 * root * g / ((root + np.sqrt(t - m)) * slope)
         cand = s - dx
-        if np.all(done | ~live):
+        if live is None:
+            if np.all(done):
+                return cand
+            out, rows = np.empty(shape), np.arange(shape[0])
+            lo, hi = np.zeros(shape), np.broadcast_to(s_max, shape).copy()
+            # the first Newton step has no previous step to halve
+            step = np.full(shape, np.inf)
+            live = np.ones(shape, dtype=bool)
+        elif np.all(done | ~live):
             # a converged entry takes its Newton step, as below
             out[rows] = np.where(live, cand, s)
             return out

@@ -38,7 +38,12 @@ from wulffsym.fields import (
     radial_power,
 )
 from wulffsym.quad import legendre_rule, rowsum
-from wulffsym.rays import _DirectionGrid, _box_exit, _ray_roots
+from wulffsym.rays import (
+    _DirectionGrid,
+    _box_exit,
+    _ray_roots,
+    boundary_radii,
+)
 
 
 def test_frozen_perimeter_constant_matches_agm():
@@ -369,16 +374,21 @@ class TestRayRoots:
                 restriction = u.ray(grid.omega)
                 s_hi = _box_exit(u, grid)
                 levels = level_grid(u, 20)
-                many = _ray_roots(u, s_hi, levels, restriction)
-                for t, row in zip(levels, many):
-                    one = _ray_roots(u, s_hi, np.array([t]), restriction)
-                    assert np.array_equal(row, one[0]), (u.name, t)
+                # the box-exit start, then the warm start of sampling
+                for radii in (None, boundary_radii(u, grid, restriction)):
+                    many = _ray_roots(u, s_hi, levels, restriction, radii)
+                    for t, row in zip(levels, many):
+                        one = _ray_roots(u, s_hi, np.array([t]), restriction,
+                                         radii)
+                        assert np.array_equal(row, one[0]), (u.name, t)
 
     @pytest.mark.parametrize("case", ["ellipse", "ball3", "perturbed2",
                                       "perturbed3"])
     def test_quadratic_rays_take_at_most_three_steps(self, case):
         # sqrt(u - min u) is linear in s where u is quadratic along the
-        # ray, so one Newton step lands on the root and one more confirms it
+        # ray: from the box exit one Newton step lands on the root and the
+        # next call confirms it; from the scaled boundary radii the start
+        # is the root, and the first call confirms it
         u = {"ellipse": lambda: quadratic_ellipsoid(2, axes=[2.0, 1.0]),
              "ball3": lambda: quadratic_ellipsoid(3),
              "perturbed2": lambda: perturbed_radial(euclidean_norm(2), a=2.0),
@@ -386,15 +396,85 @@ class TestRayRoots:
                  regularized_p_norm(3, 3.0), a=2.0)}[case]()
         grid = _DirectionGrid(u.dim, 256 if u.dim == 2 else 24)
         restriction = u.ray(grid.omega)
+        levels = level_grid(u, 40)[20:]
         calls = []
 
         def along(s):
             calls.append(s.shape)
             return restriction.along(s)
 
-        _ray_roots(u, _box_exit(u, grid), level_grid(u, 40)[20:],
-                   RayRestriction(along, restriction.jets))
-        assert len(calls) <= 3
+        counted = RayRestriction(along, restriction.jets)
+        _ray_roots(u, _box_exit(u, grid), levels, counted)
+        assert calls == [(20, grid.count)] * 2
+        calls.clear()
+        _ray_roots(u, _box_exit(u, grid), levels, counted,
+                   boundary_radii(u, grid, restriction))
+        assert calls == [(20, grid.count)]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sampling_quadratic_rays_takes_one_call_per_block(
+            self, monkeypatch, dim):
+        # sample_many starts every level at the scaled boundary radii, the
+        # root wherever u is quadratic along the ray, so the level solve of
+        # each block makes one along call (the boundary radii are the one
+        # solve from the box exits)
+        mats = {2: np.diag([4.0, 1.0]), 3: np.diag([4.0, 1.0, 2.25])}
+        ray_count = 64 if dim == 2 else 16
+        count = _DirectionGrid(dim, ray_count).count
+        ray_roots, solves = bodies._ray_roots, []
+
+        def counted(u, s_hi, levels, restriction, radii=None):
+            calls = []
+
+            def along(s):
+                calls.append(s.shape)
+                return restriction.along(s)
+
+            solves.append((radii is not None, calls))
+            return ray_roots(u, s_hi, levels,
+                             RayRestriction(along, restriction.jets), radii)
+
+        monkeypatch.setattr(bodies, "_ray_roots", counted)
+        monkeypatch.setattr(bodies, "_JET_CHUNK", 7 * count)
+        for norm in (euclidean_norm(dim), ellipsoid_norm(mats[dim]),
+                     regularized_p_norm(dim, 3.0)):
+            for u in (quadratic_ellipsoid(dim, axes=[2.0, 1.0, 1.5][:dim]),
+                      radial_power(norm, a=2.0), perturbed_radial(norm)):
+                solves.clear()
+                samples = sample_many(norm, u, level_grid(u, 20),
+                                      rays=ray_count)
+                assert all(s is not None for s in samples)
+                warm = sorted(c for w, c in solves if w)
+                assert warm == [[(6, count)], [(7, count)], [(7, count)]], (
+                    u.name, norm.family)
+                assert [w for w, _ in solves].count(False) == 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_warm_start_evaluates_no_more_entries(self, dim):
+        # where u is not quadratic along the rays the scaled boundary radii
+        # are only a start below the root; the solve from them still
+        # evaluates no more restriction entries than the box-exit start
+        mats = {2: np.diag([4.0, 1.0]), 3: np.diag([4.0, 1.0, 2.25])}
+        grid = _DirectionGrid(dim, 64 if dim == 2 else 16)
+        for norm in (euclidean_norm(dim), ellipsoid_norm(mats[dim]),
+                     regularized_p_norm(dim, 3.0)):
+            for u in (radial_power(norm, a=3.0), radial_power(norm, a=6.0),
+                      perturbed_radial(norm, a=3.0)):
+                restriction = u.ray(grid.omega)
+                s_hi = _box_exit(u, grid)
+                levels = level_grid(u, 40)
+                entries = []
+                for radii in (None, boundary_radii(u, grid, restriction)):
+                    sizes = []
+
+                    def along(s):
+                        sizes.append(s.size)
+                        return restriction.along(s)
+
+                    _ray_roots(u, s_hi, levels,
+                               RayRestriction(along, restriction.jets), radii)
+                    entries.append(sum(sizes))
+                assert entries[1] <= entries[0], (u.name, norm.family, entries)
 
     def test_early_return_keeps_single_level_rows(self):
         # a = 3 is not quadratic along the rays, so the rays of a block
@@ -412,14 +492,17 @@ class TestRayRoots:
             steps.append(s.shape[0])
             return restriction.along(s)
 
-        many = _ray_roots(u, s_hi, levels,
-                          RayRestriction(along, restriction.jets))
-        assert len(steps) > 3
-        for t, row in zip(levels, many):
-            one = _ray_roots(u, s_hi, np.array([t]), restriction)
-            assert np.array_equal(row, one[0]), t
-        vals = restriction.along(many)[0]
-        assert np.max(np.abs(vals - levels[:, None])) <= 1e-12
+        # the box-exit start, then the warm start of sampling
+        for radii in (None, boundary_radii(u, grid, restriction)):
+            steps.clear()
+            many = _ray_roots(u, s_hi, levels,
+                              RayRestriction(along, restriction.jets), radii)
+            assert len(steps) > 3
+            for t, row in zip(levels, many):
+                one = _ray_roots(u, s_hi, np.array([t]), restriction, radii)
+                assert np.array_equal(row, one[0]), t
+            vals = restriction.along(many)[0]
+            assert np.max(np.abs(vals - levels[:, None])) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_levels_next_to_the_minimum(self, dim):
@@ -448,6 +531,22 @@ class TestRayRoots:
         u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
         with pytest.raises(NumericError, match=r"\d+ rays unconverged"):
             sample_many(euclidean_norm(2), u, level_grid(u, 10), rays=64)
+
+    def test_unconverged_warm_rays_raise(self, monkeypatch):
+        # a = 3 is not quadratic along the rays, so the level solve from
+        # the scaled boundary radii needs more than one step; cut at one,
+        # it raises itself, with the ray count and the widest bracket of
+        # the state it built on its first failed test
+        u = radial_power(euclidean_norm(2), a=3.0)
+        grid = _DirectionGrid(2, 64)
+        restriction = u.ray(grid.omega)
+        radii = boundary_radii(u, grid, restriction)
+        monkeypatch.setattr(rays, "_NEWTON_ITERS", 1)
+        with pytest.raises(NumericError, match=(
+                r"\d+ rays unconverged after 1 iterations \(widest bracket "
+                r"left \d\.\d{3}e[+-]\d+\)")):
+            _ray_roots(u, _box_exit(u, grid), level_grid(u, 10), restriction,
+                       radii)
 
 
 def parametrized_weights(grid, rays, s, grads):

@@ -122,8 +122,9 @@ class TestRun:
 
     def test_level_table_sums_the_configured_orders(self, monkeypatch):
         # the run's one level table gets the config's orders; on ball3
-        # (orders [1]) it builds no S_2 row, which the identities task's
-        # two-route spread still reads
+        # (orders [1]) it builds no S_2 row, nor do the mixedvol bodies
+        # (mixed_volume reads S_0..S_{n-2}): the one S_2 draw is the
+        # identities task's two-route spread
         built, adjugates = [], []
         level_table, adjugate = cli.LevelTable, field_ops._adjugate_form
 
@@ -142,7 +143,7 @@ class TestRun:
         report = run(ExperimentConfig.from_dict(BALL3D))
         assert report["passed"]
         assert built == [([1], (1,), 0)]
-        assert (100, 3, 3) in adjugates
+        assert adjugates == [(100, 3, 3)]
 
     @pytest.mark.parametrize("name, directions", [
         ("ellipse", 400), ("ball3d", 96 * 48), ("regp2d", 2048)],
