@@ -23,9 +23,10 @@ radius is (W_k / kappa_n)^{1/(n-k)}, the radius of the Wulff ball sharing
 that mixed volume; differences of mean radii across orders are the
 Aleksandrov-Fenchel margins, nonnegative for convex bodies and zero
 exactly on Wulff balls. Sampling runs by block of levels: one ray solve
-(from boundary radii solved once per call), one jet pass and one curvature
-pass serve all the levels of a block, whose live (non-degenerate) levels
-reach its ``reduce`` hook as one stacked LevelSetSample. The norm
+(from boundary radii solved once per call of several levels), one jet
+pass and one curvature pass serve all the levels of a block, whose live
+(non-degenerate) levels reach its ``reduce`` hook as one stacked
+LevelSetSample. The norm
 Hessian of a block is stored as (n, n, L, m), one row of points per
 entry, and read as an (L, m, n, n) view of unspecified strides. A
 LevelTable has the sampler threads reduce each block of one family to
@@ -132,15 +133,16 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
     The levels are cut into blocks of about _JET_CHUNK ray roots, mapped
     over the worker threads (parallel.map_blocks). A block takes one ray
     solve, started at the boundary radii scaled by sqrt((t - m) / (0 - m))
-    (m = u.min_value; the radii are solved once per call from the box
-    exits, rays._ray_roots), one jet pass and one curvature_batch call for
-    all its levels; its levels with min |grad u| < _GRAD_TOL are
-    degenerate and left out of the curvature pass, which builds the orders
-    0..top (None means n - 1; curvature_batch). On the thread that made
-    the block, ``reduce`` gets one LevelSetSample stacking its live
-    levels, in level order, and returns one item per live level. The list
-    holds these items in level order, with None at each degenerate level;
-    by default they are LevelSetSample views.
+    (m = u.min_value; the radii are solved once per call from its box
+    exits, and a call of one level starts at the box exits;
+    rays._ray_roots), one jet pass and one curvature_batch call for all
+    its levels; its levels with min |grad u| < _GRAD_TOL are degenerate
+    and left out of the curvature pass, which builds the orders 0..top
+    (None means n - 1; curvature_batch). On the thread that made the
+    block, ``reduce`` gets one LevelSetSample stacking its live levels, in
+    level order, and returns one item per live level. The list holds these
+    items in level order, with None at each degenerate level; by default
+    they are LevelSetSample views.
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     m = u.min_value
@@ -151,7 +153,10 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
     grid = _DirectionGrid(u.dim, rays)
     restriction = u.ray(grid.omega)
     s_hi = _box_exit(u, grid)
-    radii = _ray_roots(u, s_hi, np.array([0.0]), restriction)[0]
+    # one level keeps the box-exit start: the level-0 solve would cost as
+    # much as its own
+    radii = (boundary_radii(u, grid, restriction, s_hi)
+             if levels.size > 1 else None)
 
     def block(bounds):
         t = levels[slice(*bounds)]

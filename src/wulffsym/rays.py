@@ -12,7 +12,8 @@ s -> (u, du/ds), inside the bracket from the anchor to the bounding-box
 exit (a Newton step that leaves the bracket or, after the first, fails
 to halve the previous step is replaced by a bisection step). The roots
 at level 0 are the boundary radii, solved from the box exit; sampling
-starts every level t at them scaled by sqrt((t - min u) / (0 - min u)).
+several levels starts each level t at them scaled by
+sqrt((t - min u) / (0 - min u)).
 sqrt(u - min u) is convex along every preset's rays and 0 at the anchor,
 so that start is at or below the root and one step from it lands at or
 above it; wherever u is quadratic along the ray it is linear, the start
@@ -179,13 +180,15 @@ def _ray_roots(u, s_hi, levels: np.ndarray, restriction, radii=None):
         "from the anchor")
 
 
-def boundary_radii(u, grid: _DirectionGrid, restriction) -> np.ndarray:
+def boundary_radii(u, grid: _DirectionGrid, restriction,
+                   s_hi=None) -> np.ndarray:
     """Ray lengths from the anchor to the zero level set, one per direction.
 
-    ``restriction`` is u.ray(grid.omega).
+    ``restriction`` is u.ray(grid.omega); ``s_hi`` is _box_exit(u, grid),
+    computed here when not given.
     """
-    return _ray_roots(u, _box_exit(u, grid), np.array([0.0]),
-                      restriction)[0]
+    s_hi = _box_exit(u, grid) if s_hi is None else s_hi
+    return _ray_roots(u, s_hi, np.array([0.0]), restriction)[0]
 
 
 def _polar_rule(u, rays: int | None, panels: int = 1):

@@ -168,7 +168,7 @@ class TestSampling:
 
     def test_one_box_exit_per_call(self, monkeypatch):
         # the ray brackets belong to the direction grid: one box exit
-        # serves every sampling block of a call
+        # serves the boundary radii and every sampling block of a call
         calls = []
         box_exit = bodies._box_exit
 
@@ -180,6 +180,7 @@ class TestSampling:
         levels = np.linspace(-0.45, -0.05, 12)
         want = sample_many(euclidean_norm(2), u, levels, rays=64)
         monkeypatch.setattr(bodies, "_box_exit", counted)
+        monkeypatch.setattr(rays, "_box_exit", counted)
         monkeypatch.setattr(bodies, "_JET_CHUNK", 64)
         got = sample_many(euclidean_norm(2), u, levels, rays=64)
         assert calls == [64]
@@ -229,7 +230,16 @@ class TestLevelTable:
         # the per-block sums of the table, on blocks of 7 levels, against a
         # reference built one level at a time: mean_radius of the level's
         # own sample, and the coarea sum of S_{k-1}(curv) F(grad u)^k F(nu),
-        # bit for bit
+        # bit for bit. The table starts its ray solve at the scaled
+        # boundary radii, a single level at the box exits; the reference
+        # levels take the table's start
+        ray_roots = bodies._ray_roots
+
+        def table_start(u, s_hi, levels, restriction, radii=None):
+            if radii is None:
+                radii = ray_roots(u, s_hi, np.array([0.0]), restriction)[0]
+            return ray_roots(u, s_hi, levels, restriction, radii)
+
         if case == "ellipsoid2d":
             norm = ellipsoid_norm(np.diag([4.0, 1.0]))
             u, rays = perturbed_radial(norm), 512
@@ -241,6 +251,7 @@ class TestLevelTable:
         monkeypatch.setattr(bodies, "_JET_CHUNK",
                             7 * _DirectionGrid(n, rays).count)
         table = LevelTable(norm, u, levels, rays)
+        monkeypatch.setattr(bodies, "_ray_roots", table_start)
         samples = [sample_level_set(norm, u, t, rays=rays) for t in levels]
         zeta = [[mean_radius(s, j) for s in samples] for j in range(n)]
         coarea = [[float(np.sum(s.weights * s.curvatures[k - 1]
@@ -422,6 +433,11 @@ class TestRayRoots:
         ray_count = 64 if dim == 2 else 16
         count = _DirectionGrid(dim, ray_count).count
         ray_roots, solves = bodies._ray_roots, []
+        radii_of, level_zero = bodies.boundary_radii, []
+
+        def counted_radii(u, grid, restriction, s_hi=None):
+            level_zero.append(grid.count)
+            return radii_of(u, grid, restriction, s_hi)
 
         def counted(u, s_hi, levels, restriction, radii=None):
             calls = []
@@ -435,25 +451,50 @@ class TestRayRoots:
                              RayRestriction(along, restriction.jets), radii)
 
         monkeypatch.setattr(bodies, "_ray_roots", counted)
+        monkeypatch.setattr(bodies, "boundary_radii", counted_radii)
         monkeypatch.setattr(bodies, "_JET_CHUNK", 7 * count)
         for norm in (euclidean_norm(dim), ellipsoid_norm(mats[dim]),
                      regularized_p_norm(dim, 3.0)):
             for u in (quadratic_ellipsoid(dim, axes=[2.0, 1.0, 1.5][:dim]),
                       radial_power(norm, a=2.0), perturbed_radial(norm)):
                 solves.clear()
+                level_zero.clear()
                 samples = sample_many(norm, u, level_grid(u, 20),
                                       rays=ray_count)
                 assert all(s is not None for s in samples)
-                warm = sorted(c for w, c in solves if w)
-                assert warm == [[(6, count)], [(7, count)], [(7, count)]], (
+                assert all(w for w, _ in solves)
+                assert sorted(c for _, c in solves) == [
+                    [(6, count)], [(7, count)], [(7, count)]], (
                     u.name, norm.family)
-                assert [w for w, _ in solves].count(False) == 1
+                assert level_zero == [count]
+
+    def test_one_level_keeps_the_box_exit_start(self, monkeypatch):
+        # a level-0 solve would cost a single level as much as its own
+        # solve, so a call of one level (sample_level_set) starts at the
+        # box exits and solves no boundary radii
+        solves = []
+        ray_roots = bodies._ray_roots
+
+        def counted(u, s_hi, levels, restriction, radii=None):
+            solves.append((levels.size, radii))
+            return ray_roots(u, s_hi, levels, restriction, radii)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("boundary radii solved for one level")
+
+        monkeypatch.setattr(bodies, "_ray_roots", counted)
+        monkeypatch.setattr(bodies, "boundary_radii", boom)
+        norm = ellipsoid_norm(np.diag([4.0, 1.0]))
+        u = radial_power(norm, a=3.0)
+        sample_level_set(norm, u, 0.5 * u.min_value, rays=64)
+        assert solves == [(1, None)]
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_warm_start_evaluates_no_more_entries(self, dim):
         # where u is not quadratic along the rays the scaled boundary radii
-        # are only a start below the root; the solve from them still
-        # evaluates no more restriction entries than the box-exit start
+        # are only a start below the root; the level-0 solve of the radii
+        # and the solve from them together still evaluate no more
+        # restriction entries than the box-exit start
         mats = {2: np.diag([4.0, 1.0]), 3: np.diag([4.0, 1.0, 2.25])}
         grid = _DirectionGrid(dim, 64 if dim == 2 else 16)
         for norm in (euclidean_norm(dim), ellipsoid_norm(mats[dim]),
@@ -463,18 +504,20 @@ class TestRayRoots:
                 restriction = u.ray(grid.omega)
                 s_hi = _box_exit(u, grid)
                 levels = level_grid(u, 40)
-                entries = []
-                for radii in (None, boundary_radii(u, grid, restriction)):
-                    sizes = []
+                sizes = []
 
-                    def along(s):
-                        sizes.append(s.size)
-                        return restriction.along(s)
+                def along(s):
+                    sizes.append(s.size)
+                    return restriction.along(s)
 
-                    _ray_roots(u, s_hi, levels,
-                               RayRestriction(along, restriction.jets), radii)
-                    entries.append(sum(sizes))
-                assert entries[1] <= entries[0], (u.name, norm.family, entries)
+                counted = RayRestriction(along, restriction.jets)
+                _ray_roots(u, s_hi, levels, counted)
+                cold = sum(sizes)
+                sizes.clear()
+                _ray_roots(u, s_hi, levels, counted,
+                           boundary_radii(u, grid, counted, s_hi))
+                assert sum(sizes) <= cold, (u.name, norm.family,
+                                            sum(sizes), cold)
 
     def test_early_return_keeps_single_level_rows(self):
         # a = 3 is not quadratic along the rays, so the rays of a block
