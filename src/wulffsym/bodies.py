@@ -23,12 +23,12 @@ radius is (W_k / kappa_n)^{1/(n-k)}, the radius of the Wulff ball sharing
 that mixed volume; differences of mean radii across orders are the
 Aleksandrov-Fenchel margins, nonnegative for convex bodies and zero
 exactly on Wulff balls. Sampling runs by block of levels: one ray solve
-(from boundary radii solved once per call of several levels), one jet
-pass and one curvature pass serve all the levels of a block, whose live
-(non-degenerate) levels reach its ``reduce`` hook as one stacked
-LevelSetSample. The norm
-Hessian of a block is stored as (n, n, L, m), one row of points per
-entry, and read as an (L, m, n, n) view of unspecified strides. A
+(from the boundary radii of the field's ray fan, solved once per field
+and direction count), one jet pass and one curvature pass serve all the
+levels of a block, whose live (non-degenerate) levels reach its
+``reduce`` hook as one stacked LevelSetSample. The norm Hessian of a
+block is stored as (n, n, L, m), one row of points per entry, and read
+as an (L, m, n, n) view of unspecified strides. A
 LevelTable has the sampler threads reduce each block of one family to
 the mean radii and coarea integrands that every symmetrization harness
 reads, with one array sum per quantity for all the levels of the block.
@@ -55,13 +55,7 @@ from .parallel import map_blocks
 from .quad import chunked, rowsum
 # boundary_radii and default_rays are re-exported: the benchmark tracer
 # and the tests reach them here
-from .rays import (  # noqa: F401
-    _DirectionGrid,
-    _box_exit,
-    _ray_roots,
-    boundary_radii,
-    default_rays,
-)
+from .rays import _ray_roots, boundary_radii, default_rays  # noqa: F401
 
 # ray roots per sampling block; the curvature pass holds (block, n, n)
 # temporaries, so a larger block adds peak memory in 3D and no speed
@@ -115,7 +109,7 @@ def _level_views(b: LevelSetSample) -> list:
         for i, t in enumerate(b.level)]
 
 
-def _surface_terms(grid: _DirectionGrid, s, grads, gn):
+def _surface_terms(grid, s, grads, gn):
     """(weights, support) of the points x = s(w) w of a level set: the
     area element s^(n-1) |grad u| / (grad u . w) dsigma(w), dsigma the
     grid's solid angle weights, and the support value
@@ -131,10 +125,10 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
     """Sample many level sets at once; degenerate entries come back None.
 
     The levels are cut into blocks of about _JET_CHUNK ray roots, mapped
-    over the worker threads (parallel.map_blocks). A block takes one ray
-    solve, started at the boundary radii scaled by sqrt((t - m) / (0 - m))
-    (m = u.min_value; the radii are solved once per call from its box
-    exits, and a call of one level starts at the box exits;
+    over the worker threads (parallel.map_blocks), on u.fan(rays), whose
+    boundary radii are read (solved once per fan) on the calling thread.
+    Every block, also in a call of one level, takes one ray solve, started
+    at those radii scaled by sqrt((t - m) / (0 - m)) (m = u.min_value;
     rays._ray_roots), one jet pass and one curvature_batch call for all
     its levels; its levels with min |grad u| < _GRAD_TOL are degenerate
     and left out of the curvature pass, which builds the orders 0..top
@@ -150,18 +144,12 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
         raise DomainError(
             f"levels must lie in ({m:.6g}, 0]; got range "
             f"[{levels.min():.6g}, {levels.max():.6g}]")
-    grid = _DirectionGrid(u.dim, rays)
-    restriction = u.ray(grid.omega)
-    s_hi = _box_exit(u, grid)
-    # one level keeps the box-exit start: the level-0 solve would cost as
-    # much as its own
-    radii = (boundary_radii(u, grid, restriction, s_hi)
-             if levels.size > 1 else None)
+    fan, radii = u.fan(rays), boundary_radii(u, rays)
 
     def block(bounds):
         t = levels[slice(*bounds)]
-        s = _ray_roots(u, s_hi, t, restriction, radii)
-        vals, grads, hesses = restriction.jets(s)
+        s = _ray_roots(fan, t, radii)
+        vals, grads, hesses = fan.restriction.jets(s)
         gn = np.sqrt(rowsum(grads * grads))
         # eval_jet raises on a zero gradient
         live = ~(np.min(gn, axis=-1) < _GRAD_TOL)
@@ -169,9 +157,9 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
             t, s, vals, grads, hesses, gn = (
                 x[live] for x in (t, s, vals, grads, hesses, gn))
         fgrad, curv = curvature_batch(norm, grads, hesses, top=top)
-        weights, support = _surface_terms(grid, s, grads, gn)
+        weights, support = _surface_terms(fan.grid, s, grads, gn)
         items = iter(reduce(LevelSetSample(
-            level=t, points=u.anchor + s[..., None] * grid.omega,
+            level=t, points=u.anchor + s[..., None] * fan.grid.omega,
             gradients=grads, support=support, f_of_nu=fgrad / gn,
             curvatures=curv, weights=weights,
             gradient_norms=fgrad, norm=norm, anchor=u.anchor,
@@ -179,7 +167,7 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
                 np.abs(vals - t[:, None]), axis=-1)})))
         return [next(items) if alive else None for alive in live]
 
-    blocks = chunked(levels.shape[0], max(1, _JET_CHUNK // grid.count))
+    blocks = chunked(levels.shape[0], max(1, _JET_CHUNK // fan.grid.count))
     return [x for part in map_blocks(block, blocks) for x in part]
 
 
@@ -267,20 +255,21 @@ class LevelTable:
 
     Built once from (norm, field, level grid, rays, orders); ``levels`` is
     a level count for ``level_grid`` or an explicit array of levels.
-    Degenerate levels are skipped with a warning and listed in
-    ``skipped``. For the kept ``levels``, ``zeta[j]`` holds the mean radius
-    zeta_j, j = 0..n-1, and ``coarea[i]`` the surface integral of
-    S_{k-1}(curv) F(grad u)^k F(nu), the coarea integrand of the
-    k-Hessian energy, for the i-th order k of ``orders``: the sorted orders
-    in 1..n of the ``orders`` argument (None means all, so that
-    ``coarea[k - 1]`` is order k; an order outside 1..n is left out, and
+    Degenerate levels are skipped with a warning and listed in ``skipped``.
+    For the kept ``levels``, ``zeta[j]`` holds the mean radius zeta_j,
+    j = 0..n-1, and ``coarea[i]`` the surface integral of
+    S_{k-1}(curv) F(grad u)^k F(nu), the coarea integrand of the k-Hessian
+    energy, for the i-th order k of ``orders``: the sorted orders in 1..n
+    of the ``orders`` argument (None means all, so that ``coarea[k - 1]``
+    is order k; an order outside 1..n is left out, and
     hessian_integral_coarea raises on reading it). The curvatures are
     sampled up to the highest order these read. ``residual_max`` is the
     largest |u - level| at the ray roots of the kept levels. The sampler
     threads reduce the live levels of each sampling block to these sums
-    (one LevelSums per live level) as soon as it is sampled, with one
-    array sum per quantity over all of them; sample_many puts None at the
-    degenerate levels, and the samples themselves are not kept.
+    (one LevelSums per live level) as soon as it is sampled, with one array
+    sum per quantity over all of them; sample_many puts None at the
+    degenerate levels, and the samples themselves are not kept. It samples
+    on u.fan(rays), which the field's later readers share.
     """
 
     def __init__(self, norm: Norm, u: Field, levels=200,

@@ -32,7 +32,6 @@ from .quad import rowsum, trapezoid
 # polar_grid and polar_integral are re-exported: the benchmark tracer and
 # the tests reach them here
 from .rays import (  # noqa: F401
-    _DirectionGrid,
     _polar_rule,
     boundary_radii,
     polar_grid,
@@ -208,12 +207,12 @@ class PolarTable:
     """Every domain integral asked of one polar rule, from one pass.
 
     The twin of bodies.LevelTable: built once from (norm, field, rays,
-    requests), it solves the polar rule at ``rays`` directions (None means
-    default_rays) and walks its nodes once through polar_integral, with at
-    most one norm jet and one anisotropic Hessian A per block for every
-    request, each built only when a request reads it: the norm Hessian when
-    some S_k(A), k >= 1, is read (S_1(A) is the trace sum, without A),
-    and A when an order k >= 2 is. The requests:
+    requests), it lays the polar rule on u.fan(rays) (None means
+    default_rays), shared with level sampling, and walks its nodes once
+    through polar_integral, with at most one norm jet and one anisotropic
+    Hessian A per block for every request, each built only when a request
+    reads it: the norm Hessian when some S_k(A), k >= 1, is read (S_1(A) is
+    the trace sum, without A), and A when an order k >= 2 is. The requests:
     ("hessian", k), the integral of (-u) S_k(A); ("generalized", k, p),
     that of sum_ij S_k^{ij} F^{p-k} F_i u_j = F^{p-k} z_k . grad u with
     z_1 = grad F and z_j = S_{j-1}(A) grad F - A z_{j-1} = T_j^T grad F;
@@ -409,7 +408,6 @@ def lp_norm(u: Field, p: float, rays: int | None = None) -> float:
 
 
 def domain_volume(u: Field, rays: int | None = None) -> float:
-    """Volume of {u < 0} from the boundary radii of ``rays`` directions."""
-    grid = _DirectionGrid(u.dim, rays)
-    s = boundary_radii(u, grid, u.ray(grid.omega))
-    return float(grid.solid @ s ** u.dim) / u.dim
+    """Volume of {u < 0} from the boundary radii of u.fan(rays)."""
+    s = boundary_radii(u, rays)
+    return float(u.fan(rays).grid.solid @ s ** u.dim) / u.dim

@@ -21,7 +21,9 @@ radial families: F*(w), grad F*(w) and hess F*(w)) and returns a
 ``RayRestriction`` whose ``along(s)`` gives (u, du/ds) and whose
 ``jets(s)`` gives (u, grad u, hess u) at anchor + s w, s of shape
 (..., m) broadcast against the m directions. The ray roots, the level-set
-samples and the polar quadrature evaluate the field through it alone.
+samples and the polar quadrature evaluate the field through it alone,
+on the rays.RayFan of their direction count, which ``Field.fan`` builds
+once per count and keeps as long as the field lives.
 The pointwise oracle ``jets`` (and ``values``, its first output) for
 points off a grid is derived from it: x = anchor + s w with
 s = |x - anchor|, one restriction per call over the points' directions.
@@ -35,6 +37,7 @@ import numpy as np
 from .anisotropy import Norm, dual_jets, eval_grad
 from .errors import DomainError, InputError
 from .quad import rowsum
+from .rays import RayFan, default_rays
 
 
 class FieldJet(NamedTuple):
@@ -70,6 +73,15 @@ class Field:
     # (v, v', outer_radius) for u = v(F*(x)) centered at the origin; the
     # mixedvol task reads the Wulff-ball radii of its levels from it
     radial_profile: tuple | None = dc_field(repr=False, default=None)
+    _fans: dict = dc_field(repr=False, init=False, default_factory=dict)
+
+    def fan(self, rays: int | None = None) -> RayFan:
+        """The fan on ``rays`` directions (None means default_rays), built
+        on first read; a dataclasses.replace copy has fans of its own."""
+        rays = default_rays(self.dim) if rays is None else rays
+        if rays not in self._fans:
+            self._fans[rays] = RayFan(self, rays)
+        return self._fans[rays]
 
     def jets(self, pts):
         """(u, grad u, hess u) at points of shape (..., dim)."""

@@ -1,34 +1,31 @@
 """Direction grids, ray roots and polar quadrature about a field's anchor.
 
 Every field domain {u < 0} is star-shaped about the field's anchor, so
-points of the domain are written anchor + s w with w from a deterministic
-direction grid (uniform angles in 2D, Gauss latitudes times uniform
-longitudes in 3D; _DirectionGrid owns the default count, default_rays).
-The field's ray restriction to a grid, u.ray(omega)
-(fields.RayRestriction), is built once and is the only way the field is
-evaluated on that grid. One root solver serves every level and ray at
-once: safeguarded Newton on sqrt(u - min u), read from the restriction's
-s -> (u, du/ds), inside the bracket from the anchor to the bounding-box
-exit (a Newton step that leaves the bracket or, after the first, fails
-to halve the previous step is replaced by a bisection step). The roots
-at level 0 are the boundary radii, solved from the box exit; sampling
-several levels starts each level t at them scaled by
-sqrt((t - min u) / (0 - min u)).
-sqrt(u - min u) is convex along every preset's rays and 0 at the anchor,
-so that start is at or below the root and one step from it lands at or
-above it; wherever u is quadratic along the ray it is linear, the start
-is the root and the solve ends after one restriction call. A solve ends
-on the plain Newton step on u. The levels whose rays have all converged
-leave the iteration, and rays left unconverged raise NumericError. The
-polar rule cuts each ray from the anchor to its boundary radius into
-equal panels of the one cached 48-node Gauss rule; the domain integrals
-use it with one panel, the rearrangement grid with many. polar_integral
-maps blocks of _CHUNK nodes of a rule over the worker threads, hands the
-field jets at the nodes to an integrand that returns a stack of
-quantities, and sums each of them; the polar table of field_ops asks it
-for every domain integral of one rule at once. Arguments named u are
-fields.Field instances; the module does not import fields, so anisotropy
-can integrate Wulff-ball volumes on the same grids.
+points of the domain are written anchor + s w with w from a
+deterministic direction grid (uniform angles in 2D, Gauss latitudes
+times uniform longitudes in 3D; _DirectionGrid owns the default count,
+default_rays). A RayFan is a field's rays on one grid: the ray
+restriction u.ray(omega) (fields.RayRestriction), the only way the field
+is evaluated on that grid, the bounding-box exits and, once solved, the
+boundary radii. Field.fan builds one per field and direction count, and
+the level sampler, the polar rules and domain_volume all read it. One
+root solver serves every level and ray at once (_ray_roots): safeguarded
+Newton on sqrt(u - min u), read from the restriction's s -> (u, du/ds),
+inside the bracket from the anchor to the box exit. The roots at level 0
+are the boundary radii, solved once per fan and the only solve started
+at the box exits; every other level t starts at them scaled by
+sqrt((t - min u) / (0 - min u)), the root wherever u is quadratic along
+the ray. The levels whose rays have all converged leave the iteration,
+and rays left unconverged raise NumericError. The polar rule cuts each
+ray from the anchor to its boundary radius into equal panels of the one
+cached 48-node Gauss rule; the domain integrals use it with one panel,
+the rearrangement grid with many. polar_integral maps blocks of _CHUNK
+nodes of a rule over the worker threads, hands the field jets at the
+nodes to an integrand that returns a stack of quantities, and sums each
+of them; the polar table of field_ops asks it for every domain integral
+of one rule at once. Arguments named u are fields.Field instances; the
+module does not import fields, so anisotropy can integrate Wulff-ball
+volumes on the same grids.
 """
 
 import math
@@ -91,52 +88,57 @@ class _DirectionGrid:
         return self.omega.shape[0]
 
 
-def _box_exit(u, grid: _DirectionGrid):
-    """Distance from u's anchor to its bounding-box boundary along each
-    direction of the grid."""
-    box, omega = u.bounding_box - u.anchor[:, None], grid.omega
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_hi = np.where(omega > 0, box[:, 1] / omega, np.inf)
-        t_lo = np.where(omega < 0, box[:, 0] / omega, np.inf)
-    return np.min(np.minimum(t_hi, t_lo), axis=-1)
+class RayFan:
+    """A field's rays on one _DirectionGrid (Field.fan): ``grid``, the
+    restriction u.ray(grid.omega), ``min_value``, the ``box_exit`` distances
+    to the bounding box, and the level-0 ``radii`` (None until solved)."""
+
+    def __init__(self, u, rays: int):
+        self.grid = grid = _DirectionGrid(u.dim, rays)
+        self.restriction = u.ray(grid.omega)
+        self.min_value = u.min_value
+        box, omega = u.bounding_box - u.anchor[:, None], grid.omega
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_hi = np.where(omega > 0, box[:, 1] / omega, np.inf)
+            t_lo = np.where(omega < 0, box[:, 0] / omega, np.inf)
+        self.box_exit = np.min(np.minimum(t_hi, t_lo), axis=-1)
+        self.radii = None
 
 
-def _ray_roots(u, s_hi, levels: np.ndarray, restriction, radii=None):
+def _ray_roots(fan: RayFan, levels: np.ndarray, radii=None):
     """Radii s with u(anchor + s omega) = t, shape (levels, directions).
 
-    Safeguarded Newton (rtsafe) on sqrt(u - m), m = u.min_value, with u
-    and du/ds from ``restriction.along`` (the restriction is
-    u.ray(grid.omega)), inside the brackets from the anchor to the
-    bounding-box exits s_hi = _box_exit(u, grid), computed once per grid.
-    Its step 2 sqrt(u - m) (u - t) / ((sqrt(u - m) + sqrt(t - m)) du/ds)
-    is exact wherever u is quadratic along the ray. A solve ends when the
-    plain Newton step (u - t) / (du/ds) on u is below _NEWTON_RTOL s, so a
-    square root clipped at zero next to the anchor never ends one.
-    Converged entries stay fixed, and a level whose entries have all
-    converged leaves the iteration, so each row is the single-level solve;
-    once every live entry passes the test, the solve writes their Newton
-    steps and returns without the bracket and bisection updates of that
-    iteration; the bracket state is built only when the first test fails.
-    The solve starts at the box exit or, given ``radii`` (the level-0 roots
-    on the grid), at radii sqrt((t - m) / (0 - m)), clipped to the
-    bracket. On rays where sqrt(u - m) is convex, as on every preset, that
-    start is at or below the root, one Newton step from it lands at or
-    above it, and Newton from above descends to the root without leaving
-    the bracket, also when the root sits at the bracket's edge, so the
-    first step is not held to the halving test. Where u is quadratic along
-    the ray the start is the root to rounding, and a solve whose first
-    test passes returns after one ``along`` call. Rays still unconverged
-    after _NEWTON_ITERS steps raise NumericError.
+    Safeguarded Newton (rtsafe) on sqrt(u - m), m = fan.min_value, with u
+    and du/ds from ``fan.restriction.along``, inside the brackets from the
+    anchor to the fan's box exits. Its step
+    2 sqrt(u - m) (u - t) / ((sqrt(u - m) + sqrt(t - m)) du/ds) is exact
+    wherever u is quadratic along the ray. A solve ends when the plain
+    Newton step (u - t) / (du/ds) on u is below _NEWTON_RTOL s, so a square
+    root clipped at zero next to the anchor never ends one. Converged
+    entries stay fixed and a level whose entries have all converged leaves
+    the iteration, so each row is the single-level solve; once every live
+    entry passes the test, the solve returns their Newton steps, and the
+    bracket state is built only when the first test fails. Without
+    ``radii`` the solve starts at the box exits, as only the level-0 solve
+    of boundary_radii does; given the fan's radii it starts at
+    radii sqrt((t - m) / (0 - m)), clipped to the bracket. Where
+    sqrt(u - m) is convex along the ray, as on every preset, that start is
+    at or below the root, one Newton step from it lands at or above it, and
+    Newton from above descends to the root inside the bracket, also at its
+    edge, so the first step is not held to the halving test; where u is
+    quadratic along the ray the start is the root to rounding, and the
+    solve returns after one ``along`` call. Rays still unconverged after
+    _NEWTON_ITERS steps raise NumericError.
     """
-    shape = (levels.shape[0], s_hi.shape[0])
+    shape = (levels.shape[0], fan.grid.count)
     t = levels[:, None]
-    m = u.min_value
-    s_max = s_hi * (1.0 + 1e-12)
+    m = fan.min_value
+    s_max = fan.box_exit * (1.0 + 1e-12)
     s = (np.broadcast_to(s_max, shape).copy() if radii is None
          else np.minimum(radii * np.sqrt((t - m) / -m), s_max))
     live = None
     for _ in range(_NEWTON_ITERS):
-        val, slope = restriction.along(s)
+        val, slope = fan.restriction.along(s)
         g = val - t
         root = np.sqrt(np.maximum(val - m, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,34 +182,32 @@ def _ray_roots(u, s_hi, levels: np.ndarray, restriction, radii=None):
         "from the anchor")
 
 
-def boundary_radii(u, grid: _DirectionGrid, restriction,
-                   s_hi=None) -> np.ndarray:
-    """Ray lengths from the anchor to the zero level set, one per direction.
-
-    ``restriction`` is u.ray(grid.omega); ``s_hi`` is _box_exit(u, grid),
-    computed here when not given.
-    """
-    s_hi = _box_exit(u, grid) if s_hi is None else s_hi
-    return _ray_roots(u, s_hi, np.array([0.0]), restriction)[0]
+def boundary_radii(u, rays: int | None = None) -> np.ndarray:
+    """Ray lengths from the anchor to the zero level set, one per direction
+    of u.fan(rays): the fan's radii, solved from its box exits on the
+    first call and shared, read-only, after it."""
+    fan = u.fan(rays)
+    if fan.radii is None:
+        fan.radii = _ray_roots(fan, np.zeros(1))[0]
+        fan.radii.flags.writeable = False
+    return fan.radii
 
 
 def _polar_rule(u, rays: int | None, panels: int = 1):
     """The polar rule node-major: (grid, restriction, radii, weights).
 
-    Each ray from the anchor to its boundary radius is cut into ``panels``
-    equal pieces, each carrying the 48-node Gauss rule; radii and weights
-    have shape (48 panels, directions), the weights with the polar
-    Jacobian.
+    The grid and restriction are those of u.fan(rays). Each ray from the
+    anchor to its boundary radius is cut into ``panels`` equal pieces,
+    each carrying the 48-node Gauss rule; radii and weights have shape
+    (48 panels, directions), the weights with the polar Jacobian.
     """
-    grid = _DirectionGrid(u.dim, rays)
-    restriction = u.ray(grid.omega)
-    s = boundary_radii(u, grid, restriction)
+    fan, s = u.fan(rays), boundary_radii(u, rays)
     x, wx = legendre_rule(_RADIAL_NODES)
     rho = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).reshape(-1)
     wr = np.tile(0.5 * wx, panels) / panels
     r = rho[:, None] * s[None, :]
-    w = wr[:, None] * grid.solid[None, :] * r ** (u.dim - 1) * s[None, :]
-    return grid, restriction, r, w
+    w = wr[:, None] * fan.grid.solid[None, :] * r ** (u.dim - 1) * s[None, :]
+    return fan.grid, fan.restriction, r, w
 
 
 def polar_grid(u, rays: int | None = None, panels: int = 1):

@@ -192,7 +192,8 @@ def comparison_margin(table: LevelTable, source, k: int,
     returned margin profile rho - v must be nonnegative. A constant is
     its own decreasing rearrangement, so f* is the two-node profile c on
     [0, R]. The CLI passes the experiment's table, at grids.volume_panels
-    directions; a missing ``polar`` is built at the table's ray count.
+    directions; a missing ``polar`` is built at the table's ray count, on
+    the fan the table sampled (Field.fan).
     """
     if not (isinstance(source, numbers.Real) and math.isfinite(source)
             and source >= 0.0):

@@ -1,6 +1,11 @@
+import dataclasses
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from wulffsym import bodies, rays
 from wulffsym.anisotropy import ellipsoid_norm, euclidean_norm, regularized_p_norm
 
 
@@ -20,6 +25,33 @@ def norms_3d():
         "ellipsoid": ellipsoid_norm(np.diag([4.0, 1.0, 2.25])),
         "regularized_p": regularized_p_norm(3, 3.0),
     }
+
+
+@pytest.fixture
+def fan_counts(monkeypatch):
+    """Ray-restriction builds and box-exit (level-0) ray solves, counted by
+    direction count: ``builds`` counts the restrictions of the fields that
+    ``watch(u)`` returns (copies of u), ``solves`` every ray solve started
+    at the box exits."""
+    counts = SimpleNamespace(builds=Counter(), solves=Counter())
+    ray_roots = rays._ray_roots
+
+    def counted(fan, levels, radii=None):
+        if radii is None:
+            counts.solves[fan.grid.count] += 1
+        return ray_roots(fan, levels, radii)
+
+    def watch(u):
+        def ray(omega):
+            counts.builds[omega.shape[0]] += 1
+            return u.ray(omega)
+
+        return dataclasses.replace(u, ray=ray)
+
+    for mod in (rays, bodies):
+        monkeypatch.setattr(mod, "_ray_roots", counted)
+    counts.watch = watch
+    return counts
 
 
 def ellipse_perimeter(a: float, b: float) -> float:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import ellipse_perimeter
-from wulffsym import anisotropy, bodies, rays
+from wulffsym import anisotropy, bodies, fields, rays
 from wulffsym.anisotropy import (
     ellipsoid_norm,
     euclidean_norm,
@@ -38,12 +39,7 @@ from wulffsym.fields import (
     radial_power,
 )
 from wulffsym.quad import legendre_rule, rowsum
-from wulffsym.rays import (
-    _DirectionGrid,
-    _box_exit,
-    _ray_roots,
-    boundary_radii,
-)
+from wulffsym.rays import _DirectionGrid, _ray_roots, boundary_radii
 
 
 def test_frozen_perimeter_constant_matches_agm():
@@ -166,26 +162,36 @@ class TestSampling:
         normals = grads / np.sqrt(np.sum(grads * grads, axis=-1))[..., None]
         assert np.array_equal(normals, np.stack([s.normals for s in samples]))
 
-    def test_one_box_exit_per_call(self, monkeypatch):
-        # the ray brackets belong to the direction grid: one box exit
-        # serves the boundary radii and every sampling block of a call
+    def test_one_box_exit_per_field_and_direction_count(self, monkeypatch):
+        # the ray brackets belong to the field's fan: one box exit per
+        # field and direction count serves the boundary radii and every
+        # sampling block of every call; None and default_rays share a fan
         calls = []
-        box_exit = bodies._box_exit
+        ray_fan = fields.RayFan
 
-        def counted(u, grid):
-            calls.append(grid.count)
-            return box_exit(u, grid)
+        def counted(u, count):
+            calls.append(count)
+            return ray_fan(u, count)
 
-        u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
+        norm = euclidean_norm(2)
         levels = np.linspace(-0.45, -0.05, 12)
-        want = sample_many(euclidean_norm(2), u, levels, rays=64)
-        monkeypatch.setattr(bodies, "_box_exit", counted)
-        monkeypatch.setattr(rays, "_box_exit", counted)
+        want = sample_many(norm, quadratic_ellipsoid(2, axes=[2.0, 1.0]),
+                           levels, rays=64)
+        monkeypatch.setattr(fields, "RayFan", counted)
         monkeypatch.setattr(bodies, "_JET_CHUNK", 64)
-        got = sample_many(euclidean_norm(2), u, levels, rays=64)
+        u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
+        for _ in range(2):
+            got = sample_many(norm, u, levels, rays=64)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.points, b.points)
+        sample_level_set(norm, u, levels[3], rays=64)
         assert calls == [64]
-        for a, b in zip(got, want):
-            assert np.array_equal(a.points, b.points)
+        sample_many(norm, u, levels[:2])
+        sample_many(norm, u, levels[:2], rays=rays.default_rays(2))
+        assert calls == [64, 2048]
+        # a copy of the field is another field, with fans of its own
+        sample_many(norm, dataclasses.replace(u), levels, rays=64)
+        assert calls == [64, 2048, 64]
 
     def test_one_norm_jet_per_sampled_point(self, monkeypatch):
         # F(grad u) and every curvature order of a point share one norm jet;
@@ -230,16 +236,8 @@ class TestLevelTable:
         # the per-block sums of the table, on blocks of 7 levels, against a
         # reference built one level at a time: mean_radius of the level's
         # own sample, and the coarea sum of S_{k-1}(curv) F(grad u)^k F(nu),
-        # bit for bit. The table starts its ray solve at the scaled
-        # boundary radii, a single level at the box exits; the reference
-        # levels take the table's start
-        ray_roots = bodies._ray_roots
-
-        def table_start(u, s_hi, levels, restriction, radii=None):
-            if radii is None:
-                radii = ray_roots(u, s_hi, np.array([0.0]), restriction)[0]
-            return ray_roots(u, s_hi, levels, restriction, radii)
-
+        # bit for bit. The table and every single level start their ray
+        # solves at the scaled boundary radii of the field's one fan
         if case == "ellipsoid2d":
             norm = ellipsoid_norm(np.diag([4.0, 1.0]))
             u, rays = perturbed_radial(norm), 512
@@ -251,7 +249,6 @@ class TestLevelTable:
         monkeypatch.setattr(bodies, "_JET_CHUNK",
                             7 * _DirectionGrid(n, rays).count)
         table = LevelTable(norm, u, levels, rays)
-        monkeypatch.setattr(bodies, "_ray_roots", table_start)
         samples = [sample_level_set(norm, u, t, rays=rays) for t in levels]
         zeta = [[mean_radius(s, j) for s in samples] for j in range(n)]
         coarea = [[float(np.sum(s.weights * s.curvatures[k - 1]
@@ -349,6 +346,21 @@ def bisected_radii(u, omega, levels, iters=54):
     return 0.5 * (lo + hi)
 
 
+def counted_field(u, calls):
+    """A copy of u whose ray restrictions append the shape of every
+    ``along`` argument to ``calls``; its fans are its own."""
+    def ray(omega):
+        restriction = u.ray(omega)
+
+        def along(s):
+            calls.append(s.shape)
+            return restriction.along(s)
+
+        return RayRestriction(along, restriction.jets)
+
+    return dataclasses.replace(u, ray=ray)
+
+
 class TestRayRoots:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_newton_roots_match_bisection(self, dim):
@@ -377,20 +389,18 @@ class TestRayRoots:
         # levels leave the Newton iteration as their rays converge; every
         # row is still bit-equal to the solve of its level alone
         mats = {2: np.diag([4.0, 1.0]), 3: np.diag([4.0, 1.0, 2.25])}
-        grid = _DirectionGrid(dim, 64 if dim == 2 else 16)
+        rays = 64 if dim == 2 else 16
         for norm in (euclidean_norm(dim), ellipsoid_norm(mats[dim]),
                      regularized_p_norm(dim, 3.0)):
             for u in (quadratic_ellipsoid(dim, axes=[2.0, 1.0, 1.5][:dim]),
                       radial_power(norm, a=3.0), perturbed_radial(norm)):
-                restriction = u.ray(grid.omega)
-                s_hi = _box_exit(u, grid)
+                fan = u.fan(rays)
                 levels = level_grid(u, 20)
                 # the box-exit start, then the warm start of sampling
-                for radii in (None, boundary_radii(u, grid, restriction)):
-                    many = _ray_roots(u, s_hi, levels, restriction, radii)
+                for radii in (None, boundary_radii(u, rays)):
+                    many = _ray_roots(fan, levels, radii)
                     for t, row in zip(levels, many):
-                        one = _ray_roots(u, s_hi, np.array([t]), restriction,
-                                         radii)
+                        one = _ray_roots(fan, np.array([t]), radii)
                         assert np.array_equal(row, one[0]), (u.name, t)
 
     @pytest.mark.parametrize("case", ["ellipse", "ball3", "perturbed2",
@@ -405,22 +415,15 @@ class TestRayRoots:
              "perturbed2": lambda: perturbed_radial(euclidean_norm(2), a=2.0),
              "perturbed3": lambda: perturbed_radial(
                  regularized_p_norm(3, 3.0), a=2.0)}[case]()
-        grid = _DirectionGrid(u.dim, 256 if u.dim == 2 else 24)
-        restriction = u.ray(grid.omega)
-        levels = level_grid(u, 40)[20:]
+        rays = 256 if u.dim == 2 else 24
         calls = []
-
-        def along(s):
-            calls.append(s.shape)
-            return restriction.along(s)
-
-        counted = RayRestriction(along, restriction.jets)
-        _ray_roots(u, _box_exit(u, grid), levels, counted)
-        assert calls == [(20, grid.count)] * 2
+        fan = counted_field(u, calls).fan(rays)
+        levels = level_grid(u, 40)[20:]
+        _ray_roots(fan, levels)
+        assert calls == [(20, fan.grid.count)] * 2
         calls.clear()
-        _ray_roots(u, _box_exit(u, grid), levels, counted,
-                   boundary_radii(u, grid, restriction))
-        assert calls == [(20, grid.count)]
+        _ray_roots(fan, levels, boundary_radii(u, rays))
+        assert calls == [(20, fan.grid.count)]
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_sampling_quadratic_rays_takes_one_call_per_block(
@@ -435,20 +438,21 @@ class TestRayRoots:
         ray_roots, solves = bodies._ray_roots, []
         radii_of, level_zero = bodies.boundary_radii, []
 
-        def counted_radii(u, grid, restriction, s_hi=None):
-            level_zero.append(grid.count)
-            return radii_of(u, grid, restriction, s_hi)
+        def counted_radii(u, rays=None):
+            level_zero.append(u.fan(rays).grid.count)
+            return radii_of(u, rays)
 
-        def counted(u, s_hi, levels, restriction, radii=None):
+        def counted(fan, levels, radii=None):
             calls = []
 
             def along(s):
                 calls.append(s.shape)
-                return restriction.along(s)
+                return fan.restriction.along(s)
 
             solves.append((radii is not None, calls))
-            return ray_roots(u, s_hi, levels,
-                             RayRestriction(along, restriction.jets), radii)
+            view = copy.copy(fan)
+            view.restriction = RayRestriction(along, fan.restriction.jets)
+            return ray_roots(view, levels, radii)
 
         monkeypatch.setattr(bodies, "_ray_roots", counted)
         monkeypatch.setattr(bodies, "boundary_radii", counted_radii)
@@ -468,26 +472,31 @@ class TestRayRoots:
                     u.name, norm.family)
                 assert level_zero == [count]
 
-    def test_one_level_keeps_the_box_exit_start(self, monkeypatch):
-        # a level-0 solve would cost a single level as much as its own
-        # solve, so a call of one level (sample_level_set) starts at the
-        # box exits and solves no boundary radii
-        solves = []
-        ray_roots = bodies._ray_roots
-
-        def counted(u, s_hi, levels, restriction, radii=None):
-            solves.append((levels.size, radii))
-            return ray_roots(u, s_hi, levels, restriction, radii)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("boundary radii solved for one level")
-
-        monkeypatch.setattr(bodies, "_ray_roots", counted)
-        monkeypatch.setattr(bodies, "boundary_radii", boom)
+    def test_one_level_reads_the_solved_fan(self, monkeypatch):
+        # a call of one level (sample_level_set) on a field whose fan has
+        # its boundary radii makes no level-0 solve: it starts at the
+        # scaled radii, and its roots are that level's row of a
+        # multi-level solve, bit for bit
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))
         u = radial_power(norm, a=3.0)
-        sample_level_set(norm, u, 0.5 * u.min_value, rays=64)
-        assert solves == [(1, None)]
+        levels = level_grid(u, 10)
+        fan, radii = u.fan(64), boundary_radii(u, 64)
+        many = _ray_roots(fan, levels, radii)
+        want = sample_many(norm, u, levels, rays=64)[4]
+        solves = []
+
+        def counted(fan, levels, radii=None):
+            roots = _ray_roots(fan, levels, radii)
+            solves.append((levels.tolist(), radii is None, roots))
+            return roots
+
+        monkeypatch.setattr(bodies, "_ray_roots", counted)
+        monkeypatch.setattr(rays, "_ray_roots", counted)
+        sample = sample_level_set(norm, u, levels[4], rays=64)
+        ((solved, cold, roots),) = solves
+        assert solved == [levels[4]] and not cold
+        assert np.array_equal(roots[0], many[4])
+        assert np.array_equal(sample.points, want.points)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_warm_start_evaluates_no_more_entries(self, dim):
@@ -496,28 +505,21 @@ class TestRayRoots:
         # and the solve from them together still evaluate no more
         # restriction entries than the box-exit start
         mats = {2: np.diag([4.0, 1.0]), 3: np.diag([4.0, 1.0, 2.25])}
-        grid = _DirectionGrid(dim, 64 if dim == 2 else 16)
+        rays = 64 if dim == 2 else 16
         for norm in (euclidean_norm(dim), ellipsoid_norm(mats[dim]),
                      regularized_p_norm(dim, 3.0)):
             for u in (radial_power(norm, a=3.0), radial_power(norm, a=6.0),
                       perturbed_radial(norm, a=3.0)):
-                restriction = u.ray(grid.omega)
-                s_hi = _box_exit(u, grid)
+                calls = []
+                counted = counted_field(u, calls)
                 levels = level_grid(u, 40)
-                sizes = []
-
-                def along(s):
-                    sizes.append(s.size)
-                    return restriction.along(s)
-
-                counted = RayRestriction(along, restriction.jets)
-                _ray_roots(u, s_hi, levels, counted)
-                cold = sum(sizes)
-                sizes.clear()
-                _ray_roots(u, s_hi, levels, counted,
-                           boundary_radii(u, grid, counted, s_hi))
-                assert sum(sizes) <= cold, (u.name, norm.family,
-                                            sum(sizes), cold)
+                _ray_roots(counted.fan(rays), levels)
+                cold = sum(map(math.prod, calls))
+                calls.clear()
+                _ray_roots(counted.fan(rays), levels,
+                           boundary_radii(counted, rays))
+                warm = sum(map(math.prod, calls))
+                assert warm <= cold, (u.name, norm.family, warm, cold)
 
     def test_early_return_keeps_single_level_rows(self):
         # a = 3 is not quadratic along the rays, so the rays of a block
@@ -525,26 +527,19 @@ class TestRayRoots:
         # which its last rays converge, and every row is still the
         # single-level solve, at rounding
         u = perturbed_radial(regularized_p_norm(3, 3.0), a=3.0)
-        grid = _DirectionGrid(3, 16)
-        restriction = u.ray(grid.omega)
-        s_hi = _box_exit(u, grid)
-        levels = level_grid(u, 20)
+        fan = u.fan(16)
         steps = []
-
-        def along(s):
-            steps.append(s.shape[0])
-            return restriction.along(s)
-
+        counted = counted_field(u, steps).fan(16)
+        levels = level_grid(u, 20)
         # the box-exit start, then the warm start of sampling
-        for radii in (None, boundary_radii(u, grid, restriction)):
+        for radii in (None, boundary_radii(u, 16)):
             steps.clear()
-            many = _ray_roots(u, s_hi, levels,
-                              RayRestriction(along, restriction.jets), radii)
+            many = _ray_roots(counted, levels, radii)
             assert len(steps) > 3
             for t, row in zip(levels, many):
-                one = _ray_roots(u, s_hi, np.array([t]), restriction, radii)
+                one = _ray_roots(fan, np.array([t]), radii)
                 assert np.array_equal(row, one[0]), t
-            vals = restriction.along(many)[0]
+            vals = fan.restriction.along(many)[0]
             assert np.max(np.abs(vals - levels[:, None])) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -552,7 +547,7 @@ class TestRayRoots:
         # the roots of t = m + 10^-k |m|, k = 3..12, keep the residual at
         # rounding, however close the level comes to the minimum
         mats = {2: np.diag([4.0, 1.0]), 3: np.diag([4.0, 1.0, 2.25])}
-        grid = _DirectionGrid(dim, 64 if dim == 2 else 16)
+        rays = 64 if dim == 2 else 16
         for norm in (euclidean_norm(dim), ellipsoid_norm(mats[dim]),
                      regularized_p_norm(dim, 3.0)):
             for u in (quadratic_ellipsoid(dim),
@@ -561,9 +556,9 @@ class TestRayRoots:
                       perturbed_radial(norm)):
                 m = u.min_value
                 levels = m + 10.0 ** -np.array([3.0, 6.0, 9.0, 12.0]) * abs(m)
-                s = _ray_roots(u, _box_exit(u, grid), levels,
-                               u.ray(grid.omega))
-                vals = u.values(u.anchor + s[..., None] * grid.omega)
+                fan = u.fan(rays)
+                s = _ray_roots(fan, levels)
+                vals = u.values(u.anchor + s[..., None] * fan.grid.omega)
                 assert np.all(np.abs(vals - levels[:, None])
                               <= 1e-15 * (1.0 + np.abs(levels[:, None]))), (
                     u.name, norm)
@@ -581,15 +576,12 @@ class TestRayRoots:
         # it raises itself, with the ray count and the widest bracket of
         # the state it built on its first failed test
         u = radial_power(euclidean_norm(2), a=3.0)
-        grid = _DirectionGrid(2, 64)
-        restriction = u.ray(grid.omega)
-        radii = boundary_radii(u, grid, restriction)
+        radii = boundary_radii(u, 64)
         monkeypatch.setattr(rays, "_NEWTON_ITERS", 1)
         with pytest.raises(NumericError, match=(
                 r"\d+ rays unconverged after 1 iterations \(widest bracket "
                 r"left \d\.\d{3}e[+-]\d+\)")):
-            _ray_roots(u, _box_exit(u, grid), level_grid(u, 10), restriction,
-                       radii)
+            _ray_roots(u.fan(64), level_grid(u, 10), radii)
 
 
 def parametrized_weights(grid, rays, s, grads):
@@ -636,14 +628,12 @@ class TestSurfaceWeights:
             dim = 2 if case == "perturbed2" else 3
             u = perturbed_radial(regularized_p_norm(dim, 3.0))
         rays = 256 if u.dim == 2 else 24
-        grid = _DirectionGrid(u.dim, rays)
-        restriction = u.ray(grid.omega)
-        s = _ray_roots(u, _box_exit(u, grid), level_grid(u, 10),
-                       restriction)
-        grads = restriction.jets(s)[1]
-        got = bodies._surface_terms(grid, s, grads,
+        fan = u.fan(rays)
+        s = _ray_roots(fan, level_grid(u, 10))
+        grads = fan.restriction.jets(s)[1]
+        got = bodies._surface_terms(fan.grid, s, grads,
                                     np.linalg.norm(grads, axis=-1))[0]
-        want = parametrized_weights(grid, rays, s, grads)
+        want = parametrized_weights(fan.grid, rays, s, grads)
         assert np.max(np.abs(got - want) / want) <= 1e-12
 
 

@@ -191,6 +191,24 @@ class TestRun:
                 want = standalone[req[0]](*req[1:], count)
                 assert np.array_equal(table[req], want), req
 
+    @pytest.mark.parametrize("name, want", [
+        ("ellipse", {2048: 1, 400: 1}), ("regp2d", {256: 1, 2048: 1}),
+        ("ball3d", {96 * 48: 1})], ids=["ellipse", "regp2d", "ball3d"])
+    def test_one_fan_per_direction_count(self, tmp_path, fan_counts, name,
+                                         want):
+        # the level table, mixedvol's samples and the polar table read the
+        # field's one fan per direction count: one ray restriction and one
+        # level-0 solve each, at grids.rays and grids.volume_panels
+        raw = (json.loads(ELLIPSE_CONFIG.read_text()) if name == "ellipse"
+               else dict(BALL3D if name == "ball3d" else REGP2D))
+        raw["output"] = {"directory": str(tmp_path / "out")}
+        cfg = ExperimentConfig.from_dict(raw)
+        norm, u = cfg.built
+        cfg.built = (norm, fan_counts.watch(u))
+        assert run(cfg)["passed"]
+        assert dict(fan_counts.builds) == want
+        assert dict(fan_counts.solves) == want
+
     def test_bad_exponent_fails_only_its_tasks(self, tmp_path):
         # the generalized energy and L^q norm of p = 0.5 share the polar
         # tables of every other request, and raise only where they are read
@@ -349,18 +367,27 @@ class TestRun:
 
 
 class TestCheck:
-    def test_fast_corpus_passes(self, capsys):
+    def test_corpus_passes(self, capsys):
         assert main(["check"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
-    def test_fast_check_tasks_all_have_rows(self, monkeypatch, capsys):
+    def test_check_tasks_all_have_rows(self, monkeypatch, capsys,
+                                       fan_counts):
         # a task with no rows would pass on all([]); check requests
-        # sobolev only where a (k, p) lies below the borderline n - k + 1
-        reports = []
+        # sobolev only where a (k, p) lies below the borderline n - k + 1.
+        # Each entry builds one ray fan per direction count: 512 and 2048
+        # in 2D, 96 x 48 in 3D; the invariant kernel samples nothing
+        reports, fans = [], []
         real_run = cli.run
 
         def recorded(cfg):
+            fan_counts.builds.clear()
+            fan_counts.solves.clear()
+            norm, u = cfg.built
+            cfg.built = (norm, fan_counts.watch(u))
             reports.append(real_run(cfg))
+            fans.append((cfg.norm["dim"], dict(fan_counts.builds),
+                         dict(fan_counts.solves)))
             return reports[-1]
 
         monkeypatch.setattr(cli, "run", recorded)
@@ -374,8 +401,12 @@ class TestCheck:
         with_sobolev = [r["config"]["orders"] for r in reports
                         if "sobolev" in r["tasks"]]
         assert len(with_sobolev) == 7
+        want = {2: {512: 1, 2048: 1}, 3: {96 * 48: 1}}
+        assert fans[:-1] == [(dim, want[dim], want[dim])
+                             for dim, _, _ in fans[:-1]]
+        assert fans[-1] == (2, {}, {})
 
-    def test_fast_check_samples_96_rays_in_3d(self, monkeypatch):
+    def test_check_samples_96_rays_in_3d(self, monkeypatch):
         grids = []
 
         def stub(cfg):

@@ -45,7 +45,8 @@ from wulffsym.invariants import (
     sk_delta_oracle,
     sk_stack,
 )
-from wulffsym.rays import _DirectionGrid, polar_grid
+from wulffsym.rays import _DirectionGrid, boundary_radii, polar_grid
+from wulffsym.symmetrize import comparison_margin
 
 
 def rand_sym(rng, n):
@@ -670,6 +671,24 @@ class TestAuxiliaries:
     def test_domain_volume(self):
         u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
         assert domain_volume(u) == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+    def test_readers_share_the_level_table_fan(self, fan_counts):
+        # after a level table at 128 rays, domain_volume, polar_grid and
+        # comparison_margin's own polar table read the field's fan at 128:
+        # no new ray restriction and no new level-0 solve
+        norm = euclidean_norm(2)
+        u = fan_counts.watch(quadratic_ellipsoid(2, axes=[2.0, 1.0]))
+        table = LevelTable(norm, u, 40, 128)
+        want = {128: 1}
+        assert dict(fan_counts.builds) == want == dict(fan_counts.solves)
+        assert domain_volume(u, 128) == pytest.approx(2.0 * math.pi,
+                                                      rel=1e-12)
+        polar_grid(u, 128)
+        # the fan's radii are shared, so no reader may write into them
+        assert not boundary_radii(u, 128).flags.writeable
+        # S_1[u] is the trace of diag(1/4, 1), 1.25, at every node
+        assert comparison_margin(table, 1.5, 1).min_margin >= -1e-4
+        assert dict(fan_counts.builds) == want == dict(fan_counts.solves)
 
     def test_lp_norm_ellipse(self):
         # ||u||_2^2 = a b pi/12 on the (2, 1) ellipse
