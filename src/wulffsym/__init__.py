@@ -21,6 +21,7 @@ from .anisotropy import (  # noqa: F401
     euclidean_norm,
     eval_grad,
     eval_jet,
+    eval_trace,
     regularized_p_norm,
     wulff_volume,
 )

@@ -7,7 +7,11 @@ Three closed families are supported:
 * ``regularized_p``  F(xi) = (sum_i (xi_i^2 + eps |xi|^2)^{p/2})^{1/p}
 
 Every family provides analytic value / gradient / Hessian jets away from
-the origin (eval_jet), and the value and gradient alone (eval_grad). The
+the origin (eval_jet), the value and gradient alone (eval_grad), and the
+trace sum_ij F_ij b_ji against matrices b without the Hessian
+(eval_trace): each family writes hess F once, as terms
+scale (D + sum_r c_r a_r b_r^T) with D = I, M or a diagonal, which
+eval_jet assembles and eval_trace reads. The
 dual norm F*(x) = sup_{xi != 0} <xi, x> / F(xi) of a euclidean or
 ellipsoid norm is a norm of the same family (the polar of sqrt(x^T M x)
 is sqrt(x^T M^-1 x)), so its jets are eval_jet of that polar Norm. For
@@ -16,18 +20,22 @@ with damped Newton on the stationarity system. F* is 1-homogeneous and
 grad F* 0-homogeneous, so the solve runs at x/|x| and is rescaled; a
 solve that does not converge raises NumericError. dual_jets gives
 (F*, grad F*, hess F*) from one solve, dual_jet the first two (eval_grad
-of the polar for the closed families). All entry points accept single
+of the polar for the closed families). wulff_volume is a closed form,
+or for regularized_p the support-function integral of F S_{n-1}(hess F)
+over the unit sphere, with no dual solve. All entry points accept single
 vectors of shape (n,) or batches of shape (..., n).
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericError
-from .quad import rowsum, unit_ball_volume
+from .invariants import sk_stack
+from .quad import colwise, rowsum, unit_ball_volume
 from .rays import _DirectionGrid
 
 _DUAL_TOL = 1e-12
@@ -92,44 +100,89 @@ def _check_nonzero(x, n: int):
     return x, sq
 
 
-def _outer(a, b, out=None):
-    """The rows out[i, j] = a[..., i] * b[..., j] of vectors a and b of
-    shape (..., n), in an (n, n, ...) array: one multiply per entry."""
-    n = a.shape[-1]
-    if out is None:
-        out = np.empty((n, n) + a.shape[:-1])
-    for i in range(n):
-        for j in range(n):
-            np.multiply(a[..., i], b[..., j], out=out[i, j, ...])
+def _form(x, m, y):
+    """x^T m y over stacks m (..., n, n) and x, y (..., n), entry by entry:
+    the sum over i of x_i (sum_j m_ij y_j)."""
+    for i in range(x.shape[-1]):
+        row = m[..., i, 0] * y[..., 0]
+        for j in range(1, x.shape[-1]):
+            row += m[..., i, j] * y[..., j]
+        out = x[..., i] * row if i == 0 else out + x[..., i] * row
     return out
+
+
+class _Hessian(NamedTuple):
+    """hess F = scale (D + sum_r c_r a_r b_r^T) at a batch of points: D has
+    the nonzero entries ``d`` {(i, j): value}, each term is a coefficient
+    c_r and two (..., n) vectors; values and coefficients are floats or
+    one per point."""
+
+    scale: np.ndarray
+    d: dict
+    terms: tuple
+
+    def trace(self, b):
+        """sum_ij H_ij b_ji for stacks b (..., n, n), without H."""
+        out = 0.0
+        for (i, j), value in self.d.items():
+            out += value * b[..., j, i]
+        for c, x, y in self.terms:
+            out += c * _form(y, b, x)
+        return self.scale * out
+
+    def matrix(self):
+        """H as scale ((D + term_1) + term_2 ...), one contiguous row of
+        points per entry of an (n, n, ...) array, returned as its (..., n, n)
+        view (np.moveaxis): callers must not assume its strides."""
+        n = self.terms[0][1].shape[-1]
+        h = np.zeros((n, n) + np.shape(self.scale))
+        for (i, j), value in self.d.items():
+            h[i, j] += value
+        for c, x, y in self.terms:
+            x = colwise(np.multiply, x, c)
+            for i, j in np.ndindex(n, n):
+                h[i, j] += x[..., i] * y[..., j]
+        h *= self.scale
+        return np.moveaxis(h, (0, 1), (-2, -1))
+
+
+def _norm_jet(norm: Norm, xi):
+    """(F, grad F, hess F as _Hessian terms) at nonzero xi: the one Hessian
+    formula of each family."""
+    xi, sq = _check_nonzero(xi, norm.dim)
+    v, g, parts = _value_grad(norm, xi, sq)
+    if norm.family != "regularized_p":
+        # (M - grad F grad F^T) / F, with M = I for euclidean
+        m = np.eye(norm.dim) if norm.matrix is None else norm.matrix
+        d = {(i, j): m[i, j] for i, j in np.ndindex(m.shape) if m[i, j]}
+        return v, g, _Hessian(1.0 / v, d, ((-1.0, g, g),))
+    p, eps = norm.exponent, norm.smoothing
+    sq, q, big_g, b, h_vec, scale1 = parts
+    qb = np.power(q, 0.5 * p - 2.0)    # q^{p/2-2}
+    c = (p - 2.0) * eps
+    d = b + (p - 2.0) * sq * qb
+    # G^{1/p-1} (diag(d) + c (xi qb) xi^T + c xi (xi (qb + eps sum qb))^T
+    # + (1 - p) G^{-1} h h^T)
+    terms = ((c, xi * qb, xi),
+             (c, xi, xi * colwise(np.add, qb, eps * rowsum(qb))),
+             ((1.0 - p) / big_g, h_vec, h_vec))
+    diag = {(i, i): d[..., i] for i in range(norm.dim)}
+    return v, g, _Hessian(scale1, diag, terms)
 
 
 def eval_jet(norm: Norm, xi):
     """Return (F(xi), grad F(xi), hess F(xi)); batched over leading axes.
+    The Hessian has unspecified strides (_Hessian.matrix); F and grad F are
+    eval_grad's, bit for bit."""
+    v, g, hess = _norm_jet(norm, xi)
+    return v, g, hess.matrix()
 
-    The Hessian is built in an (n, n, ...) array, one contiguous row of
-    points per entry, and returned as its (..., n, n) view
-    (np.moveaxis): callers must not assume its strides. F and grad F are
-    eval_grad's, bit for bit.
-    """
-    n = norm.dim
-    xi, sq = _check_nonzero(xi, n)
-    v, g, parts = _value_grad(norm, xi, sq)
-    # the identity broadcast against the rows
-    eye = np.eye(n).reshape((n, n) + (1,) * (xi.ndim - 1))
-    if norm.family == "euclidean":
-        # (eye - g_i g_j) / v
-        h = _outer(g, g)
-        np.subtract(eye, h, out=h)
-        h /= v
-    elif norm.family == "ellipsoid":
-        # m / v - mx_i mx_j / v^3
-        h = _outer(parts, parts)
-        h /= np.power(v, 3)
-        np.subtract(norm.matrix.reshape(eye.shape) / v, h, out=h)
-    else:
-        h = _reg_p_hessian(norm, xi, parts, eye)
-    return v, g, np.moveaxis(h, (0, 1), (-2, -1))
+
+def eval_trace(norm: Norm, xi, b):
+    """Return (F(xi), grad F(xi), sum_ij F_ij(xi) b_ji) for stacks b
+    (..., n, n) without building hess F; F and grad F as in eval_jet."""
+    v, g, hess = _norm_jet(norm, xi)
+    return v, g, hess.trace(np.asarray(b, dtype=float))
 
 
 def eval_grad(norm: Norm, xi):
@@ -141,7 +194,7 @@ def eval_grad(norm: Norm, xi):
 
 def _value_grad(norm: Norm, xi, sq_sum):
     """(F, grad F, parts) at nonzero xi with square sum sq_sum; parts is
-    what the Hessian of the family reuses (None for euclidean).
+    what the Hessian of regularized_p reuses (None for the others).
 
     Every power is the np.power ufunc: on one vector of shape (n,) the
     sums are numpy scalars, whose ** (libm pow) can differ in the last
@@ -149,44 +202,22 @@ def _value_grad(norm: Norm, xi, sq_sum):
     """
     if norm.family == "euclidean":
         v = np.sqrt(sq_sum)
-        return v, xi / v[..., None], None
+        return v, colwise(np.divide, xi, v), None
     if norm.family == "ellipsoid":
         mx = xi @ norm.matrix
         v = np.sqrt(rowsum(xi * mx))
-        return v, mx / v[..., None], mx
+        return v, colwise(np.divide, mx, v), None
     p, eps = norm.exponent, norm.smoothing
     sq = xi * xi
-    q = sq + eps * sq_sum[..., None]
+    q = colwise(np.add, sq, eps * sq_sum)
     qa = np.power(q, 0.5 * p - 1.0)    # q^{p/2-1}
     big_g = rowsum(q * qa)             # sum q^{p/2}
-    t1 = rowsum(qa)[..., None]
     value = np.power(big_g, 1.0 / p)
-    b = qa + eps * t1
+    b = colwise(np.add, qa, eps * rowsum(qa))
     h_vec = xi * b
     scale1 = np.power(big_g, 1.0 / p - 1.0)
-    grad = scale1[..., None] * h_vec
+    grad = colwise(np.multiply, h_vec, scale1)
     return value, grad, (sq, q, big_g, b, h_vec, scale1)
-
-
-def _reg_p_hessian(norm: Norm, xi, parts, eye):
-    """hess F of regularized_p as (n, n, ...) rows, from _value_grad's
-    parts, written in place into two row arrays."""
-    p, eps = norm.exponent, norm.smoothing
-    sq, q, big_g, b, h_vec, scale1 = parts
-    qb = np.power(q, 0.5 * p - 2.0)    # q^{p/2-2}
-    u = rowsum(qb)[..., None]
-    c = (p - 2.0) * eps
-    diag = b + (p - 2.0) * sq * qb
-    # hess = (1 - p) G^{1/p-2} h_i h_j + G^{1/p-1} dh, with
-    # dh = diag_i eye_ij + c (xi qb)_i xi_j + c xi_i (xi (qb + eps u))_j
-    hess = np.multiply(np.moveaxis(diag, -1, 0)[:, None], eye)
-    rows = _outer(c * (xi * qb), xi)
-    hess += rows
-    hess += _outer(c * xi, xi * (qb + eps * u), out=rows)
-    hess *= scale1
-    hess += _outer(((1.0 - p) * np.power(big_g, 1.0 / p - 2.0))[..., None]
-                   * h_vec, h_vec, out=rows)
-    return hess
 
 
 def half_sq_hessian(v, g, h):
@@ -318,8 +349,9 @@ def wulff_volume(norm: Norm) -> float:
     """Volume of the unit Wulff ball, the unit ball of the dual norm.
 
     Closed form for the euclidean and ellipsoid families in any dimension;
-    polar-coordinate quadrature with r(direction) = 1/F*(direction) for
-    regularized_p in dimensions 2 and 3.
+    for regularized_p in dimensions 2 and 3, (1/n) * the integral of
+    F(w) S_{n-1}(hess F(w)) over unit w: the Wulff boundary is grad F(w),
+    with support value F(w) and area element S_{n-1}(hess F(w)).
     """
     n = norm.dim
     if norm.family == "euclidean":
@@ -327,9 +359,8 @@ def wulff_volume(norm: Norm) -> float:
     if norm.family == "ellipsoid":
         return unit_ball_volume(n) * math.sqrt(np.linalg.det(norm.matrix))
     if n in (2, 3):
-        # the unit ball of F* has boundary radius 1/F*(w) along w
         grid = _DirectionGrid(n)
-        r = 1.0 / dual_jet(norm, grid.omega)[0]
-        return float(grid.solid @ r ** n) / n
+        v, _, h = eval_jet(norm, grid.omega)
+        return float(grid.solid @ (v * sk_stack(h, n - 1))) / n
     raise CapabilityError(
         f"no numeric Wulff-volume path for family {norm.family} in n={n}")

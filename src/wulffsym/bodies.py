@@ -35,7 +35,7 @@ reads, with one array sum per quantity for all the levels of the block.
 It sums the coarea integrands of the orders it is built with only, and
 samples the curvatures up to the highest order that its mean radii and
 those sums read: S_0..S_{n-2} for zeta_0..zeta_{n-1}, and S_{k-1} for the
-coarea order k; a table that reads S_0 alone builds no norm Hessian.
+coarea order k; a table that reads S_0 and S_1 builds no norm Hessian.
 """
 
 import functools
@@ -52,7 +52,7 @@ from .field_ops import _GRAD_TOL, curvature_batch, level_grid
 from .fields import Field
 from .invariants import _check_order
 from .parallel import map_blocks
-from .quad import chunked, rowsum
+from .quad import chunked, colwise, rowsum
 # boundary_radii and default_rays are re-exported: the benchmark tracer
 # and the tests reach them here
 from .rays import _ray_roots, boundary_radii, default_rays  # noqa: F401
@@ -158,8 +158,9 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
                 x[live] for x in (t, s, vals, grads, hesses, gn))
         fgrad, curv = curvature_batch(norm, grads, hesses, top=top)
         weights, support = _surface_terms(fan.grid, s, grads, gn)
+        points = colwise(np.multiply, fan.grid.omega, s, u.anchor)
         items = iter(reduce(LevelSetSample(
-            level=t, points=u.anchor + s[..., None] * fan.grid.omega,
+            level=t, points=points,
             gradients=grads, support=support, f_of_nu=fgrad / gn,
             curvatures=curv, weights=weights,
             gradient_norms=fgrad, norm=norm, anchor=u.anchor,
@@ -279,6 +280,7 @@ class LevelTable:
                 else np.asarray(levels, dtype=float))
         self.orders = tuple(range(1, n + 1) if orders is None else
                             sorted({k for k in orders if 1 <= k <= n}))
+        wulff_volume(norm)  # cached here, not raced by the sampler threads
         sums = sample_many(
             norm, u, grid, rays=rays,
             reduce=lambda b: _level_sums(b, self.orders),

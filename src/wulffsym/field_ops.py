@@ -8,9 +8,10 @@ the 0-matrix by convention where grad u = 0 (non-euclidean F), and the
 plain Hessian for the euclidean norm. S_k of A is the anisotropic
 k-Hessian operator; S_k of (F_{il} u_{lj}) evaluated on a level set is the
 k-th anisotropic mean curvature of that level set (curvature_batch,
-which builds the orders up to the one its caller reads, and the product
-F_il u_lj only for the orders 2..n-2; its Newton-transform form,
-newton_curvatures, is only a cross-check). Energy
+which builds the orders up to the one its caller reads, S_1 as a trace
+(anisotropy.eval_trace), and the product F_il u_lj only for the orders
+2..n-2; its Newton-transform form, newton_curvatures, is only a
+cross-check). Energy
 integrals over {u < 0} are taken on the polar rule of the rays module
 (Gauss nodes on rays from the anchor to the exactly solved boundary), or
 through the coarea decomposition over sampled level sets. A PolarTable
@@ -24,11 +25,12 @@ import math
 
 import numpy as np
 
-from .anisotropy import Norm, eval_grad, eval_jet, half_sq_hessian
+from .anisotropy import (Norm, _form, _norm_jet, eval_grad, eval_jet,
+                         half_sq_hessian)
 from .errors import DegenerateLevelError, DomainError, NumericError
 from .fields import Field, FieldJet
 from .invariants import _check_order, newton_stack, sk as sk_matrix, sk_stack
-from .quad import rowsum, trapezoid
+from .quad import colwise, rowsum, trapezoid
 # polar_grid and polar_integral are re-exported: the benchmark tracer and
 # the tests reach them here
 from .rays import (  # noqa: F401
@@ -56,7 +58,7 @@ def aniso_hessian_batch(norm: Norm, grads, hesses):
     """Anisotropic Hessian matrices of stacked gradients and Hessians."""
     grads = np.asarray(grads, dtype=float)
     live = rowsum(grads * grads) > _GRAD_FLOOR
-    jet = None if norm.family == "euclidean" else eval_jet(
+    jet = None if norm.family == "euclidean" else _norm_jet(
         norm, _rows(grads, live))
     return _aniso_matrix(norm, np.array(hesses, dtype=float), live, jet)
 
@@ -76,20 +78,22 @@ def _scatter(rows, live):
 
 
 def _aniso_matrix(norm: Norm, hesses, live, jet):
-    """A from the field Hessians and eval_jet at the gradients of the mask
-    ``live`` (the 0-matrix elsewhere); ``hesses`` itself for euclidean."""
+    """A from the field Hessians and the _norm_jet at the gradients of the
+    mask ``live`` (0 elsewhere); ``hesses`` itself for euclidean."""
     if norm.family == "euclidean":
         return hesses
-    return _scatter(half_sq_hessian(*jet) @ _rows(hesses, live), live)
+    a = half_sq_hessian(*jet[:2], jet[2].matrix()) @ _rows(hesses, live)
+    return _scatter(a, live)
 
 
 def _aniso_trace(norm: Norm, hesses, live, jet):
-    """S_1(A) without A: the trace sum of (F^2/2)_il u_li, 0 off ``live``;
-    the trace of ``hesses`` for euclidean."""
+    """S_1(A) = grad F^T D^2u grad F + F sum_ij F_ij u_ji (eval_trace)
+    without A, 0 off ``live``; the trace of ``hesses`` for euclidean."""
     if norm.family == "euclidean":
         return sk_stack(hesses, 1)
-    return _scatter(
-        _trace_product(half_sq_hessian(*jet), _rows(hesses, live)), live)
+    v, g, hess = jet
+    b = _rows(hesses, live)
+    return _scatter(_form(g, b, g) + v * hess.trace(b), live)
 
 
 def sk_field(norm: Norm, u: Field, x, k: int) -> float:
@@ -120,15 +124,16 @@ def curvature_batch(norm: Norm, grads, hesses, top: int | None = None):
     For grads (m, n) and hesses (m, n, n) (any leading axes) returns
     fv = F(grad u), shape (m,), and curv, shape (top + 1, m): row k is the
     k-th anisotropic mean curvature S_k(F_il u_lj), k = 0..top (row 0 is
-    one; None means top = n - 1), all from one jet. Orders 1 and n - 1
-    skip the product matrix: S_1 is the trace sum sum_ij F_ij u_ji, and
-    since D^2F(xi) xi = 0 the adjugate of D^2F is S_{n-1}(D^2F) nu nu^T,
+    one; None means top = n - 1), all from one norm jet. S_1 is the trace
+    sum sum_ij F_ij u_ji of eval_trace, without D^2F. Since
+    D^2F(xi) xi = 0 the adjugate of D^2F is S_{n-1}(D^2F) nu nu^T,
     nu = grad u / |grad u|, so
 
         S_{n-1}(F_il u_lj) = S_{n-1}(D^2F) nu^T adj(D^2u) nu.
 
-    Only the orders 2..min(top, n - 2) (n >= 4) read F_il u_lj itself,
-    and top = 0 reads no norm Hessian: F comes from eval_grad.
+    D^2F is built, from the same terms, only for that row (n >= 3) and
+    for the orders 2..min(top, n - 2) (n >= 4), which read F_il u_lj;
+    top = 0 reads no norm Hessian: F comes from eval_grad.
     """
     n = grads.shape[-1]
     top = n - 1 if top is None else top
@@ -136,11 +141,13 @@ def curvature_batch(norm: Norm, grads, hesses, top: int | None = None):
     if top == 0:
         fv = eval_grad(norm, grads)[0]
     else:
-        fv, _, fh = eval_jet(norm, grads)
+        fv, _, hess = _norm_jet(norm, grads)
     curv = np.empty((top + 1,) + fv.shape)
     curv[0] = 1.0
     if top > 0:
-        curv[1] = _trace_product(fh, hesses)
+        curv[1] = hess.trace(hesses)
+    if top > 1 and (top == n - 1 or n > 3):
+        fh = hess.matrix()
     if top == n - 1 > 1:
         curv[n - 1] = (sk_stack(fh, n - 1) * _adjugate_form(hesses, grads)
                        / rowsum(grads * grads))
@@ -149,19 +156,6 @@ def curvature_batch(norm: Norm, grads, hesses, top: int | None = None):
         for k in range(2, min(top, n - 2) + 1):
             curv[k] = sk_stack(product, k)
     return fv, curv
-
-
-def _trace_product(a, b):
-    """S_1(a b) = sum_ij a_ij b_ji over stacks (..., n, n), entry by entry,
-    without the product matrix."""
-    n = a.shape[-1]
-    out = a[..., 0, 0] * b[..., 0, 0]
-    term = np.empty_like(out)
-    for i in range(n):
-        for j in range(n):
-            if i or j:
-                out += np.multiply(a[..., i, j], b[..., j, i], out=term)
-    return out
 
 
 def _adjugate_form(h, v):
@@ -211,8 +205,9 @@ class PolarTable:
     default_rays), shared with level sampling, and walks its nodes once
     through polar_integral, with at most one norm jet and one anisotropic
     Hessian A per block for every request, each built only when a request
-    reads it: the norm Hessian when some S_k(A), k >= 1, is read (S_1(A) is
-    the trace sum, without A), and A when an order k >= 2 is. The requests:
+    reads it: S_1(A) = grad F^T D^2u grad F + F sum_ij F_ij u_ji is a
+    trace of the norm Hessian's terms (anisotropy.eval_trace), without
+    D^2F or A, which are built only when an order k >= 2 is. The requests:
     ("hessian", k), the integral of (-u) S_k(A); ("generalized", k, p),
     that of sum_ij S_k^{ij} F^{p-k} F_i u_j = F^{p-k} z_k . grad u with
     z_1 = grad F and z_j = S_{j-1}(A) grad F - A z_{j-1} = T_j^T grad F;
@@ -247,8 +242,8 @@ class PolarTable:
         totals = polar_integral(
             lambda *jets: self._integrands(sums, nodes, *jets), rule,
             all(q[0] == "lp" for q in live))
-        self.points = (u.anchor + r[..., None] * grid.omega if nodes
-                       else None)
+        self.points = (colwise(np.multiply, grid.omega, r, u.anchor)
+                       if nodes else None)
         self._values = {("sk", k): v for k, v in nodes.items()}
         for q, total in zip(sums, totals):
             if not math.isfinite(total):
@@ -276,7 +271,7 @@ class PolarTable:
             curved = bool(self._orders) and norm.family != "euclidean"
             jet = None
             if gen or curved:
-                jet = (eval_jet if curved else eval_grad)(
+                jet = (_norm_jet if curved else eval_grad)(
                     norm, _rows(grads, live))
             a = (_aniso_matrix(norm, hesses, live, jet) if self._reads_a
                  else None)

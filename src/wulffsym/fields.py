@@ -36,7 +36,7 @@ import numpy as np
 
 from .anisotropy import Norm, dual_jets, eval_grad
 from .errors import DomainError, InputError
-from .quad import rowsum
+from .quad import colwise, rowsum
 from .rays import RayFan, default_rays
 
 
@@ -149,7 +149,7 @@ def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
 
         def jets(s):
             s = np.asarray(s, dtype=float)
-            return (0.5 * (s * s * qw - 1.0), s[..., None] * qo,
+            return (0.5 * (s * s * qw - 1.0), colwise(np.multiply, qo, s),
                     np.broadcast_to(q, s.shape + (dim, dim)))
 
         return RayRestriction(along, jets)
@@ -178,7 +178,9 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
 
     def ray(omega):
         fo, xi, hd = dual_jets(norm, omega)
-        xx = xi[:, :, None] * xi[:, None, :]
+        # the n x n Hessian entries as one axis of columns, for colwise
+        xx = (xi[:, :, None] * xi[:, None, :]).reshape(-1, dim * dim)
+        hd = hd.reshape(xx.shape)
 
         def along(s):
             return v_fn(s * fo), vp_fn(s * fo) * fo
@@ -190,13 +192,14 @@ def radial_field(norm: Norm, v_fn, vp_fn, vpp_fn, radius: float,
             vp = np.asarray(vp_fn(r))
             live = s > 1e-14
             with np.errstate(divide="ignore", invalid="ignore"):
-                hess = (np.asarray(vpp_fn(r))[..., None, None] * xx
-                        + (vp / s)[..., None, None] * hd)
+                hess = (colwise(np.multiply, xx, np.asarray(vpp_fn(r)))
+                        + colwise(np.multiply, hd, vp / s))
             if not np.all(live):
                 # on the anchor itself (s = 0), the limit along the ray
-                hess = np.where(live[..., None, None], hess, origin_vpp
-                                * (xx + fo[:, None, None] * hd))
-            return np.asarray(v_fn(r)), vp[..., None] * xi, hess
+                hess = np.where(live[..., None], hess,
+                                origin_vpp * (xx + fo[:, None] * hd))
+            return (np.asarray(v_fn(r)), colwise(np.multiply, xi, vp),
+                    hess.reshape(s.shape + (dim, dim)))
 
         return RayRestriction(along, jets)
 
@@ -259,7 +262,8 @@ def perturbed_radial(norm: Norm, a: float = 2.0, radius: float = 1.0,
         def jets(s):
             s = np.asarray(s, dtype=float)
             v, g, h = radial.jets(s)
-            return (v + 0.5 * pw * s * s, g + strength * s[..., None] * op,
+            return (v + 0.5 * pw * s * s,
+                    g + colwise(np.multiply, op, strength * s),
                     h + strength * p)
 
         return RayRestriction(along, jets)

@@ -1,5 +1,6 @@
 """Quadrature building blocks: cached Gauss-Legendre rules, panel rules,
-and rowsum, the n-axis sum of the sampling and polar paths."""
+and rowsum and colwise, the n-axis sum and products of the sampling and
+polar paths."""
 
 import math
 from functools import lru_cache
@@ -34,6 +35,20 @@ def rowsum(a):
     out = 0.0 + a[..., 0]
     for j in range(1, a.shape[-1]):
         out += a[..., j]
+    return out
+
+
+def colwise(op, a, v, shift=None):
+    """op(a, v[..., None]) bit for bit, plus the n-vector ``shift`` if one
+    is given, one column of a (..., n) at a time (numpy runs a broadcast
+    against a short last axis n elements per inner loop); v broadcasts
+    against a[..., 0]."""
+    out = np.empty(np.broadcast_shapes(a.shape[:-1], np.shape(v))
+                   + a.shape[-1:])
+    for j in range(a.shape[-1]):
+        op(a[..., j], v, out=out[..., j])
+        if shift is not None:
+            out[..., j] += shift[j]
     return out
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .parallel import map_blocks
-from .quad import chunked, legendre_rule
+from .quad import chunked, colwise, legendre_rule
 
 _NEWTON_ITERS = 100
 # after a Newton step this small (relative to the root) the error is of
@@ -220,7 +220,7 @@ def polar_grid(u, rays: int | None = None, panels: int = 1):
     ray.
     """
     grid, _, r, w = _polar_rule(u, rays, panels)
-    pts = u.anchor + r.T[..., None] * grid.omega[:, None, :]
+    pts = colwise(np.multiply, grid.omega[:, None, :], r.T, u.anchor)
     return pts.reshape(-1, u.dim), w.T.reshape(-1)
 
 

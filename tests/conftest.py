@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,29 @@ import pytest
 
 from wulffsym import bodies, rays
 from wulffsym.anisotropy import ellipsoid_norm, euclidean_norm, regularized_p_norm
+
+# the configs of the ellipse2d, ball3d and regp2d benchmark workloads
+ELLIPSE_CONFIG = (Path(__file__).resolve().parents[1] / "scripts" / "configs"
+                  / "ellipse_polya_szego.json")
+BALL3D = {
+    "norm": {"family": "euclidean", "dim": 3},
+    "field": {"preset": "quadratic_ellipsoid"},
+    "orders": [1],
+    "exponents": [1.5],
+    "grids": {"levels": 150, "rays": 96, "volume_panels": 96},
+    "tasks": ["identities", "mixedvol", "af", "polya_szego", "sobolev"],
+    "seed": 42,
+}
+# rays set and volume_panels unset
+REGP2D = {
+    "norm": {"family": "regularized_p", "dim": 2, "p": 3.0},
+    "field": {"preset": "perturbed_radial"},
+    "orders": [1],
+    "exponents": [],
+    "grids": {"levels": 80, "rays": 256},
+    "tasks": ["mixedvol", "polya_szego", "sobolev"],
+    "seed": 42,
+}
 
 
 @pytest.fixture(scope="session")

@@ -194,19 +194,20 @@ class TestSampling:
         assert calls == [64, 2048, 64]
 
     def test_one_norm_jet_per_sampled_point(self, monkeypatch):
-        # F(grad u) and every curvature order of a point share one norm jet;
-        # eval_jet is counted in every wulffsym module that imports it
+        # F(grad u) and every curvature order of a point share one norm jet
+        # (the value, gradient and Hessian terms of anisotropy._norm_jet);
+        # it is counted in every wulffsym module that imports it
         seen = []
-        eval_jet = anisotropy.eval_jet
+        norm_jet = anisotropy._norm_jet
 
         def counted(norm, xi):
             seen.append(np.asarray(xi).size // norm.dim)
-            return eval_jet(norm, xi)
+            return norm_jet(norm, xi)
 
         for name, mod in list(sys.modules.items()):
             if (name.startswith("wulffsym")
-                    and getattr(mod, "eval_jet", None) is eval_jet):
-                monkeypatch.setattr(mod, "eval_jet", counted)
+                    and getattr(mod, "_norm_jet", None) is norm_jet):
+                monkeypatch.setattr(mod, "_norm_jet", counted)
         norm = ellipsoid_norm(np.diag([3.0, 2.0, 1.0]))
         levels = np.linspace(-0.45, -0.05, 5)
         samples = sample_many(norm, quadratic_ellipsoid(3), levels, rays=16)

@@ -1,10 +1,10 @@
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import BALL3D, ELLIPSE_CONFIG, REGP2D
 from wulffsym import bodies, cli, field_ops, rays
 from wulffsym.cli import ExperimentConfig, main, run
 from wulffsym.errors import InputError
@@ -15,28 +15,6 @@ from wulffsym.field_ops import (
     level_grid,
     lp_norm,
 )
-
-ELLIPSE_CONFIG = (Path(__file__).resolve().parents[1] / "scripts" / "configs"
-                  / "ellipse_polya_szego.json")
-BALL3D = {
-    "norm": {"family": "euclidean", "dim": 3},
-    "field": {"preset": "quadratic_ellipsoid"},
-    "orders": [1],
-    "exponents": [1.5],
-    "grids": {"levels": 150, "rays": 96, "volume_panels": 96},
-    "tasks": ["identities", "mixedvol", "af", "polya_szego", "sobolev"],
-    "seed": 42,
-}
-# the regp2d benchmark workload: rays set and volume_panels unset
-REGP2D = {
-    "norm": {"family": "regularized_p", "dim": 2, "p": 3.0},
-    "field": {"preset": "perturbed_radial"},
-    "orders": [1],
-    "exponents": [],
-    "grids": {"levels": 80, "rays": 256},
-    "tasks": ["mixedvol", "polya_szego", "sobolev"],
-    "seed": 42,
-}
 
 
 def base_config(tmp_path, tasks, **overrides):

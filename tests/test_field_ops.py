@@ -1,11 +1,14 @@
 import dataclasses
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BALL3D, ELLIPSE_CONFIG, REGP2D
 from wulffsym.anisotropy import (
     ellipsoid_norm,
     euclidean_norm,
@@ -14,7 +17,7 @@ from wulffsym.anisotropy import (
 )
 from wulffsym.bodies import LevelTable
 from wulffsym.errors import DegenerateLevelError, DomainError, NumericError
-from wulffsym import field_ops
+from wulffsym import anisotropy, cli, field_ops
 from wulffsym.field_ops import (
     PolarTable,
     aniso_hessian,
@@ -514,33 +517,45 @@ class TestPolarTable:
 
     def test_norm_hessians_only_where_read(self, monkeypatch):
         # a euclidean table of order-1 and value requests takes no norm
-        # Hessian; S_1(A) of any norm is the trace sum, which builds no A
+        # jet; S_1(A) of any norm is a trace of the norm Hessian's terms
+        # (one norm jet per node), which builds neither A nor D^2F
         def no_product(*args):
             raise AssertionError("anisotropic Hessian A built")
 
-        jets = []
+        def no_hessian(*args):
+            raise AssertionError("norm Hessian built")
+
+        jets, terms = [], []
 
         def counted(norm, xi):
             jets.append(np.asarray(xi).size // norm.dim)
             return eval_jet(norm, xi)
 
-        monkeypatch.setattr(field_ops, "eval_jet", counted)
-        monkeypatch.setattr(field_ops, "_aniso_matrix", no_product)
-        norm = euclidean_norm(3)
-        u = quadratic_ellipsoid(3)
-        reqs = [("hessian", 1), ("generalized", 1, 1.5), ("lp", 2.0),
-                ("sk", 1)]
-        table = PolarTable(norm, u, 16, reqs)
-        assert jets == []
-        assert table[("generalized", 1, 1.5)] == generalized_integral(
-            norm, u, 1, 1.5, 16)
+        def counted_terms(norm, xi):
+            terms.append(np.asarray(xi).size // norm.dim)
+            return anisotropy._norm_jet(norm, xi)
+
         norm = regularized_p_norm(2, 3.0)
         u = perturbed_radial(norm)
+        # the fan's dual solves, which read norm Hessians, come first
+        boundary_radii(u, 64)
+        monkeypatch.setattr(field_ops, "eval_jet", counted)
+        monkeypatch.setattr(field_ops, "_norm_jet", counted_terms)
+        monkeypatch.setattr(field_ops, "_aniso_matrix", no_product)
+        monkeypatch.setattr(anisotropy._Hessian, "matrix", no_hessian)
+        euclid, ball = euclidean_norm(3), quadratic_ellipsoid(3)
+        reqs = [("hessian", 1), ("generalized", 1, 1.5), ("lp", 2.0),
+                ("sk", 1)]
+        table = PolarTable(euclid, ball, 16, reqs)
+        assert jets == [] and terms == []
+        assert table[("generalized", 1, 1.5)] == generalized_integral(
+            euclid, ball, 1, 1.5, 16)
         table = PolarTable(norm, u, 64, [("hessian", 1), ("sk", 1)])
-        assert sum(jets) == table[("sk", 1)].size
+        assert jets == []
+        assert sum(terms) == table[("sk", 1)].size
+        monkeypatch.undo()
         pts = table.points.reshape(-1, 2)
         _, grads, hesses = u.jets(pts)
-        monkeypatch.undo()
         want = sk_stack(aniso_hessian_batch(norm, grads, hesses), 1)
         got = table[("sk", 1)].reshape(-1)
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
@@ -587,6 +602,47 @@ class TestPolarTable:
         with pytest.raises(NumericError, match="non-finite integrand"), \
                 np.errstate(over="ignore"):
             lp_norm(u, 1000.0, 64)
+
+
+class TestNormHessianRoutes:
+    @pytest.mark.parametrize("name", ["ellipse2d", "regp2d", "ball3d"])
+    def test_workload_tables_build_norm_hessians_only_in_dual_solves(
+            self, monkeypatch, name):
+        # the level and polar tables of a workload read S_1 and S_1(A) as
+        # traces of the norm Hessian's terms: D^2F is built (eval_jet or
+        # _Hessian.matrix) only in the fans' dual solves (dual_jets) and in
+        # wulff_volume's one jet for regularized_p
+        calls = []
+
+        def spy(fn, label):
+            def wrapped(*args):
+                frame, names = sys._getframe(1), set()
+                while frame is not None:
+                    names.add(frame.f_code.co_name)
+                    frame = frame.f_back
+                calls.append((label, names & {"dual_jets", "wulff_volume"}))
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(anisotropy._Hessian, "matrix",
+                            spy(anisotropy._Hessian.matrix, "matrix"))
+        jet = anisotropy.eval_jet
+        for mod_name, mod in list(sys.modules.items()):
+            if (mod_name.startswith("wulffsym")
+                    and getattr(mod, "eval_jet", None) is jet):
+                monkeypatch.setattr(mod, "eval_jet", spy(jet, "eval_jet"))
+        raw = (json.loads(ELLIPSE_CONFIG.read_text()) if name == "ellipse2d"
+               else dict(BALL3D if name == "ball3d" else REGP2D))
+        raw["output"] = {}
+        cfg = cli.ExperimentConfig.from_dict(raw)
+        ctx = cli._Context(cfg, *cfg.built, None)
+        assert ctx.levels.levels.size and ctx.polar.requests
+        assert [c for c in calls if not c[1]] == []
+        volume = [c for c in calls
+                  if c == ("eval_jet", {"wulff_volume"})]
+        assert len(volume) == (name == "regp2d")
+        assert any(c[1] == {"dual_jets"} for c in calls) == (
+            name == "regp2d")
 
 
 class TestIdentities:

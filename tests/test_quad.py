@@ -5,7 +5,7 @@ import operator
 import numpy as np
 import pytest
 
-from wulffsym.quad import legendre_rule, panel_cumulative, rowsum
+from wulffsym.quad import colwise, legendre_rule, panel_cumulative, rowsum
 
 
 def test_legendre_rule_is_cached_and_read_only():
@@ -52,3 +52,26 @@ def test_rowsum_is_np_sum_bit_for_bit(n):
     # a sum started from the first component would keep -0.0 there
     assert np.signbit(functools.reduce(operator.add, a[0, 0]))
     assert not np.signbit(rowsum(a[0, 0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_colwise_is_the_broadcast_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    a = rng.standard_normal((6, 5, n)) * 10.0 ** rng.integers(-8, 9, (6, 5, n))
+    v = rng.standard_normal((4, 6, 5)) * 10.0 ** rng.integers(-8, 9, (4, 6, 5))
+    a[0, 0] = -0.0
+    v[0, 0, 0] = 0.0
+    shift = rng.standard_normal(n)
+    cases = [(a, v), (a[..., ::-1], v[0]), (a[0], v[..., 0, :]),
+             (np.broadcast_to(a[0, 0], (5, n)), v[1, 0]),
+             (a[0, 0], v[0, 0, 0]), (a, 2.5)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x, y in cases:
+            for op in (np.multiply, np.divide, np.add):
+                want = op(x, np.asarray(y)[..., None])
+                got = colwise(op, x, y)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            want = shift + np.asarray(y)[..., None] * x
+            got = colwise(np.multiply, x, y, shift)
+            assert got.tobytes() == want.tobytes()
