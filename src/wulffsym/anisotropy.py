@@ -11,7 +11,8 @@ the origin (eval_jet), the value and gradient alone (eval_grad), and the
 trace sum_ij F_ij b_ji against matrices b without the Hessian
 (eval_trace): each family writes hess F once, as terms
 scale (D + sum_r c_r a_r b_r^T) with D = I, M or a diagonal, which
-eval_jet assembles and eval_trace reads. The
+eval_jet assembles and eval_trace reads. hess(F^2/2) is the same terms
+with one more (_Hessian.half_square), read by field_ops. The
 dual norm F*(x) = sup_{xi != 0} <xi, x> / F(xi) of a euclidean or
 ellipsoid norm is a norm of the same family (the polar of sqrt(x^T M x)
 is sqrt(x^T M^-1 x)), so its jets are eval_jet of that polar Norm. For
@@ -112,10 +113,10 @@ def _form(x, m, y):
 
 
 class _Hessian(NamedTuple):
-    """hess F = scale (D + sum_r c_r a_r b_r^T) at a batch of points: D has
-    the nonzero entries ``d`` {(i, j): value}, each term is a coefficient
-    c_r and two (..., n) vectors; values and coefficients are floats or
-    one per point."""
+    """H = scale (D + sum_r c_r a_r b_r^T) at a batch of points, hess F or
+    (half_square) hess(F^2/2): D has the nonzero entries ``d``
+    {(i, j): value}, each term is a coefficient c_r and two (..., n)
+    vectors; values and coefficients are floats or one per point."""
 
     scale: np.ndarray
     d: dict
@@ -144,6 +145,12 @@ class _Hessian(NamedTuple):
                 h[i, j] += x[..., i] * y[..., j]
         h *= self.scale
         return np.moveaxis(h, (0, 1), (-2, -1))
+
+    def half_square(self, v, g):
+        """hess(F^2/2) = g g^T + v hess F, with F = v and grad F = g, as
+        (v scale) (D + sum_r c_r a_r b_r^T + (v scale)^-1 g g^T)."""
+        scale = v * self.scale
+        return _Hessian(scale, self.d, self.terms + ((1.0 / scale, g, g),))
 
 
 def _norm_jet(norm: Norm, xi):
@@ -218,11 +225,6 @@ def _value_grad(norm: Norm, xi, sq_sum):
     scale1 = np.power(big_g, 1.0 / p - 1.0)
     grad = colwise(np.multiply, h_vec, scale1)
     return value, grad, (sq, q, big_g, b, h_vec, scale1)
-
-
-def half_sq_hessian(v, g, h):
-    """Hessian of F^2/2, gradF x gradF + F * hessF, from eval_jet (v, g, h)."""
-    return g[..., :, None] * g[..., None, :] + v[..., None, None] * h
 
 
 def _polar(norm: Norm) -> Norm | None:

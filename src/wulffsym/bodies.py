@@ -16,9 +16,9 @@ with W_0 the enclosed volume via the divergence identity,
 W_0 = (1/n) * integral of the support value h = (x - anchor) . nu, which
 at the root x = anchor + s w is s (grad u . w) / |grad u|: every W_k is a
 sum of per-point scalars, so no normal vectors are built for it. The
-curvature rows of orders 1 and n - 1 come without the product matrix
-F_il u_lj (field_ops.curvature_batch: the trace sum, and
-S_{n-1}(D^2F) nu^T adj(D^2u) nu). The k-th mean
+curvature row of order 1 is a trace sum and, in 3D, that of order 2 is
+S_2(D^2F) nu^T adj(D^2u) nu; every other row of order >= 2 reads the
+product matrix F_il u_lj (field_ops.curvature_batch). The k-th mean
 radius is (W_k / kappa_n)^{1/(n-k)}, the radius of the Wulff ball sharing
 that mixed volume; differences of mean radii across orders are the
 Aleksandrov-Fenchel margins, nonnegative for convex bodies and zero
@@ -209,6 +209,10 @@ def _radius(norm: Norm, w: float, n: int, k: int) -> float:
 def mixed_volume(sample: LevelSetSample, k: int) -> float:
     """Mixed volume W_k of the sampled body with the unit Wulff ball."""
     _check_order(k, sample.points.shape[-1] - 1)
+    rows = sample.curvatures.shape[0]
+    if k > rows:
+        raise DomainError(f"W_{k} reads curvature row {k - 1}, the sample "
+                          f"holds rows 0..{rows - 1}; sample with top={k - 1}")
     return float(_mixed_volumes(sample, k))
 
 

@@ -5,13 +5,14 @@ The anisotropic Hessian matrix of u under a norm F is
     A_ij = sum_l (F^2/2)_{il}(grad u) u_{lj},
 
 the 0-matrix by convention where grad u = 0 (non-euclidean F), and the
-plain Hessian for the euclidean norm. S_k of A is the anisotropic
-k-Hessian operator; S_k of (F_{il} u_{lj}) evaluated on a level set is the
-k-th anisotropic mean curvature of that level set (curvature_batch,
-which builds the orders up to the one its caller reads, S_1 as a trace
-(anisotropy.eval_trace), and the product F_il u_lj only for the orders
-2..n-2; its Newton-transform form, newton_curvatures, is only a
-cross-check). Energy
+plain Hessian for the euclidean norm; else A is the matrix of the terms
+of D^2(F^2/2) (anisotropy._Hessian.half_square) times D^2u, and S_1(A)
+their trace against D^2u. S_k of A is the anisotropic k-Hessian
+operator; S_k of (F_{il} u_{lj}) on a level set is the k-th anisotropic
+mean curvature of that level set (curvature_batch, up to the order its
+caller reads: S_1 as a trace, S_2 in 3D by cofactors, every other order
+from the product F_il u_lj; its Newton-transform form,
+newton_curvatures, is only a cross-check). Energy
 integrals over {u < 0} are taken on the polar rule of the rays module
 (Gauss nodes on rays from the anchor to the exactly solved boundary), or
 through the coarea decomposition over sampled level sets. A PolarTable
@@ -25,8 +26,7 @@ import math
 
 import numpy as np
 
-from .anisotropy import (Norm, _form, _norm_jet, eval_grad, eval_jet,
-                         half_sq_hessian)
+from .anisotropy import Norm, _norm_jet, eval_grad
 from .errors import DegenerateLevelError, DomainError, NumericError
 from .fields import Field, FieldJet
 from .invariants import _check_order, newton_stack, sk as sk_matrix, sk_stack
@@ -56,11 +56,14 @@ def aniso_hessian(norm: Norm, jet: FieldJet) -> np.ndarray:
 
 def aniso_hessian_batch(norm: Norm, grads, hesses):
     """Anisotropic Hessian matrices of stacked gradients and Hessians."""
+    hesses = np.array(hesses, dtype=float)
+    if norm.family == "euclidean":
+        return hesses
     grads = np.asarray(grads, dtype=float)
     live = rowsum(grads * grads) > _GRAD_FLOOR
-    jet = None if norm.family == "euclidean" else _norm_jet(
-        norm, _rows(grads, live))
-    return _aniso_matrix(norm, np.array(hesses, dtype=float), live, jet)
+    v, g, hess = _norm_jet(norm, _rows(grads, live))
+    return _scatter(hess.half_square(v, g).matrix() @ _rows(hesses, live),
+                    live)
 
 
 def _rows(x, live):
@@ -75,25 +78,6 @@ def _scatter(rows, live):
     out = np.zeros(live.shape + rows.shape[1:])
     out[live] = rows
     return out
-
-
-def _aniso_matrix(norm: Norm, hesses, live, jet):
-    """A from the field Hessians and the _norm_jet at the gradients of the
-    mask ``live`` (0 elsewhere); ``hesses`` itself for euclidean."""
-    if norm.family == "euclidean":
-        return hesses
-    a = half_sq_hessian(*jet[:2], jet[2].matrix()) @ _rows(hesses, live)
-    return _scatter(a, live)
-
-
-def _aniso_trace(norm: Norm, hesses, live, jet):
-    """S_1(A) = grad F^T D^2u grad F + F sum_ij F_ij u_ji (eval_trace)
-    without A, 0 off ``live``; the trace of ``hesses`` for euclidean."""
-    if norm.family == "euclidean":
-        return sk_stack(hesses, 1)
-    v, g, hess = jet
-    b = _rows(hesses, live)
-    return _scatter(_form(g, b, g) + v * hess.trace(b), live)
 
 
 def sk_field(norm: Norm, u: Field, x, k: int) -> float:
@@ -124,16 +108,15 @@ def curvature_batch(norm: Norm, grads, hesses, top: int | None = None):
     For grads (m, n) and hesses (m, n, n) (any leading axes) returns
     fv = F(grad u), shape (m,), and curv, shape (top + 1, m): row k is the
     k-th anisotropic mean curvature S_k(F_il u_lj), k = 0..top (row 0 is
-    one; None means top = n - 1), all from one norm jet. S_1 is the trace
-    sum sum_ij F_ij u_ji of eval_trace, without D^2F. Since
-    D^2F(xi) xi = 0 the adjugate of D^2F is S_{n-1}(D^2F) nu nu^T,
-    nu = grad u / |grad u|, so
+    one; None means top = n - 1), all from one norm jet, each row by one
+    route. S_1 is the trace sum_ij F_ij u_ji of eval_trace, without D^2F.
+    In 3D, since D^2F(xi) xi = 0 the adjugate of D^2F is
+    S_2(D^2F) nu nu^T, nu = grad u / |grad u|, so
 
-        S_{n-1}(F_il u_lj) = S_{n-1}(D^2F) nu^T adj(D^2u) nu.
+        S_2(F_il u_lj) = S_2(D^2F) nu^T adj(D^2u) nu.
 
-    D^2F is built, from the same terms, only for that row (n >= 3) and
-    for the orders 2..min(top, n - 2) (n >= 4), which read F_il u_lj;
-    top = 0 reads no norm Hessian: F comes from eval_grad.
+    Every other row of order >= 2 is sk_stack of the product F_il u_lj.
+    Only those orders build D^2F; top = 0 reads F alone, from eval_grad.
     """
     n = grads.shape[-1]
     top = n - 1 if top is None else top
@@ -146,28 +129,19 @@ def curvature_batch(norm: Norm, grads, hesses, top: int | None = None):
     curv[0] = 1.0
     if top > 0:
         curv[1] = hess.trace(hesses)
-    if top > 1 and (top == n - 1 or n > 3):
-        fh = hess.matrix()
-    if top == n - 1 > 1:
-        curv[n - 1] = (sk_stack(fh, n - 1) * _adjugate_form(hesses, grads)
-                       / rowsum(grads * grads))
-    if min(top, n - 2) > 1:
-        product = fh @ hesses
-        for k in range(2, min(top, n - 2) + 1):
+    if n == 3 and top == 2:
+        curv[2] = (sk_stack(hess.matrix(), 2) * _adjugate_form(hesses, grads)
+                   / rowsum(grads * grads))
+    elif top > 1:
+        product = hess.matrix() @ hesses
+        for k in range(2, top + 1):
             curv[k] = sk_stack(product, k)
     return fv, curv
 
 
 def _adjugate_form(h, v):
-    """v^T adj(h) v over stacks h (..., n, n) and v (..., n), n >= 3: by
-    3D cofactors, else as minus the bordered determinant
-    det [[h, v], [v^T, 0]]."""
-    n = v.shape[-1]
-    if n != 3:
-        border = np.zeros(v.shape[:-1] + (n + 1, n + 1))
-        border[..., :n, :n] = h
-        border[..., :n, n] = border[..., n, :n] = v
-        return -np.linalg.det(border)
+    """v^T adj(h) v over stacks h (..., 3, 3) and v (..., 3), by
+    cofactors."""
 
     def cofactor(a, b):
         a1, a2, b1, b2 = (a + 1) % 3, (a + 2) % 3, (b + 1) % 3, (b + 2) % 3
@@ -191,7 +165,7 @@ def newton_curvatures(norm: Norm, grads, hesses):
     analytically, so the spread of the two measures numerical error.
     """
     n = grads.shape[-1]
-    fv, fg, _ = eval_jet(norm, grads)
+    fv, fg = eval_grad(norm, grads)
     t = newton_stack(aniso_hessian_batch(norm, grads, hesses), n)
     pair = np.einsum("kmij,mj,mi->km", t, grads, fg)
     return pair / fv ** np.arange(1, n + 1)[:, None]
@@ -205,9 +179,9 @@ class PolarTable:
     default_rays), shared with level sampling, and walks its nodes once
     through polar_integral, with at most one norm jet and one anisotropic
     Hessian A per block for every request, each built only when a request
-    reads it: S_1(A) = grad F^T D^2u grad F + F sum_ij F_ij u_ji is a
-    trace of the norm Hessian's terms (anisotropy.eval_trace), without
-    D^2F or A, which are built only when an order k >= 2 is. The requests:
+    reads it: S_1(A) is the trace of the terms of D^2(F^2/2)
+    (anisotropy._Hessian.half_square) against D^2u, without D^2F or A,
+    which are built only when an order k >= 2 is. The requests:
     ("hessian", k), the integral of (-u) S_k(A); ("generalized", k, p),
     that of sum_ij S_k^{ij} F^{p-k} F_i u_j = F^{p-k} z_k . grad u with
     z_1 = grad F and z_j = S_{j-1}(A) grad F - A z_{j-1} = T_j^T grad F;
@@ -269,19 +243,23 @@ class PolarTable:
             sq = rowsum(grads * grads)
             live = sq > _GRAD_FLOOR
             curved = bool(self._orders) and norm.family != "euclidean"
-            jet = None
-            if gen or curved:
-                jet = (_norm_jet if curved else eval_grad)(
-                    norm, _rows(grads, live))
-            a = (_aniso_matrix(norm, hesses, live, jet) if self._reads_a
-                 else None)
+            if curved:
+                *jet, hess = _norm_jet(norm, _rows(grads, live))
+                half = hess.half_square(*jet)
+                b = _rows(hesses, live)
+            elif gen:
+                jet = eval_grad(norm, _rows(grads, live))
+            a = None
+            if self._reads_a:
+                a = _scatter(half.matrix() @ b, live) if curved else hesses
 
             @functools.cache
             def sk(k):
                 if k == 0:
                     return np.ones(vals.shape)
                 if k == 1:
-                    return _aniso_trace(norm, hesses, live, jet)
+                    return (_scatter(half.trace(b), live) if curved
+                            else sk_stack(hesses, 1))
                 return sk_stack(a, k)
 
             for k, values in nodes.items():
@@ -290,7 +268,7 @@ class PolarTable:
             # the gradients above the generalized floor, a subset of live
             strong = sq > _GENERALIZED_FLOOR
             g = _rows(grads, strong)
-            fv, fg = (_rows(x, _rows(strong, live)) for x in jet[:2])
+            fv, fg = (_rows(x, _rows(strong, live)) for x in jet)
             z = [fg]
             kmax = max(q[1] for q in gen)
             # A is read only from order 2 on
@@ -362,10 +340,11 @@ def level_grid(u: Field, count: int = 200) -> np.ndarray:
     gaps of order sqrt(step) that dominate the symmetrand interpolation
     error; quadratic spacing equidistributes the radii instead.
     """
-    if count < 10:
+    if not isinstance(count, (int, np.integer)) or count < 10:
         # the bottom block takes at least 8 levels and the top needs two
         # to end at t = 0
-        raise DomainError(f"level grid needs at least 10 levels; got {count}")
+        raise DomainError("level grid needs an integer count of at least 10 "
+                          f"levels; got {count!r}")
     m = u.min_value
     delta = 1e-3 * abs(m)
     split = m + 0.1 * abs(m)

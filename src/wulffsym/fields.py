@@ -123,7 +123,7 @@ def quadratic_ellipsoid(dim: int, axes=None, matrix=None,
     """u = (x^T Q x - 1)/2; with semi-axes a_i the matrix is diag(1/a_i^2).
 
     The ray restriction's Hessian is a read-only broadcast of Q: its
-    consumers (curvature_batch, _aniso_matrix, sk_stack) only read it.
+    consumers (curvature_batch, PolarTable, sk_stack) only read it.
     """
     if matrix is not None:
         q = np.asarray(matrix, dtype=float)

@@ -14,7 +14,6 @@ from wulffsym.anisotropy import (
     eval_grad,
     eval_jet,
     eval_trace,
-    half_sq_hessian,
     regularized_p_norm,
     wulff_volume,
 )
@@ -95,7 +94,9 @@ class TestEvalJet:
         rng = np.random.default_rng(4)
         xi = sample_vectors(rng, n, 1000)
         for norm in all_norms(n):
-            w = half_sq_hessian(*eval_jet(norm, xi))
+            v, g, h = eval_jet(norm, xi)
+            # hess(F^2/2) = grad F grad F^T + F hess F
+            w = g[:, :, None] * g[:, None, :] + v[:, None, None] * h
             # leading principal minors positive at every sample
             for k in range(1, n + 1):
                 minors = np.linalg.det(w[:, :k, :k])
@@ -535,6 +536,29 @@ class TestEvalTrace:
             for xi in (np.zeros(2), np.array([[1.0, 0.5], [0.0, 0.0]])):
                 with pytest.raises(DomainError, match="undefined at the"):
                     eval_trace(norm, xi, np.eye(2))
+
+
+class TestHalfSquare:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_jet_formula(self, n):
+        # _Hessian.half_square against grad F grad F^T + F hess F from
+        # eval_jet, by matrix and by trace against a non-symmetric b,
+        # relative to the sum of the magnitudes of the formula's terms
+        rng = np.random.default_rng(34)
+        xi = rng.standard_normal((64, n)) * np.exp(
+            rng.uniform(-5.0, 5.0, size=(64, 1)))
+        b = rng.standard_normal((64, n, n))
+        for norm in TestEvalTrace.norms(n):
+            v, g, h = eval_jet(norm, xi)
+            outer = g[:, :, None] * g[:, None, :]
+            want = outer + v[:, None, None] * h
+            size = np.abs(outer) + np.abs(v[:, None, None] * h)
+            half = anisotropy._norm_jet(norm, xi)[2].half_square(v, g)
+            assert np.max(np.abs(half.matrix() - want) / size) <= 1e-14, norm
+            got = half.trace(b)
+            err = np.abs(got - np.einsum("kij,kji->k", want, b))
+            assert np.max(err / np.einsum("kij,kji->k", size,
+                                          np.abs(b))) <= 1e-14, norm
 
 
 class TestFactories:

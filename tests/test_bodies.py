@@ -677,6 +677,20 @@ class TestMixedVolume:
         with pytest.raises(DomainError):
             mixed_volume(sample, 2)
 
+    def test_order_above_the_sampled_rows(self):
+        # a sample of top 0 holds row 0 only: W_1 reads it, W_2 (and the
+        # mean radius and margins that read W_2) name the top to sample with
+        norm, u = euclidean_norm(3), quadratic_ellipsoid(3)
+        sample = sample_level_set(norm, u, -0.2, rays=16, top=0)
+        full = sample_level_set(norm, u, -0.2, rays=16)
+        assert mixed_volume(sample, 1) == mixed_volume(full, 1)
+        for read in (lambda: mixed_volume(sample, 2),
+                     lambda: mean_radius(sample, 2),
+                     lambda: af_margins(sample)):
+            with pytest.raises(DomainError,
+                               match=r"holds rows 0\.\.0; sample with top=1"):
+                read()
+
 
 class TestMeanRadius:
     def test_wulff_ball_all_orders(self):

@@ -296,14 +296,15 @@ class TestLevelCurvature:
     def test_top_zero_builds_no_norm_hessian(self, monkeypatch):
         # order 0 reads F(grad u) alone, from eval_grad
         def boom(norm, xi):
-            raise AssertionError("eval_jet called")
+            raise AssertionError("norm Hessian built")
 
         rng = np.random.default_rng(3)
         grads = rng.standard_normal((7, 3))
         hesses = np.broadcast_to(np.eye(3), (7, 3, 3))
         norm = regularized_p_norm(3, 3.0)
         fv, _ = curvature_batch(norm, grads, hesses)
-        monkeypatch.setattr(field_ops, "eval_jet", boom)
+        monkeypatch.setattr(anisotropy, "eval_jet", boom)
+        monkeypatch.setattr(field_ops, "_norm_jet", boom)
         fv0, rows = curvature_batch(norm, grads, hesses, 0)
         assert fv0.tobytes() == fv.tobytes()
         assert np.array_equal(rows, np.ones((1, 7)))
@@ -517,11 +518,9 @@ class TestPolarTable:
 
     def test_norm_hessians_only_where_read(self, monkeypatch):
         # a euclidean table of order-1 and value requests takes no norm
-        # jet; S_1(A) of any norm is a trace of the norm Hessian's terms
-        # (one norm jet per node), which builds neither A nor D^2F
-        def no_product(*args):
-            raise AssertionError("anisotropic Hessian A built")
-
+        # jet; S_1(A) of any norm is a trace of the terms of D^2(F^2/2)
+        # (one norm jet per node), which builds neither A nor D^2F: both
+        # are _Hessian.matrix, and the euclidean A is D^2u itself
         def no_hessian(*args):
             raise AssertionError("norm Hessian built")
 
@@ -539,9 +538,8 @@ class TestPolarTable:
         u = perturbed_radial(norm)
         # the fan's dual solves, which read norm Hessians, come first
         boundary_radii(u, 64)
-        monkeypatch.setattr(field_ops, "eval_jet", counted)
+        monkeypatch.setattr(anisotropy, "eval_jet", counted)
         monkeypatch.setattr(field_ops, "_norm_jet", counted_terms)
-        monkeypatch.setattr(field_ops, "_aniso_matrix", no_product)
         monkeypatch.setattr(anisotropy._Hessian, "matrix", no_hessian)
         euclid, ball = euclidean_norm(3), quadratic_ellipsoid(3)
         reqs = [("hessian", 1), ("generalized", 1, 1.5), ("lp", 2.0),
@@ -777,7 +775,15 @@ class TestAuxiliaries:
         with pytest.raises(DomainError, match="at least 10 levels"):
             level_grid(quadratic_ellipsoid(2), count)
 
-    @pytest.mark.parametrize("count", [10, 11, 39, 200])
+    @pytest.mark.parametrize("count", [12.5, 20.0, "20"])
+    def test_level_count_must_be_an_integer(self, count):
+        u = quadratic_ellipsoid(2)
+        with pytest.raises(DomainError, match="integer count"):
+            level_grid(u, count)
+        with pytest.raises(DomainError, match="integer count"):
+            LevelTable(euclidean_norm(2), u, count, 64)
+
+    @pytest.mark.parametrize("count", [10, 11, 39, 200, np.int64(40)])
     def test_level_grid_ends_at_zero(self, count):
         u = quadratic_ellipsoid(2)
         levels = level_grid(u, count)
