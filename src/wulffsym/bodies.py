@@ -28,10 +28,11 @@ and direction count), one jet pass and one curvature pass serve all the
 levels of a block, whose live (non-degenerate) levels reach its
 ``reduce`` hook as one stacked LevelSetSample. The norm Hessian of a
 block is stored as (n, n, L, m), one row of points per entry, and read
-as an (L, m, n, n) view of unspecified strides. A
-LevelTable has the sampler threads reduce each block of one family to
-the mean radii and coarea integrands that every symmetrization harness
-reads, with one array sum per quantity for all the levels of the block.
+as an (L, m, n, n) view of unspecified strides. A LevelTable samples
+the Gauss levels of one probe ray (field_ops.level_rule) and has the
+sampler threads reduce each block to the mean radii and coarea
+integrands that every symmetrization harness reads, with one array sum
+per quantity for all the levels of the block.
 It sums the coarea integrands of the orders it is built with only, and
 samples the curvatures up to the highest order that its mean radii and
 those sums read: S_0..S_{n-2} for zeta_0..zeta_{n-1}, and S_{k-1} for the
@@ -48,11 +49,11 @@ import numpy as np
 
 from .anisotropy import Norm, wulff_volume
 from .errors import DegenerateLevelError, DomainError, NumericError
-from .field_ops import _GRAD_TOL, curvature_batch, level_grid
+from .field_ops import _GRAD_TOL, curvature_batch, level_rule
 from .fields import Field
 from .invariants import _check_order
 from .parallel import map_blocks
-from .quad import chunked, colwise, rowsum
+from .quad import chunked, colwise, diff_matrix, rowsum
 # boundary_radii and default_rays are re-exported: the benchmark tracer
 # and the tests reach them here
 from .rays import _ray_roots, boundary_radii, default_rays  # noqa: F401
@@ -258,44 +259,54 @@ def _level_sums(b: LevelSetSample, orders) -> list:
 class LevelTable:
     """Mean radii and coarea integrands of one sampled family of level sets.
 
-    Built once from (norm, field, level grid, rays, orders); ``levels`` is
-    a level count for ``level_grid`` or an explicit array of levels.
-    Degenerate levels are skipped with a warning and listed in ``skipped``.
-    For the kept ``levels``, ``zeta[j]`` holds the mean radius zeta_j,
-    j = 0..n-1, and ``coarea[i]`` the surface integral of
-    S_{k-1}(curv) F(grad u)^k F(nu), the coarea integrand of the k-Hessian
-    energy, for the i-th order k of ``orders``: the sorted orders in 1..n
-    of the ``orders`` argument (None means all, so that ``coarea[k - 1]``
-    is order k; an order outside 1..n is left out, and
-    hessian_integral_coarea raises on reading it). The curvatures are
-    sampled up to the highest order these read. ``residual_max`` is the
-    largest |u - level| at the ray roots of the kept levels. The sampler
-    threads reduce the live levels of each sampling block to these sums
-    (one LevelSums per live level) as soon as it is sampled, with one array
-    sum per quantity over all of them; sample_many puts None at the
-    degenerate levels, and the samples themselves are not kept. It samples
-    on u.fan(rays), which the field's later readers share.
+    Built once from (norm, field, level count, rays, orders) on
+    field_ops.level_rule and u.fan(rays), which the field's later readers
+    share. A level that cannot be sampled (it rounds onto min u, or its
+    level set is degenerate) is skipped with a warning and listed in
+    ``skipped``. The nodes are the sampled levels and the skipped ones
+    below the lowest sampled node s_*, which take the anchor limit
+    zeta_j(s) = (s / s_*) zeta_j(s_*) and add nothing to the coarea sums.
+    Per node: the rule's ``s``, ``weights``, ``levels`` and ``slopes``;
+    ``sampled``; ``zeta[j]``, the mean radius zeta_j, j = 0..n-1, and
+    ``zeta_slopes[j]`` its s-derivative (quad.diff_matrix); ``coarea[i]``,
+    the surface integral of S_{k-1}(curv) F(grad u)^k F(nu), the coarea
+    integrand of the k-Hessian energy, for the i-th order k of ``orders``:
+    the sorted orders in 1..n of the ``orders`` argument (None means all,
+    so that ``coarea[k - 1]`` is order k; an order outside 1..n is left
+    out, and hessian_integral_coarea raises on reading it).
+    ``residual_max`` is the largest |u - level| at the ray roots of the
+    sampled levels. The samples themselves are not kept.
     """
 
-    def __init__(self, norm: Norm, u: Field, levels=200,
+    def __init__(self, norm: Norm, u: Field, levels: int = 200,
                  rays: int | None = None, orders=None):
         n = u.dim
-        grid = (level_grid(u, levels) if np.isscalar(levels)
-                else np.asarray(levels, dtype=float))
+        rule = level_rule(u, levels, rays)
+        probe, t = rule[0], rule[2]
         self.orders = tuple(range(1, n + 1) if orders is None else
                             sorted({k for k in orders if 1 <= k <= n}))
         wulff_volume(norm)  # cached here, not raced by the sampler threads
+        live = t > u.min_value
         sums = sample_many(
-            norm, u, grid, rays=rays,
+            norm, u, t[live], rays=rays,
             reduce=lambda b: _level_sums(b, self.orders),
             top=max(n - 2, max(self.orders, default=0) - 1))
-        live = np.array([s is not None for s in sums], dtype=bool)
-        for t in grid[~live]:
-            warnings.warn(f"skipping degenerate level t={t:.6g}")
-        kept = [s for s in sums if s is not None]
+        live[live] = [x is not None for x in sums]
+        for level in t[~live]:
+            warnings.warn(f"skipping degenerate level t={level:.6g}")
+        kept = [x for x in sums if x is not None]
+        first = int(np.argmax(live)) if kept else 0
+        node = live | (np.arange(live.size) < first)
         self.norm, self.field, self.rays = norm, u, rays
-        self.levels, self.skipped = grid[live], grid[~live]
-        self.zeta = np.array([s.zeta for s in kept]).T.reshape(n, -1)
-        self.coarea = np.array([s.coarea for s in kept]).T.reshape(
+        self.s, self.weights, self.levels, self.slopes = (
+            x[node] for x in rule)
+        self.sampled, self.skipped = live[node], t[~live]
+        zeta = np.array([x.zeta for x in kept]).T.reshape(n, -1)
+        self.zeta = np.concatenate(
+            [zeta[:, :1] * (probe[:first] / probe[first]), zeta], axis=1)
+        self.zeta_slopes = (self.zeta @ diff_matrix(self.s).T if kept
+                            else self.zeta)
+        self.coarea = np.zeros((len(self.orders), node.sum()))
+        self.coarea[:, first:] = np.array([x.coarea for x in kept]).T.reshape(
             len(self.orders), len(kept))
         self.residual_max = max((s.residual_max for s in kept), default=0.0)

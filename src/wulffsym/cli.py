@@ -21,13 +21,14 @@ numbers are rejected):
       "seed":   42
     }
 
-Each grid key drives one layer: ``levels`` and ``rays`` (directions,
-longitudes in 3D) the level-set sampling, ``volume_panels`` the one polar
-rule of every domain integral and of the comparison check, and
-``radial_nodes`` the radial solver. Unset, ``rays`` and ``volume_panels``
-are 2048 in 2D and 256 in 3D. The polar rule is built once per
-experiment, and one pass over its nodes gives every value identities,
-symmetrize, polya_szego, compare and sobolev read (field_ops.PolarTable).
+Each grid key drives one layer: ``levels`` (the Gauss levels of one probe
+ray, at least 10) and ``rays`` (directions, longitudes in 3D) the level
+sampling, ``volume_panels`` the one polar rule of every domain integral
+and of the comparison check, and ``radial_nodes`` the radial solver.
+Unset, ``rays`` and ``volume_panels`` are 2048 in 2D and 256 in 3D. The
+polar rule is built once per experiment, and one pass over its nodes
+gives every value identities, symmetrize, polya_szego, compare and
+sobolev read (field_ops.PolarTable).
 ``compare`` solves with the constant source 1.05 max S_k[u] on the nodes.
 
 Exit status: 0 when every verdict passes, 1 when a check fails, a task
@@ -571,8 +572,7 @@ def regression_corpus():
     """The preset corpus of `wulffsym check`: (name, config) pairs, each
     config complete and run as it stands.
 
-    2D entries: all three norm families, 160 levels (which keep the radial
-    equality margins inside their 1e-4 tolerances) and 512 rays. 3D
+    2D entries: all three norm families, 160 levels and 512 rays. 3D
     entries: the closed-form dual families, 150 levels, 96 longitudes and
     96 volume panels. sobolev runs where a (k, p) lies below n - k + 1.
     """

@@ -15,7 +15,7 @@ from the product F_il u_lj; its Newton-transform form,
 newton_curvatures, is only a cross-check). Energy
 integrals over {u < 0} are taken on the polar rule of the rays module
 (Gauss nodes on rays from the anchor to the exactly solved boundary), or
-through the coarea decomposition over sampled level sets. A PolarTable
+by coarea on the Gauss levels of one probe ray (level_rule). A PolarTable
 takes every integral asked of one rule in one pass over its nodes, from
 the field jets of the field's ray restriction; hessian_integral,
 generalized_integral and lp_norm are tables of one request.
@@ -30,7 +30,7 @@ from .anisotropy import Norm, _norm_jet, eval_grad
 from .errors import DegenerateLevelError, DomainError, NumericError
 from .fields import Field, FieldJet
 from .invariants import _check_order, newton_stack, sk as sk_matrix, sk_stack
-from .quad import colwise, rowsum, trapezoid
+from .quad import colwise, legendre_rule, rowsum
 # polar_grid and polar_integral are re-exported: the benchmark tracer and
 # the tests reach them here
 from .rays import (  # noqa: F401
@@ -332,28 +332,24 @@ def generalized_integral(norm: Norm, u: Field, k: int, p: float,
     return PolarTable(norm, u, rays, [req])[req]
 
 
-def level_grid(u: Field, count: int = 200) -> np.ndarray:
-    """Level grid on (m + delta, 0], avoiding the degenerate bottom.
-
-    The bottom fifth is quadratically refined: mean radii of sublevel
-    sets grow like sqrt(t - m) there, so uniform levels leave radius
-    gaps of order sqrt(step) that dominate the symmetrand interpolation
-    error; quadratic spacing equidistributes the radii instead.
-    """
+def level_rule(u: Field, count: int = 200, rays: int | None = None):
+    """The one rule in the level variable, (s, weights, levels, slopes):
+    on the probe ray w, direction 0 of u.fan(rays), of boundary radius R,
+    the count - 1 Gauss-Legendre nodes s of [0, R] and R, the levels
+    u(anchor + s w) (0.0 at R), dt/ds and the Gauss weights (0 at R), so
+    that sum weights * slopes * g(levels) integrates g over (min u, 0].
+    A count below 10 raises DomainError: where level sets are not
+    homothetic, fewer leave the harness sides near their tolerances (off by
+    1.3e-4 at 6 levels, 7e-8 at 10, on a 3D perturbed_radial a = 3)."""
     if not isinstance(count, (int, np.integer)) or count < 10:
-        # the bottom block takes at least 8 levels and the top needs two
-        # to end at t = 0
         raise DomainError("level grid needs an integer count of at least 10 "
                           f"levels; got {count!r}")
-    m = u.min_value
-    delta = 1e-3 * abs(m)
-    split = m + 0.1 * abs(m)
-    n_bot = max(8, count // 5)
-    n_top = count - n_bot
-    j = np.arange(n_bot) / n_bot
-    bottom = (m + delta) + (split - (m + delta)) * j ** 2
-    top = np.linspace(split, 0.0, n_top)
-    return np.concatenate([bottom, top])
+    big_r = boundary_radii(u, rays)[0]
+    x, w = legendre_rule(int(count) - 1)
+    s = np.append(0.5 * big_r * (x + 1.0), big_r)
+    levels, slopes = u.ray(u.fan(rays).grid.omega[:1]).along(s[:, None])
+    levels = np.append(levels[:-1, 0], 0.0)
+    return s, np.append(0.5 * big_r * w, 0.0), levels, slopes[:, 0]
 
 
 def hessian_integral_coarea(table, k: int) -> float:
@@ -361,15 +357,15 @@ def hessian_integral_coarea(table, k: int) -> float:
 
     (1/k) * integral over t of the surface integral of
     S_{k-1}(curvatures) F(grad u)^k F(normal) over each level set of a
-    bodies.LevelTable; k must be one of the table's ``orders``.
+    bodies.LevelTable, the sum of weights * slopes * coarea on its level
+    rule; k must be one of the table's ``orders``.
     """
     _check_order(k, table.field.dim, lo=1)
     if k not in table.orders:
         raise DomainError(f"the level table holds the coarea sums of orders "
                           f"{list(table.orders)}; build it with k={k}")
-    if table.levels.size < 2:
-        raise NumericError("too few valid levels for the coarea integral")
-    return trapezoid(table.coarea[table.orders.index(k)], table.levels) / k
+    coarea = table.coarea[table.orders.index(k)]
+    return float(np.sum(table.weights * table.slopes * coarea)) / k
 
 
 def lp_norm(u: Field, p: float, rays: int | None = None) -> float:

@@ -1,6 +1,6 @@
 """Quadrature building blocks: cached Gauss-Legendre rules, panel rules,
-and rowsum and colwise, the n-axis sum and products of the sampling and
-polar paths."""
+the barycentric differentiation matrix of the level rule, and rowsum and
+colwise, the n-axis sum and products of the sampling and polar paths."""
 
 import math
 from functools import lru_cache
@@ -85,11 +85,18 @@ def panel_cumulative(f, grid):
     return out
 
 
-def trapezoid(values, grid):
-    """Plain trapezoid rule on a (possibly non-uniform) grid."""
-    values = np.asarray(values, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(grid)))
+def diff_matrix(x):
+    """The differentiation matrix D of the polynomials on distinct nodes x,
+    (D @ p(x))[i] = p'(x[i]): D_ij = (b_j / b_i) / (x_i - x_j) and
+    D_ii = -sum_{j != i} D_ij, with b_j = 1 / prod_{l != j} c (x_j - x_l)
+    scaled by c = 4 / (max x - min x), which keeps these products near 1
+    on Gauss-like nodes, away from overflow and underflow."""
+    x = np.asarray(x, dtype=float)
+    gaps = x[:, None] - x[None, :] + np.eye(x.size)
+    b = 1.0 / np.prod(4.0 / (np.max(x) - np.min(x)) * gaps, axis=1)
+    d = b / b[:, None] / gaps
+    np.fill_diagonal(d, 1.0 - np.sum(d, axis=1))
+    return d
 
 
 def unit_ball_volume(n: int) -> float:

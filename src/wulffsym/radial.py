@@ -9,7 +9,8 @@ the closed form
 its energy integral over the Wulff ball of radius r0 is
 kappa_n C(n,k) * int_0^{r0} r^{n-k} v'(r)^{k+1} dr, and the constant-
 source Dirichlet problem S_k = f solves in closed double-integral form.
-A profile passed to the energies must carry its slopes (``derivative``).
+The energies are weighted sums on a profile's nodes, which must carry
+slopes (``derivative``) and the weights of a rule in r (``weights``).
 Rearrangement converts an integrable density on a domain into the
 radially decreasing profile with identical level-set volumes.
 """
@@ -34,8 +35,8 @@ class MonotoneProfile:
     """A tabulated monotone function of one nonnegative variable.
 
     Evaluation interpolates linearly and extends constantly beyond the
-    tabulated range (plateau convention at both ends). ``derivative``
-    holds nodewise slope estimates when the producer can supply them.
+    tabulated range (plateau convention at both ends). ``derivative`` and
+    ``weights`` hold nodewise slopes and the weights of a rule in r.
     """
 
     r: np.ndarray
@@ -43,6 +44,7 @@ class MonotoneProfile:
     direction: str  # "increasing" | "decreasing"
     derivative: np.ndarray | None = None
     meta: dict = dc_field(default_factory=dict)
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -112,19 +114,15 @@ def radial_energy(profile: MonotoneProfile, n: int, k: int, p: float,
                   kappa_n: float) -> float:
     """n kappa_n C(n-1,k-1) * int r^{n-k} v'(r)^p dr over the profile.
 
-    v' is interpolated linearly between the profile's slope estimates;
-    each panel is integrated by a fixed Gauss rule.
+    The sum over the profile's nodes of weights r^{n-k} |derivative|^p.
     """
     _check_order(k, n, lo=1)
     if profile.derivative is None:
         raise DomainError("profile carries no derivative estimates")
-    deriv = np.abs(profile.derivative)
-    r = profile.r
-
-    def integrand(s):
-        return s ** (n - k) * np.interp(s, r, deriv) ** p
-
-    total = panel_cumulative(integrand, r)[-1]
+    if profile.weights is None:
+        raise DomainError("profile carries no quadrature weights")
+    total = np.sum(profile.weights * profile.r ** (n - k)
+                   * np.abs(profile.derivative) ** p)
     return n * kappa_n * math.comb(n - 1, k - 1) * float(total)
 
 

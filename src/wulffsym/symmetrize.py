@@ -2,9 +2,10 @@
 
 The order-(k-1) symmetrand of an admissible field u replaces each sublevel
 set by the Wulff ball with the same (k-1)-th mixed volume: tabulate
-t -> zeta_{k-1}(sublevel t), invert to the radial profile
-rho(r) = sup{t <= 0 : zeta(t) <= r}, and read u*(x) = rho(F*(x)). The
-harnesses quantify, at desk scale, that this symmetrization
+t -> zeta_{k-1}(sublevel t) at the Gauss levels of one probe ray, invert
+to the radial profile rho(r) = sup{t <= 0 : zeta(t) <= r}, read
+u*(x) = rho(F*(x)), and integrate on the same nodes. The harnesses
+quantify, at desk scale, that this symmetrization
 
 * does not increase the k-Hessian energy (Polya-Szego margins),
 * does not increase its p-generalized variants,
@@ -15,7 +16,7 @@ harnesses quantify, at desk scale, that this symmetrization
 
 Every harness except the Sobolev one reads a bodies.LevelTable: the mean
 radii and coarea integrands of one sampled family of level sets. Build
-the table once per (norm, field, level grid, rays) and pass it to each
+the table once per (norm, field, level count, rays) and pass it to each
 harness and order that needs it. The domain integrals of the field (its
 energies and L^p norms) are arguments, read from a field_ops.PolarTable
 or its one-request wrappers.
@@ -32,7 +33,6 @@ from .bodies import LevelTable
 from .errors import DomainError, InputError, ModelError, NumericError
 from .field_ops import PolarTable, _check_exponent, hessian_integral_coarea
 from .invariants import _check_order
-from .quad import panel_cumulative
 from .radial import (
     MonotoneProfile,
     radial_energy,
@@ -73,20 +73,22 @@ class SobolevMarginResult:
 
 
 def zeta_profile(table: LevelTable, k: int) -> MonotoneProfile:
-    """Tabulate t -> zeta_{k-1}(sublevel t) on the table's kept levels.
+    """Tabulate t -> zeta_{k-1}(sublevel t) on the table's sampled levels,
+    with the slopes d zeta/dt = (d zeta/ds) / (dt/ds) of its level rule.
 
-    A drop of zeta beyond MonotoneProfile's slack, 1e-10 (1 + max |zeta|),
-    raises ModelError (the profile is not repaired): it signals
-    non-quasi-convex data or insufficient resolution.
+    Fewer than a quarter of the levels sampled raise NumericError. A drop
+    of zeta beyond MonotoneProfile's slack, 1e-10 (1 + max |zeta|), raises
+    ModelError (the profile is not repaired): it signals non-quasi-convex
+    data or insufficient resolution.
     """
     _check_order(k, table.field.dim, lo=1)
-    requested = table.levels.size + table.skipped.size
-    if table.levels.size < max(8, requested // 4):
+    on = table.sampled
+    if np.sum(on) < (np.sum(on) + table.skipped.size) // 4:
         raise NumericError("too many degenerate levels in the grid")
-    t, z = table.levels, table.zeta[k - 1]
-    deriv = np.maximum(np.gradient(z, t, edge_order=2), 0.0)
+    t, z = table.levels[on], table.zeta[k - 1][on]
     try:
-        return MonotoneProfile(t, z, "increasing", deriv)
+        return MonotoneProfile(t, z, "increasing",
+                               table.zeta_slopes[k - 1][on] / table.slopes[on])
     except InputError as exc:
         worst = float(np.min(np.diff(z)))
         if not worst < 0.0:
@@ -97,34 +99,18 @@ def zeta_profile(table: LevelTable, k: int) -> MonotoneProfile:
 
 
 def symmetrand(table: LevelTable, k: int) -> SymmetrizationResult:
-    """Build the order-(k-1) symmetrand of the table's field."""
-    return _invert_zeta(zeta_profile(table, k), table.field.min_value, k)
-
-
-def _invert_zeta(zeta: MonotoneProfile, min_value: float,
-                 k: int) -> SymmetrizationResult:
-    t, z = zeta.r, zeta.values
-    # right-continuous sup-inversion: on plateaus of zeta keep the largest
-    # level, then interpolate between the surviving nodes
-    keep = np.concatenate([np.diff(z) > 0.0, [True]])
-    zk, tk = z[keep], t[keep]
-    # below the first sampled level the profile is completed by the
-    # quadratic stub m + (t0 - m)(r/r0)^2: admissible fields vanish
-    # quadratically at their minimum, and a linear ramp would leave an
-    # O(delta) kink there
-    frac = np.array([0.0, 0.25, 0.5, 0.75])
-    stub_r = frac * zk[0]
-    stub_v = min_value + (tk[0] - min_value) * frac ** 2
-    stub_d = 2.0 * (tk[0] - min_value) * frac / zk[0]
-    radii = np.concatenate([stub_r, zk])
-    values = np.concatenate([stub_v, tk])
-    # slope of the inverse map, differentiated in the radius variable
-    # (exact for quadratic profiles, unlike 1 / (centered dzeta/dt))
-    deriv = np.concatenate([
-        stub_d, np.maximum(np.gradient(tk, zk, edge_order=2), 0.0)])
-    rho = MonotoneProfile(radii, values, "increasing", deriv)
-    return SymmetrizationResult(order=k, zeta=zeta, rho=rho,
-                                outer_radius=float(zk[-1]))
+    """Build the order-(k-1) symmetrand of the table's field: rho has the
+    nodes (0, min u) and (zeta_i, t_i) at the table's nodes, the slopes
+    dt/dzeta = (dt/ds) / (dzeta/ds) and the r-weights weights dzeta/ds of
+    its level rule (both 0 at the anchor, where admissible fields are
+    flat), which radial_energy and lp_compare sum on."""
+    zeta = zeta_profile(table, k)
+    z, dz = table.zeta[k - 1], table.zeta_slopes[k - 1]
+    rho = MonotoneProfile(
+        np.append(0.0, z), np.append(table.field.min_value, table.levels),
+        "increasing", np.append(0.0, table.slopes / dz),
+        weights=np.append(0.0, table.weights * dz))
+    return SymmetrizationResult(k, zeta, rho, float(z[-1]))
 
 
 def ps_margin(table: LevelTable, k: int, lhs: float) -> PsMarginResult:
@@ -164,9 +150,9 @@ def lp_compare(table: LevelTable, k: int, p: float, lhs: float):
     """(||u||_p, ||u*||_p); symmetrization does not decrease L^p norms.
 
     ``lhs`` is ||u||_p, lp_norm(u, p); p = inf compares the minima, which
-    agree exactly (``lhs`` is then |min u|). ||u*||_p^p is integrated on
-    the panels of the symmetrand profile rho, as in radial_energy: rho is
-    linear on each, so the panel Gauss rule is exact at p = 2.
+    agree exactly (``lhs`` is then |min u|). ||u*||_p^p is the weighted
+    sum of |rho|^p r^(n-1) on the nodes of the symmetrand profile rho, as
+    in radial_energy.
     """
     n = table.field.dim
     rho = symmetrand(table, k).rho
@@ -174,8 +160,7 @@ def lp_compare(table: LevelTable, k: int, p: float, lhs: float):
         return lhs, abs(float(rho(0.0)))
     _check_exponent(p)
     kappa = wulff_volume(table.norm)
-    mass = panel_cumulative(
-        lambda s: np.abs(rho(s)) ** p * s ** (n - 1.0), rho.r)[-1]
+    mass = np.sum(rho.weights * np.abs(rho.values) ** p * rho.r ** (n - 1))
     return lhs, (n * kappa * float(mass)) ** (1.0 / p)
 
 

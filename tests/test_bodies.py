@@ -29,7 +29,7 @@ from wulffsym.field_ops import (
     domain_volume,
     hessian_integral,
     hessian_integral_coarea,
-    level_grid,
+    level_rule,
     newton_curvatures,
 )
 from wulffsym.fields import (
@@ -112,7 +112,7 @@ class TestSampling:
         with pytest.raises(DomainError, match="levels must lie in"):
             sample_many(norm, u, [-0.3, math.nan], rays=64)
         with pytest.raises(DomainError, match="levels must lie in"):
-            LevelTable(norm, u, np.array([-0.4, math.nan, -0.1]), 64)
+            sample_many(norm, u, np.array([-0.4, math.nan, -0.1]), rays=64)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_ray_count_below_one_rejected(self, count):
@@ -246,10 +246,10 @@ class TestLevelTable:
             norm = euclidean_norm(3)
             u, rays = quadratic_ellipsoid(3), 32
         n = u.dim
-        levels = level_grid(u, 40)
+        levels = level_rule(u, 40, rays)[2]
         monkeypatch.setattr(bodies, "_JET_CHUNK",
                             7 * _DirectionGrid(n, rays).count)
-        table = LevelTable(norm, u, levels, rays)
+        table = LevelTable(norm, u, 40, rays)
         samples = [sample_level_set(norm, u, t, rays=rays) for t in levels]
         zeta = [[mean_radius(s, j) for s in samples] for j in range(n)]
         coarea = [[float(np.sum(s.weights * s.curvatures[k - 1]
@@ -366,7 +366,11 @@ class TestRayRoots:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_newton_roots_match_bisection(self, dim):
         # the Newton roots on the ray restriction against a bisection on
-        # the field's pointwise values along the same directions
+        # the field's pointwise values along the same directions. The
+        # lowest Gauss level of a = 3 lies at t - m = 4e-6 |m|, where the
+        # rounding of u alone moves a root by eps |m| / (s du/ds), 9e-12
+        # relative, so both radii are compared from the second level on;
+        # the residual is checked at every level
         mats = {2: np.diag([4.0, 1.0]), 3: np.diag([4.0, 1.0, 2.25])}
         rays = 64 if dim == 2 else 16
         omega = _DirectionGrid(dim, rays).omega
@@ -376,13 +380,14 @@ class TestRayRoots:
                       quadratic_ellipsoid(dim, axes=[2.0, 1.0, 1.5][:dim]),
                       radial_power(norm, a=2.0), radial_power(norm, a=3.0),
                       perturbed_radial(norm)):
-                levels = level_grid(u, 10)
+                levels = level_rule(u, 10)[2]
                 want = bisected_radii(u, omega, levels)
-                for got, ref in zip(sample_many(norm, u, levels, rays=rays),
-                                    want):
-                    s = np.linalg.norm(got.points - u.anchor, axis=-1)
+                got = sample_many(norm, u, levels, rays=rays)
+                for sample, ref in zip(got[1:], want[1:]):
+                    s = np.linalg.norm(sample.points - u.anchor, axis=-1)
                     assert np.max(np.abs(s - ref) / ref) <= 1e-12, u.name
-                    assert got.diagnostics["residual_max"] <= 1e-12
+                for sample in got:
+                    assert sample.diagnostics["residual_max"] <= 1e-12
 
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -396,7 +401,7 @@ class TestRayRoots:
             for u in (quadratic_ellipsoid(dim, axes=[2.0, 1.0, 1.5][:dim]),
                       radial_power(norm, a=3.0), perturbed_radial(norm)):
                 fan = u.fan(rays)
-                levels = level_grid(u, 20)
+                levels = level_rule(u, 20)[2]
                 # the box-exit start, then the warm start of sampling
                 for radii in (None, boundary_radii(u, rays)):
                     many = _ray_roots(fan, levels, radii)
@@ -419,7 +424,7 @@ class TestRayRoots:
         rays = 256 if u.dim == 2 else 24
         calls = []
         fan = counted_field(u, calls).fan(rays)
-        levels = level_grid(u, 40)[20:]
+        levels = level_rule(u, 40)[2][20:]
         _ray_roots(fan, levels)
         assert calls == [(20, fan.grid.count)] * 2
         calls.clear()
@@ -464,7 +469,7 @@ class TestRayRoots:
                       radial_power(norm, a=2.0), perturbed_radial(norm)):
                 solves.clear()
                 level_zero.clear()
-                samples = sample_many(norm, u, level_grid(u, 20),
+                samples = sample_many(norm, u, level_rule(u, 20)[2],
                                       rays=ray_count)
                 assert all(s is not None for s in samples)
                 assert all(w for w, _ in solves)
@@ -480,7 +485,7 @@ class TestRayRoots:
         # multi-level solve, bit for bit
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))
         u = radial_power(norm, a=3.0)
-        levels = level_grid(u, 10)
+        levels = level_rule(u, 10)[2]
         fan, radii = u.fan(64), boundary_radii(u, 64)
         many = _ray_roots(fan, levels, radii)
         want = sample_many(norm, u, levels, rays=64)[4]
@@ -513,7 +518,7 @@ class TestRayRoots:
                       perturbed_radial(norm, a=3.0)):
                 calls = []
                 counted = counted_field(u, calls)
-                levels = level_grid(u, 40)
+                levels = level_rule(u, 40)[2]
                 _ray_roots(counted.fan(rays), levels)
                 cold = sum(map(math.prod, calls))
                 calls.clear()
@@ -531,7 +536,7 @@ class TestRayRoots:
         fan = u.fan(16)
         steps = []
         counted = counted_field(u, steps).fan(16)
-        levels = level_grid(u, 20)
+        levels = level_rule(u, 20)[2]
         # the box-exit start, then the warm start of sampling
         for radii in (None, boundary_radii(u, 16)):
             steps.clear()
@@ -569,7 +574,7 @@ class TestRayRoots:
         monkeypatch.setattr(rays, "_NEWTON_ITERS", 1)
         u = quadratic_ellipsoid(2, axes=[2.0, 1.0])
         with pytest.raises(NumericError, match=r"\d+ rays unconverged"):
-            sample_many(euclidean_norm(2), u, level_grid(u, 10), rays=64)
+            sample_many(euclidean_norm(2), u, level_rule(u, 10)[2], rays=64)
 
     def test_unconverged_warm_rays_raise(self, monkeypatch):
         # a = 3 is not quadratic along the rays, so the level solve from
@@ -582,7 +587,7 @@ class TestRayRoots:
         with pytest.raises(NumericError, match=(
                 r"\d+ rays unconverged after 1 iterations \(widest bracket "
                 r"left \d\.\d{3}e[+-]\d+\)")):
-            _ray_roots(u.fan(64), level_grid(u, 10), radii)
+            _ray_roots(u.fan(64), level_rule(u, 10)[2], radii)
 
 
 def parametrized_weights(grid, rays, s, grads):
@@ -630,7 +635,7 @@ class TestSurfaceWeights:
             u = perturbed_radial(regularized_p_norm(dim, 3.0))
         rays = 256 if u.dim == 2 else 24
         fan = u.fan(rays)
-        s = _ray_roots(fan, level_grid(u, 10))
+        s = _ray_roots(fan, level_rule(u, 10)[2])
         grads = fan.restriction.jets(s)[1]
         got = bodies._surface_terms(fan.grid, s, grads,
                                     np.linalg.norm(grads, axis=-1))[0]

@@ -12,7 +12,7 @@ from wulffsym.field_ops import (
     PolarTable,
     generalized_integral,
     hessian_integral,
-    level_grid,
+    level_rule,
     lp_norm,
 )
 
@@ -96,7 +96,7 @@ class TestRun:
                            for r in data["rows"]), task
         u = cfg.build_field(cfg.build_norm())
         assert len(calls) == 1
-        assert np.array_equal(calls[0], level_grid(u, 80))
+        assert np.array_equal(calls[0], level_rule(u, 80, 512)[2])
 
     def test_level_table_sums_the_configured_orders(self, monkeypatch):
         # the run's one level table gets the config's orders; on ball3
@@ -176,7 +176,8 @@ class TestRun:
                                          want):
         # the level table, mixedvol's samples and the polar table read the
         # field's one fan per direction count: one ray restriction and one
-        # level-0 solve each, at grids.rays and grids.volume_panels
+        # level-0 solve each, at grids.rays and grids.volume_panels; the
+        # level rule adds the restriction of its one probe ray
         raw = (json.loads(ELLIPSE_CONFIG.read_text()) if name == "ellipse"
                else dict(BALL3D if name == "ball3d" else REGP2D))
         raw["output"] = {"directory": str(tmp_path / "out")}
@@ -184,7 +185,7 @@ class TestRun:
         norm, u = cfg.built
         cfg.built = (norm, fan_counts.watch(u))
         assert run(cfg)["passed"]
-        assert dict(fan_counts.builds) == want
+        assert dict(fan_counts.builds) == {**want, 1: 1}
         assert dict(fan_counts.solves) == want
 
     def test_bad_exponent_fails_only_its_tasks(self, tmp_path):
@@ -344,6 +345,78 @@ class TestRun:
         assert float(rows[0]["value"]) == want
 
 
+def full_run_config(norm, field, orders, grids):
+    """A config of every task but invariants, as the check corpus runs."""
+    return {"norm": norm, "field": field, "orders": orders,
+            "exponents": [1.5], "grids": grids,
+            "tasks": [t for t in cli.TASKS if t != "invariants"],
+            "output": {}, "seed": 7}
+
+
+EUCLID2 = {"family": "euclidean", "dim": 2}
+
+
+class TestLevelRule:
+    """Configs the refined level grid failed: the Gauss levels of one probe
+    ray pass every row of them."""
+
+    @pytest.mark.parametrize("raw", [
+        full_run_config(EUCLID2, {"preset": "radial_power",
+                                  "params": {"radius": 32.0}},
+                        [1], {"levels": 160, "rays": 512}),
+        full_run_config(EUCLID2, {"preset": "quadratic_ellipsoid"}, [1, 2],
+                        {"levels": 10, "rays": 512}),
+        full_run_config({"family": "euclidean", "dim": 3},
+                        {"preset": "quadratic_ellipsoid"}, [1],
+                        {"levels": 10, "rays": 16, "volume_panels": 16}),
+    ], ids=["radial-power-radius-32", "disc-10-levels", "ball3-10-levels"])
+    def test_every_row_passes(self, raw):
+        report = run(ExperimentConfig.from_dict(raw))
+        failed = [(task, r["case"], r["k"], r["margin"])
+                  for task, data in report["tasks"].items()
+                  for r in data["rows"] if not r["passed"]]
+        assert report["passed"] and not failed, failed
+
+    def test_sixth_power_at_200_levels(self):
+        # the lowest Gauss levels of a = 6 are skipped (they round onto the
+        # minimum or are degenerate) and take the anchor limit; the
+        # Polya-Szego and L^2 sides of this Wulff-radial field agree
+        raw = full_run_config(
+            {"family": "ellipsoid", "dim": 2,
+             "matrix": [[4.0, 0.0], [0.0, 1.0]]},
+            {"preset": "radial_power", "params": {"a": 6.0}}, [1, 2],
+            {"levels": 200, "rays": 512})
+        with pytest.warns(UserWarning, match="skipping degenerate level"):
+            report = run(ExperimentConfig.from_dict(raw))
+        assert report["passed"]
+        rows = [r for task in ("polya_szego", "symmetrize")
+                for r in report["tasks"][task]["rows"]
+                if r["case"] in ("hessian energy drop", "L2 monotonicity")]
+        assert len(rows) == 4
+        for r in rows:
+            assert abs(r["margin"]) <= 1e-12 * (1.0 + abs(r["value"])), r
+
+    def test_check_corpus_equalities(self):
+        # coarea against direct energy on every check entry but the
+        # regularized_p one, whose direct energy the ray count bounds, and
+        # the aniso-cubic Polya-Szego sides
+        for name, raw in cli.regression_corpus():
+            report = run(ExperimentConfig.from_dict(raw))
+            assert report["passed"], name
+            rows = report["tasks"]["identities"]["rows"]
+            coarea = [r for r in rows
+                      if r["case"] == "coarea vs direct energy"]
+            assert len(coarea) == len(raw["orders"]), name
+            if name != "regp-wulff":
+                for r in coarea:
+                    assert abs(r["margin"]) <= 1e-10 * (
+                        1.0 + abs(r["oracle"])), (name, r)
+            if name == "aniso-cubic":
+                (ps,) = [r for r in report["tasks"]["polya_szego"]["rows"]
+                         if r["case"] == "hessian energy drop"]
+                assert abs(ps["margin"]) <= 1e-10, ps
+
+
 class TestCheck:
     def test_corpus_passes(self, capsys):
         assert main(["check"]) == 0
@@ -354,7 +427,8 @@ class TestCheck:
         # a task with no rows would pass on all([]); check requests
         # sobolev only where a (k, p) lies below the borderline n - k + 1.
         # Each entry builds one ray fan per direction count: 512 and 2048
-        # in 2D, 96 x 48 in 3D; the invariant kernel samples nothing
+        # in 2D, 96 x 48 in 3D, and the level rule's probe-ray
+        # restriction; the invariant kernel samples nothing
         reports, fans = [], []
         real_run = cli.run
 
@@ -380,7 +454,7 @@ class TestCheck:
                         if "sobolev" in r["tasks"]]
         assert len(with_sobolev) == 7
         want = {2: {512: 1, 2048: 1}, 3: {96 * 48: 1}}
-        assert fans[:-1] == [(dim, want[dim], want[dim])
+        assert fans[:-1] == [(dim, {**want[dim], 1: 1}, want[dim])
                              for dim, _, _ in fans[:-1]]
         assert fans[-1] == (2, {}, {})
 

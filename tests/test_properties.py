@@ -16,9 +16,14 @@ from wulffsym.anisotropy import (
     wulff_volume,
 )
 from wulffsym.bodies import LevelTable, sample_level_set, sample_many
-from wulffsym.errors import DegenerateLevelError
-from wulffsym.field_ops import PolarTable, level_grid
-from wulffsym.fields import perturbed_radial, quadratic_ellipsoid, radial_field
+from wulffsym.errors import DegenerateLevelError, NumericError
+from wulffsym.field_ops import PolarTable, level_rule
+from wulffsym.fields import (
+    perturbed_radial,
+    quadratic_ellipsoid,
+    radial_field,
+    radial_power,
+)
 from wulffsym.parallel import ENV_VAR, thread_count
 from wulffsym.quad import panel_cumulative
 from wulffsym.radial import rearrange
@@ -105,6 +110,18 @@ class TestDegenerateLevels:
         with pytest.raises(DegenerateLevelError):
             sample_level_set(norm, u, t_star, rays=64)
 
+    def test_table_with_no_sampled_level(self):
+        # |grad u| < 1e-10 everywhere on a Wulff ball of radius 1e-11: every
+        # level is skipped, the table has no node, and its profile readers
+        # raise NumericError
+        norm = euclidean_norm(2)
+        with pytest.warns(UserWarning, match="skipping degenerate level"):
+            table = LevelTable(norm, radial_power(norm, radius=1e-11), 10,
+                               rays=64)
+        assert table.skipped.size == 10 and table.zeta.shape == (2, 0)
+        with pytest.raises(NumericError, match="too many degenerate"):
+            zeta_profile(table, 1)
+
     def test_sample_many_marks_none(self):
         norm, u = self.plateau_field()
         t_star = float(u.values(np.array([[0.5, 0.0]]))[0])
@@ -135,9 +152,10 @@ class TestDegenerateLevels:
         # None entries and skipped levels
         norm, u = self.plateau_field()
         t_star = float(u.values(np.array([[0.5, 0.0]]))[0])
-        m = u.min_value
-        levels = np.concatenate([np.linspace(0.99 * m, t_star, 6),
-                                 np.linspace(t_star, -1e-3, 7)[1:]])
+        # the middle one of the 11 Gauss nodes on the probe ray [0, 1] is
+        # the degenerate ring r = 1/2
+        levels = level_rule(u, 12, 64)[2]
+        assert levels[5] == t_star
         count = rays._DirectionGrid(2, 64).count
         assert bodies._JET_CHUNK // count >= levels.size
         runs = []
@@ -146,7 +164,7 @@ class TestDegenerateLevels:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 runs.append((sample_many(norm, u, levels, rays=64),
-                             LevelTable(norm, u, levels, rays=64)))
+                             LevelTable(norm, u, 12, rays=64)))
         (one, table_one), (many, table_many) = runs
         assert [s is None for s in one] == [s is None for s in many]
         assert [i for i, s in enumerate(many) if s is None] == [5]
@@ -194,7 +212,7 @@ class TestThreading:
     def test_results_independent_of_thread_count(self, monkeypatch):
         norm = ellipsoid_norm(np.diag([4.0, 1.0]))
         u = perturbed_radial(norm)
-        levels = level_grid(u, 40)
+        levels = level_rule(u, 40)[2]
         monkeypatch.setenv(ENV_VAR, "1")
         serial = sample_many(norm, u, levels, rays=256)
         monkeypatch.setenv(ENV_VAR, "4")
@@ -251,9 +269,10 @@ def test_coarea_warns_on_degenerate_level():
     t_star = float(u.values(np.array([[0.5, 0.0]]))[0])
     from wulffsym.field_ops import hessian_integral_coarea
 
-    levels = np.sort(np.concatenate([
-        np.linspace(u.min_value * 0.98, -1e-4, 30), [t_star]]))
+    # the middle one of the 31 Gauss nodes on the probe ray [0, 1] is the
+    # degenerate ring r = 1/2
+    assert level_rule(u, 32, 64)[2][15] == t_star
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        hessian_integral_coarea(LevelTable(norm, u, levels, rays=64), 1)
+        hessian_integral_coarea(LevelTable(norm, u, 32, rays=64), 1)
     assert any("degenerate" in str(w.message) for w in caught)

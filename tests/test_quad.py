@@ -5,7 +5,13 @@ import operator
 import numpy as np
 import pytest
 
-from wulffsym.quad import colwise, legendre_rule, panel_cumulative, rowsum
+from wulffsym.quad import (
+    colwise,
+    diff_matrix,
+    legendre_rule,
+    panel_cumulative,
+    rowsum,
+)
 
 
 def test_legendre_rule_is_cached_and_read_only():
@@ -75,3 +81,21 @@ def test_colwise_is_the_broadcast_bit_for_bit(n):
             want = shift + np.asarray(y)[..., None] * x
             got = colwise(np.multiply, x, y, shift)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("length", [1e-3, 2.0, 1e3])
+def test_diff_matrix_on_the_level_rule_nodes(length):
+    # the level rule's nodes, up to 399 Gauss nodes of [0, length] and the
+    # end: every weight product stays finite, the matrix differentiates a
+    # polynomial of lower degree to rounding, and its rows sum to zero
+    for count in (9, 149, 399):
+        x, _ = legendre_rule(count)
+        s = np.append(0.5 * length * (x + 1.0), length)
+        d = diff_matrix(s)
+        assert np.all(np.isfinite(d))
+        y = s / length
+        got = d @ (y ** 3 - 2.0 * y) * length
+        # rounding of ~N^2 eps per unit of the values, at the end rows
+        assert np.max(np.abs(got - (3.0 * y ** 2 - 2.0))) < 1e-13 * count ** 2
+        rows = np.abs(d @ np.ones_like(s)) * length
+        assert np.max(rows) < 1e-13 * count ** 2

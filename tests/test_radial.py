@@ -13,6 +13,7 @@ from wulffsym import quad, radial, rays
 from wulffsym.errors import DomainError, InputError
 from wulffsym.field_ops import hessian_integral, sk_field
 from wulffsym.fields import quadratic_ellipsoid, radial_field, radial_power
+from wulffsym.quad import legendre_rule
 from wulffsym.radial import (
     MonotoneProfile,
     profile_from_callable,
@@ -25,10 +26,21 @@ from wulffsym.radial import (
 )
 
 
-def parabolic_profile(radius=1.0, nodes=2001):
-    r = np.linspace(0.0, radius, nodes)
-    return MonotoneProfile(r, 0.5 * (r * r - radius * radius), "increasing",
-                           derivative=r)
+def gauss_profile(v, dv, radius=1.0, nodes=201):
+    """The increasing profile of v on [0, radius] at the Gauss nodes of
+    the interval and at both ends, carrying the slopes dv and the Gauss
+    weights (0 at the ends) as its quadrature weights in r."""
+    x, w = legendre_rule(nodes)
+    r = np.concatenate([[0.0], 0.5 * radius * (x + 1.0), [radius]])
+    return MonotoneProfile(r, v(r), "increasing", derivative=dv(r),
+                           weights=np.concatenate([[0.0], 0.5 * radius * w,
+                                                   [0.0]]))
+
+
+def parabolic_profile(radius=1.0):
+    # an odd node count puts the middle Gauss node at radius / 2
+    return gauss_profile(lambda r: 0.5 * (r * r - radius * radius),
+                         lambda r: r, radius)
 
 
 class TestMonotoneProfile:
@@ -132,9 +144,8 @@ class TestRadialHessianIntegral:
                      regularized_p_norm(2, 3.0)):
             kap = wulff_volume(norm)
             u = radial_power(norm, a=3.0)
-            grid = np.linspace(0.0, 1.0, 4001)
-            prof = MonotoneProfile(grid, (grid ** 3 - 1.0) / 3.0,
-                                   "increasing", derivative=grid ** 2)
+            prof = gauss_profile(lambda r: (r ** 3 - 1.0) / 3.0,
+                                 lambda r: r ** 2, nodes=48)
             for k in (1, 2):
                 want = radial_hessian_integral(prof, 2, k, kap)
                 got = hessian_integral(norm, u, k)
@@ -154,6 +165,15 @@ class TestRadialHessianIntegral:
             radial_energy(p, 2, 1, 2.0, math.pi)
         with pytest.raises(DomainError, match="no derivative estimates"):
             radial_hessian_integral(p, 2, 1, math.pi)
+
+    def test_energy_needs_quadrature_weights(self):
+        # the energies are weighted sums on the profile's nodes, with no
+        # panel rule beside them
+        r = np.linspace(0.0, 1.0, 101)
+        p = MonotoneProfile(r, 0.5 * (r * r - 1.0), "increasing",
+                            derivative=r)
+        with pytest.raises(DomainError, match="no quadrature weights"):
+            radial_energy(p, 2, 1, 2.0, math.pi)
 
 
 class TestSolveRadial:

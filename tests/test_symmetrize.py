@@ -14,7 +14,13 @@ from wulffsym.anisotropy import (
 )
 from wulffsym.bodies import LevelTable
 from wulffsym.errors import DomainError, InputError, ModelError
-from wulffsym.field_ops import generalized_integral, hessian_integral, lp_norm
+from wulffsym.field_ops import (
+    PolarTable,
+    generalized_integral,
+    hessian_integral,
+    hessian_integral_coarea,
+    lp_norm,
+)
 from wulffsym.fields import (
     perturbed_radial,
     quadratic_ellipsoid,
@@ -139,6 +145,71 @@ class TestSymmetrand:
         assert np.allclose(sym.rho(sym.zeta.values), sym.zeta.r, atol=1e-12)
 
 
+class TestGaussLevelAccuracy:
+    """The level rule at the benchmark's level counts: rows that theory
+    makes equalities read them to rounding."""
+
+    def test_ellipse_coarea_and_volume_l2(self):
+        # 200 levels, 2048 rays, 400 polar directions: ellipse2d's grids
+        norm, u = euclidean_norm(2), ellipse_field()
+        table = LevelTable(norm, u, 200, 2048)
+        polar = PolarTable(norm, u, 400, [("hessian", 1), ("hessian", 2),
+                                          ("lp", 2.0)])
+        for k in (1, 2):
+            direct = polar[("hessian", k)]
+            coarea = hessian_integral_coarea(table, k)
+            assert abs(coarea - direct) <= 1e-12 * (1.0 + direct)
+        lhs, rhs = lp_compare(table, 1, 2.0, polar[("lp", 2.0)])
+        assert abs(rhs - lhs) <= 1e-12
+
+    def test_ball_sides(self):
+        # 150 levels, 96 longitudes and 96 polar directions: ball3d's
+        # grids; the Polya-Szego sides, coarea against direct energy and
+        # the L^2 sides of the unit ball, its own symmetrand
+        norm, u = euclidean_norm(3), quadratic_ellipsoid(3)
+        table = LevelTable(norm, u, 150, 96)
+        polar = PolarTable(norm, u, 96, [("hessian", 1), ("lp", 2.0)])
+        res = ps_margin(table, 1, polar[("hessian", 1)])
+        assert abs(res.margin) <= 1e-12 * res.lhs
+        assert abs(res.lhs_coarea - res.lhs) <= 1e-12 * res.lhs
+        lhs, rhs = lp_compare(table, 1, 2.0, polar[("lp", 2.0)])
+        assert abs(rhs - lhs) <= 1e-12
+
+    def test_aniso_cubic_polya_szego_sides(self):
+        # the check entry aniso-cubic: radial_power a = 3 under diag(4, 1)
+        # at 160 levels and 512 rays, k = 2
+        norm = ellipsoid_norm(np.diag([4.0, 1.0]))
+        table = LevelTable(norm, radial_power(norm, a=3.0), 160, 512)
+        res = _ps_margin(table, 2)
+        assert abs(res.margin) <= 1e-12 * res.lhs
+
+    def test_sixth_power_skips_levels_below_the_lowest_sampled(self):
+        # t - m grows like s^6 along the probe ray: the lowest Gauss levels
+        # round onto the minimum or have |grad u| < 1e-10, are skipped with
+        # a warning, and take the anchor limit of zeta, which is exact on
+        # this Wulff-radial field
+        norm = ellipsoid_norm(np.diag([4.0, 1.0]))
+        u = radial_power(norm, a=6.0)
+        with pytest.warns(UserWarning, match="skipping degenerate level"):
+            table = LevelTable(norm, u, 200, 512)
+        below = ~table.sampled
+        assert 0 < below.sum() == table.skipped.size
+        assert np.all(table.coarea[:, below] == 0.0)
+        # the anchor limit: zeta_j / s below the lowest sampled node is
+        # that node's, where zeta_j = s F*(e_1) = s / 2 on the Wulff balls
+        # up to the rounding of u at t - m of order 1e-12
+        first = int(np.argmax(table.sampled))
+        ratio = table.zeta[:, first] / table.s[first]
+        assert np.allclose(table.zeta[:, below] / table.s[below],
+                           ratio[:, None], rtol=1e-15, atol=0.0)
+        assert np.allclose(ratio, 0.5, rtol=1e-5, atol=0.0)
+        for k in (1, 2):
+            res = _ps_margin(table, k)
+            assert abs(res.margin) <= 1e-12 * res.lhs
+            lhs, rhs = _lp_compare(table, k, 2.0)
+            assert abs(rhs - lhs) <= 1e-12
+
+
 def _ps_margin(table, k):
     return ps_margin(table, k, hessian_integral(table.norm, table.field, k))
 
@@ -174,16 +245,14 @@ class TestPolyaSzego:
 
     def test_chain_inequality_at_levels(self):
         # per-level bound: (1/k) * surface energy >= kappa C(n,k)
-        # zeta^{n-k} * rho'(zeta)^k, skipping the bottom decile where the
-        # finite-difference slope is unreliable
+        # zeta^{n-k} * rho'(zeta)^k, at every level
         norm = euclidean_norm(2)
         table = LevelTable(norm, ellipse_field())
         kap = wulff_volume(norm)
         for k in (1, 2):
             sym = symmetrand(table, k)
-            sel = slice(20, None)
-            lhs = table.coarea[k - 1][sel] / k
-            zeta = table.zeta[k - 1][sel]
+            lhs = table.coarea[k - 1] / k
+            zeta = table.zeta[k - 1]
             slopes = sym.rho.derivative_at(zeta)
             rhs = (kap * math.comb(2, k) * zeta ** (2 - k)
                    * slopes ** k)
@@ -195,9 +264,8 @@ class TestPolyaSzego:
         kap = wulff_volume(norm)
         k = 2
         sym = symmetrand(table, k)
-        sel = slice(20, -1)
-        lhs = table.coarea[k - 1][sel] / k
-        zeta = table.zeta[k - 1][sel]
+        lhs = table.coarea[k - 1] / k
+        zeta = table.zeta[k - 1]
         slopes = sym.rho.derivative_at(zeta)
         rhs = (kap * math.comb(2, k) * zeta ** (2 - k)
                * slopes ** k)
@@ -267,17 +335,14 @@ class TestLpCompare:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_l2_of_the_profile_is_exact(self, k):
-        # rho interpolates linearly between its nodes, so rho(s)^2 s is a
-        # cubic on each panel and Simpson's rule integrates it exactly
+        # ||u*||_2^2 is the Gauss sum on rho's nodes; on the ellipse
+        # zeta_{k-1} is linear in the probe-ray radius s, so the sum is
+        # exact: pi/6 at k = 1 (u* is equimeasurable with u) and
+        # pi Z_1^2 / 12 at k = 2, with rho = ((r / Z_1)^2 - 1) / 2
         norm = euclidean_norm(2)
         table = LevelTable(norm, ellipse_field())
-        rho = symmetrand(table, k).rho
-        r, v = rho.r, rho.values
-        mid_r, mid_v = 0.5 * (r[1:] + r[:-1]), 0.5 * (v[1:] + v[:-1])
-        mass = math.fsum(np.diff(r) / 6.0 * (v[:-1] ** 2 * r[:-1]
-                                             + 4.0 * mid_v ** 2 * mid_r
-                                             + v[1:] ** 2 * r[1:]))
-        want = math.sqrt(2.0 * math.pi * mass)
+        want = math.sqrt(math.pi / 6.0 if k == 1
+                         else math.pi * ELLIPSE_ZETA1 ** 2 / 12.0)
         _, rhs = lp_compare(table, k, 2.0, 0.0)
         assert rhs == pytest.approx(want, rel=1e-13, abs=0.0)
 
