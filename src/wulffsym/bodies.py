@@ -53,7 +53,7 @@ from .field_ops import _GRAD_TOL, curvature_batch, level_rule
 from .fields import Field
 from .invariants import _check_order
 from .parallel import map_blocks
-from .quad import chunked, colwise, diff_matrix, rowsum
+from .quad import chunked, colwise, diff_matrix, interp_matrix, rowsum
 # boundary_radii and default_rays are re-exported: the benchmark tracer
 # and the tests reach them here
 from .rays import _ray_roots, boundary_radii, default_rays  # noqa: F401
@@ -261,28 +261,27 @@ class LevelTable:
 
     Built once from (norm, field, level count, rays, orders) on
     field_ops.level_rule and u.fan(rays), which the field's later readers
-    share. A level that cannot be sampled (it rounds onto min u, or its
-    level set is degenerate) is skipped with a warning and listed in
-    ``skipped``. The nodes are the sampled levels and the skipped ones
-    below the lowest sampled node s_*, which take the anchor limit
-    zeta_j(s) = (s / s_*) zeta_j(s_*) and add nothing to the coarea sums.
-    Per node: the rule's ``s``, ``weights``, ``levels`` and ``slopes``;
-    ``sampled``; ``zeta[j]``, the mean radius zeta_j, j = 0..n-1, and
-    ``zeta_slopes[j]`` its s-derivative (quad.diff_matrix); ``coarea[i]``,
-    the surface integral of S_{k-1}(curv) F(grad u)^k F(nu), the coarea
-    integrand of the k-Hessian energy, for the i-th order k of ``orders``:
-    the sorted orders in 1..n of the ``orders`` argument (None means all,
-    so that ``coarea[k - 1]`` is order k; an order outside 1..n is left
-    out, and hessian_integral_coarea raises on reading it).
-    ``residual_max`` is the largest |u - level| at the ray roots of the
-    sampled levels. The samples themselves are not kept.
+    share. Per node of the rule: its ``s``, ``weights``, ``levels`` and
+    ``slopes``; ``sampled``; ``zeta[j]``, the mean radius zeta_j,
+    j = 0..n-1, and ``zeta_slopes[j]`` its s-derivative (quad.diff_matrix);
+    ``coarea[i]``, the surface integral of S_{k-1}(curv) F(grad u)^k F(nu),
+    the coarea integrand of the k-Hessian energy, for the i-th order k of
+    ``orders``: the sorted orders in 1..n of the argument (None means all,
+    so that ``coarea[k - 1]`` is order k; hessian_integral_coarea raises on
+    an order left out). A level that rounds onto min u or is degenerate is
+    skipped with a warning and listed in ``skipped``; fewer than a quarter
+    of the levels sampled raise NumericError. Below the lowest sampled node
+    s_*, zeta takes the anchor limit (s / s_*) zeta(s_*) and coarea 0;
+    above it, the value of the polynomials in s through the sampled nodes
+    (quad.interp_matrix). ``residual_max`` is the largest |u - level| at
+    the sampled ray roots. The samples themselves are not kept.
     """
 
     def __init__(self, norm: Norm, u: Field, levels: int = 200,
                  rays: int | None = None, orders=None):
         n = u.dim
         rule = level_rule(u, levels, rays)
-        probe, t = rule[0], rule[2]
+        s, t = rule[0], rule[2]
         self.orders = tuple(range(1, n + 1) if orders is None else
                             sorted({k for k in orders if 1 <= k <= n}))
         wulff_volume(norm)  # cached here, not raced by the sampler threads
@@ -294,19 +293,18 @@ class LevelTable:
         live[live] = [x is not None for x in sums]
         for level in t[~live]:
             warnings.warn(f"skipping degenerate level t={level:.6g}")
+        if np.sum(live) < live.size // 4:
+            raise NumericError("too many degenerate levels in the grid")
         kept = [x for x in sums if x is not None]
-        first = int(np.argmax(live)) if kept else 0
-        node = live | (np.arange(live.size) < first)
+        first = int(np.argmax(live))
         self.norm, self.field, self.rays = norm, u, rays
-        self.s, self.weights, self.levels, self.slopes = (
-            x[node] for x in rule)
-        self.sampled, self.skipped = live[node], t[~live]
-        zeta = np.array([x.zeta for x in kept]).T.reshape(n, -1)
-        self.zeta = np.concatenate(
-            [zeta[:, :1] * (probe[:first] / probe[first]), zeta], axis=1)
-        self.zeta_slopes = (self.zeta @ diff_matrix(self.s).T if kept
-                            else self.zeta)
-        self.coarea = np.zeros((len(self.orders), node.sum()))
-        self.coarea[:, first:] = np.array([x.coarea for x in kept]).T.reshape(
-            len(self.orders), len(kept))
-        self.residual_max = max((s.residual_max for s in kept), default=0.0)
+        self.s, self.weights, self.levels, self.slopes = rule
+        self.sampled, self.skipped = live, t[~live]
+        vals = np.zeros((n + len(self.orders), t.size))
+        vals[:, live] = np.array([x.zeta + x.coarea for x in kept]).T
+        gap = ~live & (np.arange(t.size) > first)
+        vals[:, gap] = vals[:, live] @ interp_matrix(s[live], s[gap]).T
+        vals[:n, :first] = vals[:n, first:first + 1] * (s[:first] / s[first])
+        self.zeta, self.coarea = vals[:n], vals[n:]
+        self.zeta_slopes = self.zeta @ diff_matrix(s).T
+        self.residual_max = max((x.residual_max for x in kept), default=0.0)

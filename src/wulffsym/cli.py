@@ -410,7 +410,7 @@ def _task_mixedvol(ctx: _Context):
 
 def _task_af(ctx: _Context):
     rows = []
-    zeta = ctx.levels.zeta
+    zeta = ctx.levels.zeta[:, ctx.levels.sampled]
     for k, l in af_pairs(ctx.u.dim):
         margin = float(np.min(zeta[k] - zeta[l]))
         rows.append(_row("af", f"mean-radius gap {k}-{l}", margin, 0.0,

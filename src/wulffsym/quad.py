@@ -1,6 +1,7 @@
 """Quadrature building blocks: cached Gauss-Legendre rules, panel rules,
-the barycentric differentiation matrix of the level rule, and rowsum and
-colwise, the n-axis sum and products of the sampling and polar paths."""
+the barycentric differentiation and interpolation matrices of the level
+rule, and rowsum and colwise, the n-axis sum and products of the sampling
+and polar paths."""
 
 import math
 from functools import lru_cache
@@ -54,11 +55,8 @@ def colwise(op, a, v, shift=None):
 
 def chunked(n_total: int, chunk: int):
     """Yield (start, stop) index pairs covering range(n_total)."""
-    start = 0
-    while start < n_total:
-        stop = min(start + chunk, n_total)
-        yield start, stop
-        start = stop
+    for start in range(0, n_total, chunk):
+        yield start, min(start + chunk, n_total)
 
 
 def panel_cumulative(f, grid):
@@ -85,18 +83,29 @@ def panel_cumulative(f, grid):
     return out
 
 
+def _barycentric(x):
+    """Gaps x_i - x_j (1 on the diagonal) and barycentric weights
+    b_j = 1 / prod_{l != j} c (x_j - x_l) of distinct nodes x: the scale
+    c = 4 / (max x - min x) keeps the products near 1 on Gauss-like nodes."""
+    gaps = x[:, None] - x[None, :] + np.eye(x.size)
+    return gaps, 1.0 / np.prod(4.0 / (np.max(x) - np.min(x)) * gaps, axis=1)
+
+
 def diff_matrix(x):
     """The differentiation matrix D of the polynomials on distinct nodes x,
-    (D @ p(x))[i] = p'(x[i]): D_ij = (b_j / b_i) / (x_i - x_j) and
-    D_ii = -sum_{j != i} D_ij, with b_j = 1 / prod_{l != j} c (x_j - x_l)
-    scaled by c = 4 / (max x - min x), which keeps these products near 1
-    on Gauss-like nodes, away from overflow and underflow."""
-    x = np.asarray(x, dtype=float)
-    gaps = x[:, None] - x[None, :] + np.eye(x.size)
-    b = 1.0 / np.prod(4.0 / (np.max(x) - np.min(x)) * gaps, axis=1)
+    (D @ p(x))[i] = p'(x[i]): D_ij = (b_j / b_i) / (x_i - x_j), D_ii =
+    -sum_{j != i} D_ij."""
+    gaps, b = _barycentric(x)
     d = b / b[:, None] / gaps
     np.fill_diagonal(d, 1.0 - np.sum(d, axis=1))
     return d
+
+
+def interp_matrix(x, y):
+    """The matrix P of the polynomials on distinct nodes x at points y off
+    them, (P @ p(x))[i] = p(y[i]), by the second barycentric formula."""
+    c = _barycentric(x)[1] / (y[:, None] - x)
+    return c / np.sum(c, axis=1, keepdims=True)
 
 
 def unit_ball_volume(n: int) -> float:

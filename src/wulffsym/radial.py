@@ -117,10 +117,9 @@ def radial_energy(profile: MonotoneProfile, n: int, k: int, p: float,
     The sum over the profile's nodes of weights r^{n-k} |derivative|^p.
     """
     _check_order(k, n, lo=1)
-    if profile.derivative is None:
-        raise DomainError("profile carries no derivative estimates")
-    if profile.weights is None:
-        raise DomainError("profile carries no quadrature weights")
+    if profile.derivative is None or profile.weights is None:
+        raise DomainError("profile carries no derivative estimates or no "
+                          "quadrature weights")
     total = np.sum(profile.weights * profile.r ** (n - k)
                    * np.abs(profile.derivative) ** p)
     return n * kappa_n * math.comb(n - 1, k - 1) * float(total)

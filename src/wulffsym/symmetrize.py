@@ -76,15 +76,12 @@ def zeta_profile(table: LevelTable, k: int) -> MonotoneProfile:
     """Tabulate t -> zeta_{k-1}(sublevel t) on the table's sampled levels,
     with the slopes d zeta/dt = (d zeta/ds) / (dt/ds) of its level rule.
 
-    Fewer than a quarter of the levels sampled raise NumericError. A drop
-    of zeta beyond MonotoneProfile's slack, 1e-10 (1 + max |zeta|), raises
-    ModelError (the profile is not repaired): it signals non-quasi-convex
-    data or insufficient resolution.
+    A drop of zeta beyond MonotoneProfile's slack, 1e-10 (1 + max |zeta|),
+    raises ModelError (the profile is not repaired): it signals
+    non-quasi-convex data or insufficient resolution.
     """
     _check_order(k, table.field.dim, lo=1)
     on = table.sampled
-    if np.sum(on) < (np.sum(on) + table.skipped.size) // 4:
-        raise NumericError("too many degenerate levels in the grid")
     t, z = table.levels[on], table.zeta[k - 1][on]
     try:
         return MonotoneProfile(t, z, "increasing",

@@ -396,27 +396,6 @@ class TestLevelRule:
         for r in rows:
             assert abs(r["margin"]) <= 1e-12 * (1.0 + abs(r["value"])), r
 
-    def test_check_corpus_equalities(self):
-        # coarea against direct energy on every check entry but the
-        # regularized_p one, whose direct energy the ray count bounds, and
-        # the aniso-cubic Polya-Szego sides
-        for name, raw in cli.regression_corpus():
-            report = run(ExperimentConfig.from_dict(raw))
-            assert report["passed"], name
-            rows = report["tasks"]["identities"]["rows"]
-            coarea = [r for r in rows
-                      if r["case"] == "coarea vs direct energy"]
-            assert len(coarea) == len(raw["orders"]), name
-            if name != "regp-wulff":
-                for r in coarea:
-                    assert abs(r["margin"]) <= 1e-10 * (
-                        1.0 + abs(r["oracle"])), (name, r)
-            if name == "aniso-cubic":
-                (ps,) = [r for r in report["tasks"]["polya_szego"]["rows"]
-                         if r["case"] == "hessian energy drop"]
-                assert abs(ps["margin"]) <= 1e-10, ps
-
-
 class TestCheck:
     def test_corpus_passes(self, capsys):
         assert main(["check"]) == 0
@@ -450,6 +429,22 @@ class TestCheck:
                 assert data["rows"], task
                 assert all(r["case"] != "nothing to check"
                            for r in data["rows"]), task
+        # coarea against direct energy on every corpus entry but the
+        # regularized_p one, whose direct energy the ray count bounds, and
+        # the aniso-cubic Polya-Szego sides
+        for (name, raw), report in zip(cli.regression_corpus(), reports):
+            rows = report["tasks"]["identities"]["rows"]
+            coarea = [r for r in rows
+                      if r["case"] == "coarea vs direct energy"]
+            assert len(coarea) == len(raw["orders"]), name
+            if name != "regp-wulff":
+                for r in coarea:
+                    assert abs(r["margin"]) <= 1e-10 * (
+                        1.0 + abs(r["oracle"])), (name, r)
+            if name == "aniso-cubic":
+                (ps,) = [r for r in report["tasks"]["polya_szego"]["rows"]
+                         if r["case"] == "hessian energy drop"]
+                assert abs(ps["margin"]) <= 1e-10, ps
         with_sobolev = [r["config"]["orders"] for r in reports
                         if "sobolev" in r["tasks"]]
         assert len(with_sobolev) == 7

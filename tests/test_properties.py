@@ -17,7 +17,13 @@ from wulffsym.anisotropy import (
 )
 from wulffsym.bodies import LevelTable, sample_level_set, sample_many
 from wulffsym.errors import DegenerateLevelError, NumericError
-from wulffsym.field_ops import PolarTable, level_rule
+from wulffsym.field_ops import (
+    PolarTable,
+    hessian_integral,
+    hessian_integral_coarea,
+    level_rule,
+    lp_norm,
+)
 from wulffsym.fields import (
     perturbed_radial,
     quadratic_ellipsoid,
@@ -27,7 +33,7 @@ from wulffsym.fields import (
 from wulffsym.parallel import ENV_VAR, thread_count
 from wulffsym.quad import panel_cumulative
 from wulffsym.radial import rearrange
-from wulffsym.symmetrize import zeta_profile
+from wulffsym.symmetrize import lp_compare, ps_margin, zeta_profile
 
 
 class TestHardyLittlewoodChain:
@@ -112,15 +118,35 @@ class TestDegenerateLevels:
 
     def test_table_with_no_sampled_level(self):
         # |grad u| < 1e-10 everywhere on a Wulff ball of radius 1e-11: every
-        # level is skipped, the table has no node, and its profile readers
-        # raise NumericError
+        # level is skipped, and the table raises NumericError rather than
+        # hold no data for its profile and coarea readers
         norm = euclidean_norm(2)
         with pytest.warns(UserWarning, match="skipping degenerate level"):
-            table = LevelTable(norm, radial_power(norm, radius=1e-11), 10,
-                               rays=64)
-        assert table.skipped.size == 10 and table.zeta.shape == (2, 0)
-        with pytest.raises(NumericError, match="too many degenerate"):
-            zeta_profile(table, 1)
+            with pytest.raises(NumericError, match="too many degenerate"):
+                LevelTable(norm, radial_power(norm, radius=1e-11), 10,
+                           rays=64)
+
+    def test_skipped_interior_level_is_interpolated(self):
+        # the degenerate ring r = 1/2 is the middle one of the 11 Gauss
+        # nodes on the probe ray [0, 1]: it stays a node of the table, with
+        # its Gauss weight, and takes zeta and coarea from the polynomials
+        # through the sampled nodes; zeta_j = s on these Euclidean discs,
+        # the coarea integrand vanishes with grad u on the ring, and the
+        # L^2 sides and the energies agree to rounding (dropping the node
+        # with its weight left the symmetrand's L^2 norm 10% short)
+        norm, u = self.plateau_field()
+        with pytest.warns(UserWarning, match="skipping degenerate level"):
+            table = LevelTable(norm, u, 12, rays=64)
+        assert table.skipped.size == 1 and table.s.size == 12
+        assert np.flatnonzero(~table.sampled).tolist() == [5]
+        assert np.max(np.abs(table.zeta - table.s)) <= 1e-14
+        assert np.max(np.abs(table.coarea[:, 5])) <= 1e-14
+        for k in (1, 2):
+            direct = hessian_integral(norm, u, k)
+            assert abs(hessian_integral_coarea(table, k) - direct) <= 1e-15
+            assert abs(ps_margin(table, k, direct).margin) <= 1e-15
+            lhs, rhs = lp_compare(table, k, 2.0, lp_norm(u, 2.0))
+            assert abs(rhs - lhs) <= 1e-15
 
     def test_sample_many_marks_none(self):
         norm, u = self.plateau_field()

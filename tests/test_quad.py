@@ -8,6 +8,7 @@ import pytest
 from wulffsym.quad import (
     colwise,
     diff_matrix,
+    interp_matrix,
     legendre_rule,
     panel_cumulative,
     rowsum,
@@ -99,3 +100,23 @@ def test_diff_matrix_on_the_level_rule_nodes(length):
         assert np.max(np.abs(got - (3.0 * y ** 2 - 2.0))) < 1e-13 * count ** 2
         rows = np.abs(d @ np.ones_like(s)) * length
         assert np.max(rows) < 1e-13 * count ** 2
+
+
+@pytest.mark.parametrize("length", [1e-3, 2.0, 1e3])
+def test_interp_matrix_on_the_level_rule_nodes(length):
+    # the level rule's nodes, up to 399 Gauss nodes of [0, length] and the
+    # end, with a low, a middle and the end node taken out: the matrix
+    # carries a polynomial of lower degree to the nodes taken out, and its
+    # rows sum to one, to rounding of ~N^2 eps
+    for count in (9, 149, 399):
+        x, _ = legendre_rule(count)
+        s = np.append(0.5 * length * (x + 1.0), length)
+        out = np.isin(np.arange(s.size), [1, count // 2, count])
+        p = interp_matrix(s[~out], s[out])
+        assert np.all(np.isfinite(p))
+        y = s / length
+        got = p @ (y[~out] ** 3 - 2.0 * y[~out])
+        want = y[out] ** 3 - 2.0 * y[out]
+        assert np.max(np.abs(got - want)) < 1e-15 * count ** 2
+        rows = p @ np.ones(np.sum(~out))
+        assert np.max(np.abs(rows - 1.0)) < 1e-15 * count ** 2
