@@ -29,10 +29,10 @@ levels of a block, whose live (non-degenerate) levels reach its
 ``reduce`` hook as one stacked LevelSetSample. The norm Hessian of a
 block is stored as (n, n, L, m), one row of points per entry, and read
 as an (L, m, n, n) view of unspecified strides. A LevelTable samples
-the Gauss levels of one probe ray (field_ops.level_rule) and has the
-sampler threads reduce each block to the mean radii and coarea
-integrands that every symmetrization harness reads, with one array sum
-per quantity for all the levels of the block.
+the Gauss levels of one probe ray (field_ops.level_rule) and reduces
+each block to the mean radii and coarea integrands that every
+symmetrization harness reads, with one array sum per quantity for all
+the levels of the block.
 It sums the coarea integrands of the orders it is built with only, and
 samples the curvatures up to the highest order that its mean radii and
 those sums read: S_0..S_{n-2} for zeta_0..zeta_{n-1}, and S_{k-1} for the
@@ -52,7 +52,6 @@ from .errors import DegenerateLevelError, DomainError, NumericError
 from .field_ops import _GRAD_TOL, curvature_batch, level_rule
 from .fields import Field
 from .invariants import _check_order
-from .parallel import map_blocks
 from .quad import chunked, colwise, diff_matrix, interp_matrix, rowsum
 # boundary_radii and default_rays are re-exported: the benchmark tracer
 # and the tests reach them here
@@ -125,19 +124,18 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
                 reduce=_level_views, top: int | None = None):
     """Sample many level sets at once; degenerate entries come back None.
 
-    The levels are cut into blocks of about _JET_CHUNK ray roots, mapped
-    over the worker threads (parallel.map_blocks), on u.fan(rays), whose
-    boundary radii are read (solved once per fan) on the calling thread.
+    The levels are cut into blocks of about _JET_CHUNK ray roots, run in
+    order on u.fan(rays), whose boundary radii are solved once per fan.
     Every block, also in a call of one level, takes one ray solve, started
     at those radii scaled by sqrt((t - m) / (0 - m)) (m = u.min_value;
     rays._ray_roots), one jet pass and one curvature_batch call for all
     its levels; its levels with min |grad u| < _GRAD_TOL are degenerate
     and left out of the curvature pass, which builds the orders 0..top
-    (None means n - 1; curvature_batch). On the thread that made the
-    block, ``reduce`` gets one LevelSetSample stacking its live levels, in
-    level order, and returns one item per live level. The list holds these
-    items in level order, with None at each degenerate level; by default
-    they are LevelSetSample views.
+    (None means n - 1; curvature_batch). For each block, ``reduce`` gets
+    one LevelSetSample stacking its live levels, in level order, and
+    returns one item per live level. The list holds these items in level
+    order, with None at each degenerate level; by default they are
+    LevelSetSample views.
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     m = u.min_value
@@ -170,7 +168,7 @@ def sample_many(norm: Norm, u: Field, levels, rays: int | None = None,
         return [next(items) if alive else None for alive in live]
 
     blocks = chunked(levels.shape[0], max(1, _JET_CHUNK // fan.grid.count))
-    return [x for part in map_blocks(block, blocks) for x in part]
+    return [x for bounds in blocks for x in block(bounds)]
 
 
 def sample_level_set(norm: Norm, u: Field, t: float,
@@ -284,7 +282,6 @@ class LevelTable:
         s, t = rule[0], rule[2]
         self.orders = tuple(range(1, n + 1) if orders is None else
                             sorted({k for k in orders if 1 <= k <= n}))
-        wulff_volume(norm)  # cached here, not raced by the sampler threads
         live = t > u.min_value
         sums = sample_many(
             norm, u, t[live], rays=rays,

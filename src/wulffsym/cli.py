@@ -33,9 +33,8 @@ sobolev read (field_ops.PolarTable).
 
 Exit status: 0 when every verdict passes, 1 when a check fails, a task
 raises a wulffsym error (a "task error (<class>)" row) or a task has
-nothing to check, 2 on config errors, an unusable output directory and a
-WULFFSYM_THREADS that is not a positive integer; other exceptions propagate.
-WULFFSYM_THREADS caps worker threads (default: all cores).
+nothing to check, 2 on config errors and an unusable output directory;
+other exceptions propagate.
 """
 
 import argparse
@@ -85,7 +84,6 @@ from .invariants import (
     sk_delta_oracle,
     sk_stack,
 )
-from .parallel import ENV_VAR, thread_count
 from .symmetrize import (
     comparison_margin,
     lp_compare,
@@ -321,13 +319,18 @@ def _task_invariants(ctx: _Context):
 
 
 def _sample_interior(u, count, seed):
-    """(grad u, hess u) at up to ``count`` uniform draws inside {u < 0}."""
+    """(grad u, hess u) at up to ``count`` uniform draws inside {u < 0};
+    NumericError when no draw keeps |grad u| > 1e-6."""
     rng = np.random.default_rng(seed)
     box = u.bounding_box
     pts = rng.uniform(box[:, 0], box[:, 1], size=(40 * count, u.dim))
     vals, grads, hesses = u.jets(pts)
     keep = (vals < -1e-3 * abs(u.min_value)) & (
         np.linalg.norm(grads, axis=-1) > 1e-6)
+    if not np.any(keep):
+        raise NumericError(
+            "no draw inside {u < 0} has |grad u| > 1e-6: the field is too "
+            "flat or {u < 0} too thin; rescale the field parameters")
     return grads[keep][:count].copy(), hesses[keep][:count].copy()
 
 
@@ -642,16 +645,9 @@ def _check() -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        threads = thread_count()
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     parser = argparse.ArgumentParser(
         prog="wulffsym",
-        description="Anisotropic mixed-volume symmetrization harnesses.",
-        epilog=f"Set {ENV_VAR} to cap worker threads "
-               f"(current budget: {threads}).")
+        description="Anisotropic mixed-volume symmetrization harnesses.")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a config file")
     p_run.add_argument("--config", required=True)

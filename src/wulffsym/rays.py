@@ -19,11 +19,11 @@ the ray. The levels whose rays have all converged leave the iteration,
 and rays left unconverged raise NumericError. The polar rule cuts each
 ray from the anchor to its boundary radius into equal panels of the one
 cached 48-node Gauss rule; the domain integrals use it with one panel,
-the rearrangement grid with many. polar_integral maps blocks of _CHUNK
-nodes of a rule over the worker threads, hands the field jets at the
-nodes to an integrand that returns a stack of quantities, and sums each
-of them; the polar table of field_ops asks it for every domain integral
-of one rule at once. Arguments named u are fields.Field instances; the
+the rearrangement grid with many. polar_integral runs over the blocks
+of _CHUNK nodes of a rule in order, hands the field jets at the nodes to
+an integrand that returns a stack of quantities, and sums each of them;
+the polar table of field_ops asks it for every domain integral of one
+rule at once. Arguments named u are fields.Field instances; the
 module does not import fields, so anisotropy can integrate Wulff-ball
 volumes on the same grids.
 """
@@ -33,7 +33,6 @@ import math
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .parallel import map_blocks
 from .quad import chunked, colwise, legendre_rule
 
 _NEWTON_ITERS = 100
@@ -227,17 +226,16 @@ def polar_grid(u, rays: int | None = None, panels: int = 1):
 def polar_integral(integrand, rule, values_only: bool = False) -> list:
     """Integrals over {u < 0} of a stack of integrands on a polar rule.
 
-    ``rule`` is _polar_rule(u, rays). Blocks of at most _CHUNK nodes run on
-    the worker threads (parallel.map_blocks). The integrand receives the
-    node rows of one block (a slice of the rule's first axis) and the
-    field jets there from the rule's ray restriction, (u, grad u, hess u)
-    of shape (nodes, directions), (..., n) and (..., n, n) (gradient and
-    Hessian None with ``values_only``), and returns a sequence of q
-    integrand values of shape (nodes, directions). Returns the q
-    integrals, summed block by block in block order, so they do not depend
-    on the thread count; nan marks an integrand that is not finite
-    somewhere. The nodes end exactly on the boundary, so integrands that
-    do not vanish there keep the Gauss rule's accuracy along every ray.
+    ``rule`` is _polar_rule(u, rays). Blocks of at most _CHUNK nodes run in
+    order on the calling thread. The integrand receives the node rows of
+    one block (a slice of the rule's first axis) and the field jets there
+    from the rule's ray restriction, (u, grad u, hess u) of shape (nodes,
+    directions), (..., n) and (..., n, n) (gradient and Hessian None with
+    ``values_only``), and returns a sequence of q integrand values of shape
+    (nodes, directions). Returns the q integrals, summed block by block in
+    block order; nan marks an integrand that is not finite somewhere. The
+    nodes end exactly on the boundary, so integrands that do not vanish
+    there keep the Gauss rule's accuracy along every ray.
     """
     grid, restriction, r, w = rule
 
@@ -249,4 +247,4 @@ def polar_integral(integrand, rule, values_only: bool = False) -> list:
                 else math.nan for v in integrand(rows, *jets)]
 
     blocks = chunked(r.shape[0], max(1, _CHUNK // grid.count))
-    return [float(np.sum(sums)) for sums in zip(*map_blocks(block, blocks))]
+    return [float(np.sum(sums)) for sums in zip(*map(block, blocks))]

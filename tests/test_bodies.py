@@ -149,7 +149,6 @@ class TestSampling:
             return curvature_batch(norm, grads, hesses, top)
 
         monkeypatch.setattr(bodies, "curvature_batch", counted)
-        monkeypatch.setenv("WULFFSYM_THREADS", "1")
         count = _DirectionGrid(3, 16).count
         monkeypatch.setattr(bodies, "_JET_CHUNK", 7 * count)
         levels = np.linspace(-0.45, -0.05, 20)
@@ -263,13 +262,11 @@ class TestLevelTable:
         assert np.array_equal(table.levels, levels)
 
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_order_limit_keeps_every_value(self, monkeypatch, dim, threads):
+    def test_order_limit_keeps_every_value(self, monkeypatch, dim):
         # a table built for order 1 samples fewer curvature rows (none but
         # S_0 in 2D, no S_2 in 3D) and keeps every value it holds bit for
         # bit, on blocks of several levels
-        monkeypatch.setenv("WULFFSYM_THREADS", threads)
         monkeypatch.setattr(bodies, "_JET_CHUNK", 1 << 10)
         norm = regularized_p_norm(dim, 3.0)
         u = perturbed_radial(norm)

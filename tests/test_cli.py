@@ -555,12 +555,10 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
 
-    @pytest.mark.parametrize("threads", ["abc", "0"])
-    def test_bad_thread_budget_exit_2(self, monkeypatch, capsys, threads):
-        monkeypatch.setenv("WULFFSYM_THREADS", threads)
-        assert main(["presets"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: WULFFSYM_THREADS must be ")
+    def test_thread_variable_is_not_read(self, monkeypatch):
+        # blocks run on the calling thread, so main reads no thread budget
+        monkeypatch.setenv("WULFFSYM_THREADS", "abc")
+        assert main(["presets"]) == 0
 
     def test_unusable_output_directory_exit_2(self, tmp_path, capsys):
         raw = base_config(tmp_path, ["af"])
@@ -610,6 +608,27 @@ class TestMain:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         (row,) = report["tasks"]["compare"]["rows"]
         assert row["case"].startswith("task error (DomainError): ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("preset, params", [
+        ("radial_power", {"radius": 1e-11}),
+        ("perturbed_radial", {"strength": 1e300}),
+        ("quadratic_ellipsoid", {"axes": [1e-200, 1.0]}),
+    ], ids=["tiny-radius", "huge-strength", "thin-axis"])
+    def test_no_interior_draw_is_an_error_row(self, tmp_path, preset, params):
+        # no uniform draw inside {u < 0} keeps |grad u| > 1e-6, so the
+        # identities task has no point to check
+        raw = base_config(tmp_path, ["identities"])
+        raw["field"] = {"preset": preset, "params": params}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        (row,) = report["tasks"]["identities"]["rows"]
+        assert row["case"] == (
+            "task error (NumericError): no draw inside {u < 0} has "
+            "|grad u| > 1e-6: the field is too flat or {u < 0} too thin; "
+            "rescale the field parameters")
 
     @pytest.mark.parametrize("tasks, orders", [
         (["symmetrize", "polya_szego", "compare"], []),

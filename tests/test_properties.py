@@ -1,36 +1,23 @@
 """Cross-module structural properties tying several subsystems together."""
 
 import math
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import box_gauss_grid
-from wulffsym import bodies, parallel, rays
-from wulffsym.anisotropy import (
-    ellipsoid_norm,
-    euclidean_norm,
-    regularized_p_norm,
-    wulff_volume,
-)
+from wulffsym import bodies, rays
+from wulffsym.anisotropy import ellipsoid_norm, euclidean_norm, wulff_volume
 from wulffsym.bodies import LevelTable, sample_level_set, sample_many
 from wulffsym.errors import DegenerateLevelError, NumericError
 from wulffsym.field_ops import (
-    PolarTable,
     hessian_integral,
     hessian_integral_coarea,
     level_rule,
     lp_norm,
 )
-from wulffsym.fields import (
-    perturbed_radial,
-    quadratic_ellipsoid,
-    radial_field,
-    radial_power,
-)
-from wulffsym.parallel import ENV_VAR, thread_count
+from wulffsym.fields import quadratic_ellipsoid, radial_field, radial_power
 from wulffsym.quad import panel_cumulative
 from wulffsym.radial import rearrange
 from wulffsym.symmetrize import lp_compare, ps_margin, zeta_profile
@@ -208,86 +195,6 @@ class TestDegenerateLevels:
         assert np.array_equal(table_one.zeta, table_many.zeta)
         assert np.array_equal(table_one.coarea, table_many.coarea)
         assert table_one.residual_max == table_many.residual_max
-
-
-class TestThreading:
-    def test_thread_count_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert thread_count() >= 1
-        monkeypatch.setenv(ENV_VAR, "3")
-        assert thread_count() == 3
-        monkeypatch.setenv(ENV_VAR, "0")
-        with pytest.raises(ValueError):
-            thread_count()
-        monkeypatch.setenv(ENV_VAR, "zero")
-        with pytest.raises(ValueError):
-            thread_count()
-
-    def test_default_is_the_cores_this_process_may_run_on(self,
-                                                          monkeypatch):
-        # under a cpuset or taskset the machine's core count overstates
-        # the budget: the default is the size of the affinity mask
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                            lambda pid: {3}, raising=False)
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
-        assert thread_count() == 1
-        monkeypatch.delattr(parallel.os, "sched_getaffinity")
-        assert thread_count() == 64
-
-    def test_results_independent_of_thread_count(self, monkeypatch):
-        norm = ellipsoid_norm(np.diag([4.0, 1.0]))
-        u = perturbed_radial(norm)
-        levels = level_rule(u, 40)[2]
-        monkeypatch.setenv(ENV_VAR, "1")
-        serial = sample_many(norm, u, levels, rays=256)
-        monkeypatch.setenv(ENV_VAR, "4")
-        threaded = sample_many(norm, u, levels, rays=256)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.points, b.points)
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.curvatures, b.curvatures)
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_tables_independent_of_thread_count(self, monkeypatch, dim):
-        # the level table and every polar-table value, the S_k node arrays
-        # included, are bit-equal on one, two and four worker threads; the
-        # grids are large enough that both maps cut several blocks
-        blocks = []
-
-        def counted(fn, parts):
-            parts = list(parts)
-            blocks.append(len(parts))
-            return parallel.map_blocks(fn, parts)
-
-        for mod in (bodies, rays):
-            monkeypatch.setattr(mod, "map_blocks", counted)
-        norm = regularized_p_norm(dim, 3.0)
-        u = perturbed_radial(norm)
-        count = 2048 if dim == 2 else 48
-        requests = [("hessian", 1), ("hessian", 2), ("generalized", 1, 1.5),
-                    ("generalized", 2, 2.0), ("lp", 2.0), ("sk", 1),
-                    ("sk", 2)]
-        built = {}
-        # four threads on fewer cores with a short switch interval: a block
-        # whose rows of the S_k node arrays were lost would show
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for threads in ("1", "2", "4"):
-                monkeypatch.setenv(ENV_VAR, threads)
-                built[threads] = (LevelTable(norm, u, 80, count),
-                                  PolarTable(norm, u, count, requests))
-        finally:
-            sys.setswitchinterval(interval)
-        assert min(blocks) > 1
-        lev1, pol1 = built["1"]
-        for lev, pol in (built["2"], built["4"]):
-            assert np.array_equal(lev1.zeta, lev.zeta)
-            assert np.array_equal(lev1.coarea, lev.coarea)
-            assert lev1.residual_max == lev.residual_max
-            for req in requests:
-                assert np.array_equal(pol1[req], pol[req]), req
 
 
 def test_coarea_warns_on_degenerate_level():

@@ -1,6 +1,6 @@
 """Structural rules of the package: the modules of wulffsym import each
-other without a cycle, and the runtime imports nothing beyond the standard
-library and numpy."""
+other without a cycle, start no thread or process, and the runtime imports
+nothing beyond the standard library and numpy."""
 
 import ast
 import json
@@ -53,6 +53,24 @@ def test_package_imports_form_no_cycle():
             visit(module, [module])
 
 
+def test_package_imports_no_thread_or_process_module():
+    # every block pass runs in order on the calling thread; imports inside
+    # functions count too
+    banned = {"threading", "_thread", "concurrent", "multiprocessing"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.stem, name) for name in names
+                      if name.partition(".")[0] in banned]
+    assert found == []
+
+
 # blocks every top-level module outside the standard library, numpy and
 # wulffsym, then runs a small disc experiment and prints what it imported
 NUMPY_ONLY = r"""
@@ -90,10 +108,8 @@ print(json.dumps({
 
 
 def test_runtime_imports_only_numpy_and_the_standard_library():
-    env = dict(os.environ, WULFFSYM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")]
-                                 if p]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", NUMPY_ONLY], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -30,8 +30,7 @@ def test_traced_experiment_has_every_layer(tmp_path):
                    "formats": ["json", "csv"]},
     }
     spans_file = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
-               WULFFSYM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "experiment.py"),
          json.dumps(cfg), "trace", str(spans_file)],
